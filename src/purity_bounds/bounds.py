@@ -23,6 +23,7 @@ mu = 5/9, and reproduced independently by the constrained minimizer in the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ PHI_MODES = ("exact", "interpolation", "asymptote")
 # Below 7/18 no exact piece is implemented, so purity-bound pass flags are
 # advisory: a violation within this relative slack still counts as a pass.
 ADVISORY_RELATIVE_SLACK = 0.02
+
+# A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
+# state that saturates a bound carry that much rounding.
+PASS_ROUNDING_TOL = 4.0 * sys.float_info.epsilon
 
 _MU_DOMAIN_TOL = 1e-12
 
@@ -90,6 +95,17 @@ def phi(mu: float, mode: str = "exact") -> float:
     return phi_eval(mu, mode).value
 
 
+def check_correlation(r: float) -> None:
+    """Reject a degenerate correlation coefficient, |r| >= 1."""
+    if abs(r) >= 1.0:
+        raise DegenerateCorrelationError(f"|r| = {abs(r)!r} must be < 1")
+
+
+def scale_hbar(hbar: float, phi_value: float, r: float) -> float:
+    """hbar Phi / sqrt(1 - r^2) for an already evaluated Phi; callers check r."""
+    return hbar * phi_value / math.sqrt(1.0 - r * r)
+
+
 def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") -> float:
     """Effective Planck constant hbar Phi(mu) / sqrt(1 - r^2).
 
@@ -98,9 +114,8 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if abs(r) >= 1.0:
-        raise DegenerateCorrelationError(f"|r| = {abs(r)!r} must be < 1")
-    return hbar * phi(mu, phi_mode) / math.sqrt(1.0 - r * r)
+    check_correlation(r)
+    return scale_hbar(hbar, phi(mu, phi_mode), r)
 
 
 @dataclass(frozen=True)
@@ -155,44 +170,54 @@ class BoundReport:
 
 
 def evaluate_bounds(m: SecondMoments, hbar: float, phi_mode: str = "exact") -> BoundReport:
-    """Evaluate the Heisenberg, Schrodinger-Robertson and purity bounds.
+    """Evaluate the Heisenberg, Schrodinger-Robertson and purity bounds of ``m``."""
+    product = m.sigma_qq * m.sigma_pp
+    return bound_report(product, product - m.sigma_qp**2, hbar, m.r, m.mu, phi_mode)
 
-    Slacks are reported as lhs - rhs of each inequality.  The purity-bound
-    pass flag is strict for mu >= 7/18 (where an exact Phi piece exists) and
-    advisory below: there a deficit within ``ADVISORY_RELATIVE_SLACK`` of the
-    bound still passes, because the interpolating Phi carries no error bound.
+
+def bound_report(
+    product: float, sr_lhs: float, hbar: float, r: float, mu: float, phi_mode: str = "exact"
+) -> BoundReport:
+    """All three bounds at (hbar, r, mu), checked against a variance product.
+
+    ``product`` is sigma_qq sigma_pp and ``sr_lhs`` is sigma_qq sigma_pp -
+    sigma_qp^2.  Slacks are reported as lhs - rhs of each inequality.  A
+    flag passes when the deficit is at most ``PASS_ROUNDING_TOL`` of the
+    bound, so a state that saturates a bound (the vacuum) is not failed by
+    rounding.  The purity-bound flag is strict for mu >= 7/18 (where an exact
+    Phi piece exists) and advisory below: there a deficit within
+    ``ADVISORY_RELATIVE_SLACK`` of the bound still passes, because the
+    interpolating Phi carries no error bound.  A NaN product (moments
+    unknown) gives ``None`` flags.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    if abs(m.r) >= 1.0:
-        raise DegenerateCorrelationError(f"|r| = {abs(m.r)!r} must be < 1")
-    pv = phi_eval(m.mu, phi_mode)
-    product = m.sigma_qq * m.sigma_pp
-    sr_lhs = product - m.sigma_qp**2
+    check_correlation(r)
+    pv = phi_eval(mu, phi_mode)
     quarter = hbar**2 / 4.0
-    one_minus_r2 = 1.0 - m.r * m.r
-
-    heis_bound = quarter
+    one_minus_r2 = 1.0 - r * r
     sr_bound = quarter / one_minus_r2
     purity_bound = quarter * pv.value**2 / one_minus_r2
 
-    strict = m.mu >= PHI_PIECE2_MIN - 1e-15
+    strict = mu >= PHI_PIECE2_MIN - 1e-15
     purity_floor = purity_bound if strict else purity_bound * (1.0 - ADVISORY_RELATIVE_SLACK)
+    def passes(lhs, bound):
+        return None if math.isnan(lhs) else lhs >= bound - PASS_ROUNDING_TOL * bound
 
     return BoundReport(
-        heisenberg_bound=heis_bound,
+        heisenberg_bound=quarter,
         sr_bound=sr_bound,
         purity_bound=purity_bound,
         product=product,
         sr_lhs=sr_lhs,
-        hbar_eff=hbar * pv.value / math.sqrt(one_minus_r2),
+        hbar_eff=scale_hbar(hbar, pv.value, r),
         phi_value=pv.value,
         phi_piece=pv.piece,
         phi_fallback=pv.fallback,
-        heisenberg_slack=product - heis_bound,
+        heisenberg_slack=product - quarter,
         sr_slack=sr_lhs - quarter,
         purity_slack=product - purity_bound,
-        heisenberg_pass=product >= heis_bound,
-        sr_pass=sr_lhs >= quarter,
-        purity_pass=product >= purity_floor,
+        heisenberg_pass=passes(product, quarter),
+        sr_pass=passes(sr_lhs, quarter),
+        purity_pass=passes(product, purity_floor),
     )

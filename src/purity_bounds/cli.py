@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 
@@ -65,31 +65,12 @@ def _cmd_check(args) -> int:
         state = replace(state, hbar=args.hbar)
     violations = validate_state(state)
     if violations:
-        payload = {
-            "valid": False,
-            "violations": [
-                {"name": v.name, "magnitude": v.magnitude, "detail": v.detail}
-                for v in violations
-            ],
-        }
+        payload = {"valid": False, "violations": [asdict(v) for v in violations]}
         _emit(_io.render_json(payload), args.out)
         return 2
     m = compute_moments(state)
     report = evaluate_bounds(m, state.hbar, args.phi_mode)
-    payload = {
-        "valid": True,
-        "hbar": state.hbar,
-        "moments": {
-            "mean_q": m.mean_q,
-            "mean_p": m.mean_p,
-            "sigma_qq": m.sigma_qq,
-            "sigma_pp": m.sigma_pp,
-            "sigma_qp": m.sigma_qp,
-            "r": m.r,
-            "mu": m.mu,
-            "linear_entropy": m.linear_entropy,
-        },
-    }
+    payload = {"valid": True, "hbar": state.hbar, "moments": asdict(m)}
     payload.update(_io.bound_report_dict(report))
     _emit(_io.render_json(payload), args.out)
     all_pass = report.heisenberg_pass and report.sr_pass and report.purity_pass
@@ -131,17 +112,7 @@ def _cmd_oracle(args) -> int:
             if getattr(args, name) is None:
                 raise ValueError(f"--falsify requires --{name}")
         report = falsification_sweep(args.mu, args.dim, args.samples, args.seed)
-        payload = {
-            "mu": report.mu,
-            "dim": report.dim,
-            "samples": report.samples,
-            "used": report.used,
-            "skipped": report.skipped,
-            "min_slack": report.min_slack,
-            "seed": report.seed,
-            "method": report.method,
-        }
-        _emit(_io.render_json(payload), args.out)
+        _emit(_io.render_json(asdict(report)), args.out)
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
     if args.mu is not None:
         grid = np.array([args.mu])
@@ -149,11 +120,7 @@ def _cmd_oracle(args) -> int:
         grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "oracle")
     else:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
-    rows = [
-        [row.mu, row.phi_oracle, row.phi_exact, row.phi_app,
-         row.rel_err_exact, row.rel_err_app, row.method, row.iterations]
-        for row in phi_curve_certified(grid, args.levels, method=args.method)
-    ]
+    rows = [astuple(row) for row in phi_curve_certified(grid, args.levels, method=args.method)]
     _emit(_io.render_csv(_io.ORACLE_COLUMNS, rows), args.out)
     return 0
 

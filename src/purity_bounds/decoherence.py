@@ -14,16 +14,15 @@ state were frozen during traversal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import effective_hbar, phi_eval
 from .errors import InvalidStateError
 from .moments import compute_moments
 from .records import SweepRecord
 from .states import FockDensityMatrix
-from .tunneling import BarrierSpec, transparency
+from .tunneling import BarrierSpec, transparency, wkb_record
 
 _PURITY_MONOTONE_TOL = 1e-10
 
@@ -48,13 +47,7 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
         raise ValueError(f"dt {dt!r} must be positive")
     n = np.arange(rho.dim)
     kernel = np.exp(-gamma * dt * (n[:, None] - n[None, :]) ** 2)
-    return FockDensityMatrix(
-        dim=rho.dim,
-        entries=rho.entries * kernel,
-        hbar=rho.hbar,
-        mass=rho.mass,
-        omega=rho.omega,
-    )
+    return replace(rho, entries=rho.entries * kernel)
 
 
 def run_trajectory(
@@ -80,8 +73,7 @@ def run_trajectory(
         raise ValueError("steps must be >= 2")
 
     times = np.linspace(0.0, t_max, steps)
-    base = transparency(barrier, energy, rho0.hbar)
-    action = base.action_integral
+    action = transparency(barrier, energy, rho0.hbar).action_integral
 
     states = []
     records = []
@@ -91,25 +83,9 @@ def run_trajectory(
         # in one application, no error accumulation.
         state = rho0 if t == 0.0 else dephase_step(rho0, gamma, float(t))
         m = compute_moments(state)
-        pv = phi_eval(m.mu, phi_mode)
-        hbar_eff = effective_hbar(rho0.hbar, m.r, m.mu, phi_mode)
-        ln_d = -2.0 * action / hbar_eff
         states.append(state)
-        records.append(
-            SweepRecord(
-                param_name="t",
-                param_value=float(t),
-                mu=m.mu,
-                phi=pv.value,
-                phi_piece=pv.piece,
-                hbar_eff=hbar_eff,
-                r=m.r,
-                action=action,
-                ln_D=ln_d,
-                D=float(np.exp(ln_d)),
-                invariant_product=ln_d / m.mu,
-            )
-        )
+        # SecondMoments guarantees |r| < 1.
+        records.append(wkb_record("t", float(t), m.mu, m.r, action, rho0.hbar, phi_mode))
         if previous_mu is not None and m.mu > previous_mu + _PURITY_MONOTONE_TOL:
             raise InvalidStateError(
                 f"purity increased along the trajectory ({previous_mu} -> {m.mu})"

@@ -1,11 +1,12 @@
 """First/second quadrature moments, correlation coefficient and purity.
 
-For a Fock-basis state the moments are evaluated exactly: the quadrature
-operators are built two levels larger than the state, so the products
-q^2, p^2 and (qp+pq)/2 carry no truncation artifact for any state supported
-on the stored basis.  A ``TruncationWarning`` is still emitted when the top
-two levels are populated, because the stored matrix is then itself a
-suspect truncation of the intended state.
+For a Fock-basis state the moments are evaluated exactly with the shared
+operators of ``states.fock_moment_operators``: they are built two levels
+larger than the state, so the products q^2, p^2 and (qp+pq)/2 carry no
+truncation artifact for any state supported on the stored basis.  A
+``TruncationWarning`` is still emitted when the top two levels are
+populated, because the stored matrix is then itself a suspect truncation
+of the intended state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .states import (
     FockDensityMatrix,
     GaussianState,
     QuantumState,
-    fock_quadrature_operators,
+    fock_moment_operators,
     validate_state,
 )
 
@@ -106,15 +107,7 @@ def _warn_if_truncated(state: FockDensityMatrix) -> None:
 
 def _fock_moments(state: FockDensityMatrix) -> SecondMoments:
     _warn_if_truncated(state)
-    d = state.dim
-    q_big, p_big = fock_quadrature_operators(d + 2, state.hbar, state.mass, state.omega)
-    # Slice the exact products back to the state's dimension.
-    q = q_big[:d, :d]
-    p = p_big[:d, :d]
-    q2 = (q_big @ q_big)[:d, :d]
-    p2 = (p_big @ p_big)[:d, :d]
-    qp_sym = (0.5 * (q_big @ p_big + p_big @ q_big))[:d, :d]
-
+    q, p, q2, p2, qp_sym = fock_moment_operators(state.dim, state.hbar, state.mass, state.omega)
     rho = state.entries
     expect = lambda op: float(np.real(np.trace(rho @ op)))
     mean_q = expect(q)

@@ -24,7 +24,7 @@ from scipy.special import logsumexp
 
 from .bounds import PHI_PIECE2_MIN, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
-from .states import fock_quadrature_operators
+from .states import fock_moment_operators
 
 _WEIGHT_TOL = 1e-12
 _PURITY_NEWTON_TOL = 1e-12
@@ -118,19 +118,25 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _analytic_result(mu: float, k: int, levels: int, hbar: float) -> MinimizationResult:
-    p = linear_ansatz_weights(mu, k)
-    full = np.zeros(levels)
-    full[:k] = p
-    value = float(np.dot(_objective_coeffs(levels), full))
+def _result(
+    mu: float, weights: np.ndarray, hbar: float, method: str, iterations: int
+) -> MinimizationResult:
+    """Package minimizer weights with their purity and variance product."""
+    value = float(np.dot(_objective_coeffs(len(weights)), weights))
     return MinimizationResult(
         mu_target=mu,
-        achieved_mu=float(np.sum(full**2)),
+        achieved_mu=float(np.sum(weights**2)),
         min_product=value * value * hbar * hbar,
-        optimal_weights=full,
-        method=f"rank{k}-analytic",
-        iterations=0,
+        optimal_weights=weights,
+        method=method,
+        iterations=iterations,
     )
+
+
+def _analytic_result(mu: float, k: int, levels: int, hbar: float) -> MinimizationResult:
+    full = np.zeros(levels)
+    full[:k] = linear_ansatz_weights(mu, k)
+    return _result(mu, full, hbar, f"rank{k}-analytic", 0)
 
 
 def _project_plane_sphere(p: np.ndarray, mu: float) -> np.ndarray:
@@ -281,16 +287,7 @@ def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
         if cand is not None and np.dot(c, cand) <= np.dot(c, best):
             best = cand
 
-    final = _project_plane_sphere(best, mu)
-    value = float(np.dot(c, final))
-    return MinimizationResult(
-        mu_target=mu,
-        achieved_mu=float(np.sum(final**2)),
-        min_product=value * value * hbar * hbar,
-        optimal_weights=final,
-        method="grid-refine",
-        iterations=evaluations,
-    )
+    return _result(mu, _project_plane_sphere(best, mu), hbar, "grid-refine", evaluations)
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
@@ -352,14 +349,7 @@ def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResu
                 step *= 0.5
         if f < best_f:
             best_p, best_f = p, f
-    return MinimizationResult(
-        mu_target=mu,
-        achieved_mu=float(np.sum(best_p**2)),
-        min_product=best_f * best_f * hbar * hbar,
-        optimal_weights=best_p,
-        method="projected-gradient",
-        iterations=iterations,
-    )
+    return _result(mu, best_p, hbar, "projected-gradient", iterations)
 
 
 def min_product_fock_mixture(
@@ -418,9 +408,10 @@ def falsification_sweep(
 
     Spectra are drawn uniformly from the simplex, scaled onto the purity
     sphere with a Newton iteration on the power family p^t, and conjugated
-    by Haar-random unitaries.  The quadrature operators are built two levels
-    larger than the state so the evaluated moments are exact.  Returns the
-    minimum of  sigma_qq sigma_pp (1 - r^2) - hbar^2 Phi^2(mu) / 4  found.
+    by Haar-random unitaries.  The moments are exact: they use the shared
+    operators of ``states.fock_moment_operators`` (unit mass and
+    frequency).  Returns the minimum of
+    sigma_qq sigma_pp (1 - r^2) - hbar^2 Phi^2(mu) / 4  found.
     """
     if dim > 8:
         raise ValueError("falsification sweep supports dim <= 8")
@@ -441,13 +432,7 @@ def falsification_sweep(
     unitaries = _haar_unitaries(rng, dim, samples)
     rho = np.einsum("bij,bj,bkj->bik", unitaries, spectra, unitaries.conj())
 
-    q_big, p_big = fock_quadrature_operators(dim + 2, hbar)
-    q = q_big[:dim, :dim]
-    p = p_big[:dim, :dim]
-    q2 = (q_big @ q_big)[:dim, :dim]
-    p2 = (p_big @ p_big)[:dim, :dim]
-    qp_sym = (0.5 * (q_big @ p_big + p_big @ q_big))[:dim, :dim]
-
+    q, p, q2, p2, qp_sym = fock_moment_operators(dim, hbar, 1.0, 1.0)
     expect = lambda op: np.real(np.einsum("bij,ji->b", rho, op))
     mq = expect(q)
     mp = expect(p)

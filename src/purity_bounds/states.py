@@ -190,6 +190,20 @@ def fock_quadrature_operators(
     return q, p
 
 
+def fock_moment_operators(
+    dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
+) -> tuple[np.ndarray, ...]:
+    """(q, p, q^2, p^2, (qp+pq)/2) on ``dim`` levels.
+
+    The operators are built two levels larger and the products sliced back,
+    so they carry no truncation artifact for any state supported on ``dim``
+    levels: the moments evaluated with them are exact.
+    """
+    q_big, p_big = fock_quadrature_operators(dim + 2, hbar, mass, omega)
+    ops = (q_big, p_big, q_big @ q_big, p_big @ p_big, 0.5 * (q_big @ p_big + p_big @ q_big))
+    return tuple(op[:dim, :dim] for op in ops)
+
+
 def fock_projector(
     n: int, dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
 ) -> FockDensityMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .bounds import BoundReport, PHI_PIECE2_MIN, ADVISORY_RELATIVE_SLACK, phi_eval
+from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
 from .records import SweepRecord
 from .states import FockDensityMatrix
 
@@ -78,8 +78,9 @@ def log_partition_function(model: ThermalModel, T: float) -> float:
     T = _check_temperature(T)
     if model.kind == OSCILLATOR:
         x = model.hbar * model.omega / (2.0 * T)
-        # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x))
-        return -x - math.log1p(-math.exp(-2.0 * x)) if x < 350 else -x
+        # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x)); expm1 keeps 1 - e^(-2x)
+        # accurate when x is tiny (high temperature).
+        return -x - math.log(-math.expm1(-2.0 * x)) if x < 350 else -x
     return float(logsumexp(-model.spectrum / T))
 
 
@@ -134,50 +135,16 @@ def thermal_bound_report(
     """Purity bound at mu(T), compared against the actual thermal variance product.
 
     For the oscillator the actual product is ((n_bar + 1/2) hbar)^2 with the
-    Bose occupation n_bar; for a spectrum model the moments are unknown here,
-    so the product-dependent fields are NaN and the flags None.
+    Bose occupation n_bar (and sigma_qp = 0); for a spectrum model the
+    moments are unknown here, so the product-dependent fields are NaN and the
+    flags None.
     """
     T = _check_temperature(T)
-    if abs(r) >= 1.0:
-        raise ValueError(f"|r| = {abs(r)!r} must be < 1")
-    mu = thermal_purity(model, T)
-    pv = phi_eval(mu, phi_mode)
-    quarter = model.hbar**2 / 4.0
-    one_minus_r2 = 1.0 - r * r
-    heis_bound = quarter
-    sr_bound = quarter / one_minus_r2
-    purity_bound = quarter * pv.value**2 / one_minus_r2
-
     if model.kind == OSCILLATOR:
         product = ((oscillator_mean_occupation(model, T) + 0.5) * model.hbar) ** 2
-        sr_lhs = product  # thermal state has sigma_qp = 0
-        strict = mu >= PHI_PIECE2_MIN - 1e-15
-        purity_floor = purity_bound if strict else purity_bound * (1.0 - ADVISORY_RELATIVE_SLACK)
-        heis_pass = product >= heis_bound
-        sr_pass = sr_lhs >= quarter
-        purity_pass = product >= purity_floor
     else:
         product = math.nan
-        sr_lhs = math.nan
-        heis_pass = sr_pass = purity_pass = None
-
-    return BoundReport(
-        heisenberg_bound=heis_bound,
-        sr_bound=sr_bound,
-        purity_bound=purity_bound,
-        product=product,
-        sr_lhs=sr_lhs,
-        hbar_eff=model.hbar * pv.value / math.sqrt(one_minus_r2),
-        phi_value=pv.value,
-        phi_piece=pv.piece,
-        phi_fallback=pv.fallback,
-        heisenberg_slack=product - heis_bound,
-        sr_slack=sr_lhs - quarter,
-        purity_slack=product - purity_bound,
-        heisenberg_pass=heis_pass,
-        sr_pass=sr_pass,
-        purity_pass=purity_pass,
-    )
+    return bound_report(product, product, model.hbar, r, thermal_purity(model, T), phi_mode)
 
 
 def thermal_sweep(
@@ -193,8 +160,7 @@ def thermal_sweep(
         raise ValueError("need 0 < t_min < t_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if abs(r) >= 1.0:
-        raise ValueError(f"|r| = {abs(r)!r} must be < 1")
+    check_correlation(r)
     records = []
     for T in np.geomspace(t_min, t_max, steps):
         T = float(T)
@@ -207,7 +173,7 @@ def thermal_sweep(
                 mu=mu,
                 phi=pv.value,
                 phi_piece=pv.piece,
-                hbar_eff=model.hbar * pv.value / math.sqrt(1.0 - r * r),
+                hbar_eff=scale_hbar(model.hbar, pv.value, r),
                 Z=partition_function(model, T),
                 mu_asymptote=model.hbar * model.omega / (2.0 * T),
             )

@@ -23,13 +23,13 @@ out of scope).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from .bounds import phi_eval
+from .bounds import check_correlation, phi_eval, scale_hbar
 from .errors import ResolutionError
 from .records import SweepRecord
 from .thermal import ThermalModel, thermal_purity
@@ -158,10 +158,8 @@ def _bisect_crossing(v, energy: float, lo: float, hi: float) -> float:
 
 
 def _sampled_forbidden_region(barrier: SampledBarrier, energy: float):
-    """Turning points of the hump containing the grid maximum, or None."""
+    """Turning points of the hump containing the grid maximum (which exceeds E)."""
     x, v = barrier.x, barrier.v
-    if float(np.max(v)) <= energy:
-        return None
     above = v > energy
     if int(np.count_nonzero(above)) < _MIN_NODES_ABOVE:
         raise ResolutionError(
@@ -211,17 +209,46 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
         points = (-x_t, x_t)
         action = math.pi * (barrier.v0 - energy) * math.sqrt(barrier.mass / barrier.curvature)
     else:
-        region = _sampled_forbidden_region(barrier, energy)
-        if region is None:
-            return TransparencyResult(D=1.0, ln_D=0.0, action_integral=0.0,
-                                      turning_points=None, hbar_eff_used=hbar_eff)
-        interp, x1, x2 = region
+        interp, x1, x2 = _sampled_forbidden_region(barrier, energy)
         points = (x1, x2)
         action = action_integral(interp, energy, barrier.mass, x1, x2)
 
     ln_d = -2.0 * action / hbar_eff
     return TransparencyResult(D=math.exp(ln_d), ln_D=ln_d, action_integral=action,
                               turning_points=points, hbar_eff_used=hbar_eff)
+
+
+def wkb_record(
+    param_name: str,
+    param_value: float,
+    mu: float,
+    r: float,
+    action: float,
+    hbar: float,
+    phi_mode: str,
+    mu_asymptote: float | None = None,
+) -> SweepRecord:
+    """One sweep row: Phi(mu) -> hbar_eff -> ln D = -2 S / hbar_eff -> D.
+
+    The invariant is mu^-1 ln D.  ``r`` must already be checked.
+    """
+    pv = phi_eval(mu, phi_mode)
+    hbar_eff = scale_hbar(hbar, pv.value, r)
+    ln_d = -2.0 * action / hbar_eff
+    return SweepRecord(
+        param_name=param_name,
+        param_value=param_value,
+        mu=mu,
+        phi=pv.value,
+        phi_piece=pv.piece,
+        hbar_eff=hbar_eff,
+        mu_asymptote=mu_asymptote,
+        r=r,
+        action=action,
+        ln_D=ln_d,
+        D=math.exp(ln_d),
+        invariant_product=ln_d / mu,
+    )
 
 
 def transparency_vs_purity(
@@ -233,32 +260,10 @@ def transparency_vs_purity(
     phi_mode: str = "exact",
 ) -> list[SweepRecord]:
     """Transparency along a purity grid; records carry mu^-1 ln D."""
-    if abs(r) >= 1.0:
-        raise ValueError(f"|r| = {abs(r)!r} must be < 1")
-    base = transparency(barrier, energy, hbar)
-    action = base.action_integral
-    records = []
-    for mu in np.asarray(mu_grid, dtype=float):
-        mu = float(mu)
-        pv = phi_eval(mu, phi_mode)
-        hbar_eff = hbar * pv.value / math.sqrt(1.0 - r * r)
-        ln_d = -2.0 * action / hbar_eff
-        records.append(
-            SweepRecord(
-                param_name="mu",
-                param_value=mu,
-                mu=mu,
-                phi=pv.value,
-                phi_piece=pv.piece,
-                hbar_eff=hbar_eff,
-                r=r,
-                action=action,
-                ln_D=ln_d,
-                D=math.exp(ln_d),
-                invariant_product=ln_d / mu,
-            )
-        )
-    return records
+    check_correlation(r)
+    action = transparency(barrier, energy, hbar).action_integral
+    return [wkb_record("mu", mu, mu, r, action, hbar, phi_mode)
+            for mu in map(float, np.asarray(mu_grid, dtype=float))]
 
 
 def transparency_vs_temperature(
@@ -277,32 +282,12 @@ def transparency_vs_temperature(
     evaluated, which makes T ln D exactly constant.  The other modes use the
     exact thermal purity.
     """
-    if abs(r) >= 1.0:
-        raise ValueError(f"|r| = {abs(r)!r} must be < 1")
-    base = transparency(barrier, energy, hbar)
-    action = base.action_integral
+    check_correlation(r)
+    action = transparency(barrier, energy, hbar).action_integral
     records = []
-    for T in np.asarray(t_grid, dtype=float):
-        T = float(T)
+    for T in map(float, np.asarray(t_grid, dtype=float)):
         mu_asym = model.hbar * model.omega / (2.0 * T)
         mu = mu_asym if phi_mode == "asymptote" else thermal_purity(model, T)
-        pv = phi_eval(mu, phi_mode)
-        hbar_eff = hbar * pv.value / math.sqrt(1.0 - r * r)
-        ln_d = -2.0 * action / hbar_eff
-        records.append(
-            SweepRecord(
-                param_name="T",
-                param_value=T,
-                mu=mu,
-                phi=pv.value,
-                phi_piece=pv.piece,
-                hbar_eff=hbar_eff,
-                mu_asymptote=mu_asym,
-                r=r,
-                action=action,
-                ln_D=ln_d,
-                D=math.exp(ln_d),
-                invariant_product=T * ln_d,
-            )
-        )
+        row = wkb_record("T", T, mu, r, action, hbar, phi_mode, mu_asymptote=mu_asym)
+        records.append(replace(row, invariant_product=T * row.ln_D))
     return records

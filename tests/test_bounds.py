@@ -229,6 +229,16 @@ class TestEvaluateBounds:
         report = evaluate_bounds(make_moments(s, s, 0.0, mu=mu), hbar=1.0)
         assert not report.purity_pass
 
+    def test_rounding_deficit_passes_but_1e12_deficit_fails(self):
+        for mu, r in ((1.0, 0.0), (0.5, 0.3), (0.9, -0.6)):
+            bound = phi(mu, "exact") ** 2 / (4.0 * (1.0 - r * r))
+            rounding = 1.0 - 2.0 * np.finfo(float).eps
+            for factor, expected in ((rounding, True), (1.0 - 1e-12, False)):
+                s = math.sqrt(bound * factor)
+                report = evaluate_bounds(make_moments(s, s, r * s, mu=mu), hbar=1.0)
+                assert report.purity_slack < 0.0
+                assert report.purity_pass is expected
+
     def test_hbar_scaling(self):
         report = evaluate_bounds(make_moments(1.0, 1.0, 0.0, mu=0.8), hbar=2.0)
         assert report.heisenberg_bound == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -112,6 +113,35 @@ class TestCheck:
         assert code == 2  # vacuum at hbar=1 violates the hbar=2 bound
         doc = json.loads(out)
         assert doc["violations"][0]["name"] == "physicality"
+
+    def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
+        # The vacuum saturates all three bounds; its moments carry up to a
+        # few ulp of rounding, which must not fail it.
+        values = (0.3, 0.5, 0.7, 1.0, 1.3, 2.0, 3.7)
+        rho = np.zeros((4, 4))
+        rho[0, 0] = 1.0
+        path = tmp_path / "vacuum.json"
+        failing = []
+        for hbar, mass, omega in itertools.product(values, repeat=3):
+            path.write_text(json.dumps({
+                "type": "fock", "hbar": hbar, "mass": mass, "omega": omega, "dim": 4,
+                "re": rho.tolist(), "im": np.zeros((4, 4)).tolist()}))
+            code, out = run(capsys, ["check", str(path)])
+            if code != 0 or not all(json.loads(out)["flags"].values()):
+                failing.append((hbar, mass, omega))
+        assert failing == []
+
+    def test_state_just_below_the_heisenberg_bound_fails(self, files, capsys):
+        # 1e-12 below hbar^2/4 is inside the validation tolerance, so the
+        # state is accepted, but it violates the bound by far more than rounding.
+        path = files["dir"] / "below.json"
+        below = {"qq": 0.5, "pp": 0.5 * (1.0 - 1e-12), "qp": 0.0}
+        path.write_text(json.dumps({**VACUUM, "cov": below}))
+        code, out = run(capsys, ["check", str(path)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["valid"] is True
+        assert not any(doc["flags"].values())
 
 
 class TestPhiCommands:

@@ -184,3 +184,23 @@ class TestThermalSweep:
             thermal_sweep(oscillator, 5.0, 1.0, steps=4)
         with pytest.raises(ValueError):
             thermal_sweep(oscillator, 1.0, 5.0, steps=1)
+
+
+class TestHighTemperaturePrecision:
+    TEMPERATURES = np.geomspace(1e-3, 1e15, 361)
+
+    @pytest.mark.parametrize("hbar, omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
+    def test_purity_matches_tanh(self, hbar, omega):
+        # The log-domain ratio Z(T/2) / Z(T)^2 carries the rounding of log Z
+        # itself, about eps * |log Z| (1.5e-14 at T = 1e14); allow 4x that.
+        model = ThermalModel.oscillator(hbar=hbar, omega=omega)
+        eps = np.finfo(float).eps
+        for T in map(float, self.TEMPERATURES):
+            err = abs(thermal_purity(model, T) / math.tanh(hbar * omega / (2.0 * T)) - 1.0)
+            assert err <= 4.0 * eps * max(1.0, abs(log_partition_function(model, T))), T
+
+    def test_partition_function_matches_sinh(self, oscillator):
+        # Z = 1 / (2 sinh x), x = 1 / (2T); sinh is accurate at every x here.
+        worst = max(abs(partition_function(oscillator, float(T)) * 2.0 * math.sinh(0.5 / T) - 1.0)
+                    for T in self.TEMPERATURES)
+        assert worst <= 1e-14

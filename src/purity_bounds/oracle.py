@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import PHI_PIECE2_MIN, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 from .states import fock_moment_operators
+from .thermal import _logsumexp
 
 _WEIGHT_TOL = 1e-12
 _PURITY_NEWTON_TOL = 1e-12
@@ -183,8 +183,8 @@ def _apply_power(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _purity_of_power(logp: np.ndarray, t: np.ndarray) -> np.ndarray:
-    a1 = logsumexp(t[:, None] * logp, axis=1)
-    a2 = logsumexp(2.0 * t[:, None] * logp, axis=1)
+    a1 = _logsumexp(t[:, None] * logp, axis=1)
+    a2 = _logsumexp(2.0 * t[:, None] * logp, axis=1)
     return np.exp(a2 - 2.0 * a1)
 
 
@@ -208,8 +208,8 @@ def _power_projection(p: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]
     t = 0.5 * (lo + hi)
     converged = np.zeros(n, dtype=bool)
     for _ in range(_PURITY_NEWTON_MAX_ITER):
-        a1 = logsumexp(t[:, None] * logp, axis=1)
-        a2 = logsumexp(2.0 * t[:, None] * logp, axis=1)
+        a1 = _logsumexp(t[:, None] * logp, axis=1)
+        a2 = _logsumexp(2.0 * t[:, None] * logp, axis=1)
         value = np.exp(a2 - 2.0 * a1)
         g = value - mu
         converged = np.abs(g) <= _PURITY_NEWTON_TOL

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
 from .records import SweepRecord
@@ -67,6 +66,29 @@ class ThermalModel:
         return cls(kind=SPECTRUM, spectrum=np.asarray(levels, dtype=float), hbar=hbar, mass=mass, omega=omega)
 
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) along ``axis`` for real float input.
+
+    Follows ``scipy.special.logsumexp`` step for step, so results agree with
+    it bit for bit without importing scipy: the tied maxima are taken out of
+    the shifted sum, and a non-finite result falls back to the direct
+    ``log(sum(exp(a)))``.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+        # initial=-inf: an empty input sums to log(0) = -inf, as in scipy.
+        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+    return out[()] if out.ndim == 0 else out
+
+
 def _check_temperature(T: float) -> float:
     if not T > 0:
         raise ValueError(f"temperature {T!r} must be positive")
@@ -81,7 +103,7 @@ def log_partition_function(model: ThermalModel, T: float) -> float:
         # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x)); expm1 keeps 1 - e^(-2x)
         # accurate when x is tiny (high temperature).
         return -x - math.log(-math.expm1(-2.0 * x)) if x < 350 else -x
-    return float(logsumexp(-model.spectrum / T))
+    return float(_logsumexp(-model.spectrum / T))
 
 
 def partition_function(model: ThermalModel, T: float) -> float:
@@ -106,11 +128,19 @@ def thermal_purity(model: ThermalModel, T: float) -> float:
 
 
 def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
-    """Bose occupation 1 / (exp(hbar omega / T) - 1) of the oscillator."""
+    """Bose occupation 1 / (exp(hbar omega / T) - 1) of the oscillator.
+
+    Past the overflow of expm1 (hbar omega / T > ~709.78) the occupation is
+    exp(-hbar omega / T) to working precision, which underflows to 0.
+    """
     T = _check_temperature(T)
     if model.kind != OSCILLATOR:
         raise ValueError("mean occupation is defined for the oscillator closed form")
-    return 1.0 / math.expm1(model.hbar * model.omega / T)
+    x = model.hbar * model.omega / T
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
 
 
 def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMatrix:
@@ -119,7 +149,7 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     if model.kind != OSCILLATOR:
         raise ValueError("Fock rendering is defined for the oscillator closed form")
     log_w = -(np.arange(dim) + 0.5) * model.hbar * model.omega / T
-    w = np.exp(log_w - logsumexp(log_w))
+    w = np.exp(log_w - _logsumexp(log_w))
     return FockDensityMatrix(
         dim=dim,
         entries=np.diag(w).astype(complex),

@@ -18,6 +18,10 @@ point to remove the square-root endpoint singularity.  Only single-hump
 barriers are supported: if a sampled potential dips below E between the
 turning points, the integrand is clamped at zero (resonant structures are
 out of scope).
+
+scipy is imported only on the sampled-barrier path (``SampledBarrier``,
+``action_integral``), inside the functions that need it, so the closed-form
+barriers and the rest of the package load with numpy alone.
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .bounds import check_correlation, phi_eval, scale_hbar
 from .errors import ResolutionError
@@ -123,6 +125,8 @@ def action_integral(v, energy: float, mass: float, x1: float, x2: float,
     the right) over the outer 10% of the interval makes both edge pieces
     smooth, and the interior is handled by plain adaptive quadrature.
     """
+    from scipy.integrate import quad
+
     width = x2 - x1
     if width <= 0:
         return 0.0
@@ -166,6 +170,8 @@ def _sampled_forbidden_region(barrier: SampledBarrier, energy: float):
             f"only {int(np.count_nonzero(above))} grid nodes lie above E = {energy}; "
             "the grid is too coarse to resolve the barrier"
         )
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(x, v)
     peak = int(np.argmax(v))
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from purity_bounds import (
     ThermalModel,
@@ -16,6 +17,7 @@ from purity_bounds import (
     thermal_state_fock,
     thermal_sweep,
 )
+from purity_bounds.thermal import _logsumexp
 
 
 @pytest.fixture
@@ -119,6 +121,14 @@ class TestThermalState:
             1.0 / (math.e - 1.0), rel=1e-14
         )
 
+    def test_mean_occupation_past_expm1_overflow(self, oscillator):
+        # 1 / expm1(x) is kept bit for bit while expm1 is finite (x < 709.78)
+        # and continues as exp(-x) beyond, down to 0.
+        for x in (700.0, 709.78):
+            assert oscillator_mean_occupation(oscillator, 1.0 / x) == 1.0 / math.expm1(x)
+        assert oscillator_mean_occupation(oscillator, 1.0 / 709.8) == math.exp(-709.8)
+        assert oscillator_mean_occupation(oscillator, 1e-6) == 0.0
+
 
 class TestThermalBoundReport:
     def test_ground_state_limit(self, oscillator):
@@ -126,6 +136,12 @@ class TestThermalBoundReport:
         assert report.purity_bound == pytest.approx(0.25, abs=1e-7)
         assert report.product - report.purity_bound == pytest.approx(0.0, abs=1e-6)
         assert report.purity_pass
+
+    @pytest.mark.parametrize("T", [1e-3, 1e-6])
+    def test_report_below_expm1_overflow_temperature(self, oscillator, T):
+        report = thermal_bound_report(oscillator, T)
+        assert report.product == (oscillator.hbar / 2.0) ** 2
+        assert report.heisenberg_pass and report.sr_pass and report.purity_pass
 
     def test_unit_temperature_chain(self, oscillator):
         """Every step of the T=1 chain pinned: mu, Phi, bound, actual product."""
@@ -204,3 +220,44 @@ class TestHighTemperaturePrecision:
         worst = max(abs(partition_function(oscillator, float(T)) * 2.0 * math.sinh(0.5 / T) - 1.0)
                     for T in self.TEMPERATURES)
         assert worst <= 1e-14
+
+
+class TestLogSumExp:
+    """``_logsumexp`` reproduces ``scipy.special.logsumexp`` bit for bit."""
+
+    def _assert_same(self, a, axis=None):
+        ours, theirs = _logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
+        assert np.array_equal(ours, theirs, equal_nan=True), (a, ours, theirs)
+        assert np.shape(ours) == np.shape(theirs)
+
+    def test_random_inputs_across_magnitudes(self):
+        rng = np.random.default_rng(20240601)
+        for scale in np.geomspace(1e-3, 1e3, 13):
+            for _ in range(40):
+                self._assert_same(scale * rng.normal(size=int(rng.integers(1, 30))))
+                self._assert_same(scale * rng.normal(size=(7, int(rng.integers(1, 30)))), axis=1)
+
+    def test_minus_inf_entries_and_tied_maxima(self):
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(50, 12)) * 30.0
+        a[::2, 3] = -np.inf
+        a[::3, :4] = -np.inf
+        a[1::2, 5] = a[1::2, 7] = a[1::2].max(axis=1)
+        a[4, :] = 2.5
+        self._assert_same(a, axis=1)
+        for row in a:
+            self._assert_same(row)
+
+    def test_all_minus_inf_row(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -1.0, -np.inf]])
+        self._assert_same(a, axis=1)
+        assert _logsumexp(a[0]) == -np.inf
+
+    def test_plus_inf_entry(self):
+        self._assert_same(np.array([1.0, np.inf, -np.inf]))
+        self._assert_same(np.array([[np.inf, 2.0], [np.inf, np.inf]]), axis=1)
+        assert _logsumexp(np.array([1.0, np.inf])) == np.inf
+
+    def test_empty_input(self):
+        self._assert_same(np.array([]))
+        self._assert_same(np.zeros((3, 0)), axis=1)

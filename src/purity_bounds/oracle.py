@@ -193,67 +193,85 @@ def _power_projection(p: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]
 
     The purity is monotone increasing in t, so a bracketed Newton iteration
     (bisection fallback whenever the Newton step leaves the bracket) is
-    safe.  Returns (t, converged); vectorized over the sample axis.
+    safe.  Returns (t, converged); vectorized over the sample axis.  Each
+    row's arithmetic is independent of the others, so the bracket doubling
+    and the iteration only carry the rows that are still unconverged.
     """
     logp = np.log(np.clip(p, 1e-300, None))
     n = len(p)
     lo = np.zeros(n)
     hi = np.ones(n)
+    rows = np.arange(n)
     for _ in range(80):
-        too_low = _purity_of_power(logp, hi) < mu
-        if not too_low.any():
+        rows = rows[_purity_of_power(logp[rows], hi[rows]) < mu]
+        if len(rows) == 0:
             break
-        hi = np.where(too_low, hi * 2.0, hi)
+        hi[rows] *= 2.0
 
     t = 0.5 * (lo + hi)
     converged = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
     for _ in range(_PURITY_NEWTON_MAX_ITER):
-        a1 = _logsumexp(t[:, None] * logp, axis=1)
-        a2 = _logsumexp(2.0 * t[:, None] * logp, axis=1)
+        lp, tr = logp[rows], t[rows]
+        a1 = _logsumexp(tr[:, None] * lp, axis=1)
+        a2 = _logsumexp(2.0 * tr[:, None] * lp, axis=1)
         value = np.exp(a2 - 2.0 * a1)
         g = value - mu
-        converged = np.abs(g) <= _PURITY_NEWTON_TOL
-        if converged.all():
+        done = np.abs(g) <= _PURITY_NEWTON_TOL
+        converged[rows[done]] = True
+        keep = ~done
+        rows, lp, tr, a1, a2, value, g = (x[keep] for x in (rows, lp, tr, a1, a2, value, g))
+        if len(rows) == 0:
             break
-        lo = np.where(g < 0, t, lo)
-        hi = np.where(g > 0, t, hi)
-        w1 = np.exp(t[:, None] * logp - a1[:, None])
-        w2 = np.exp(2.0 * t[:, None] * logp - a2[:, None])
-        m1 = (w1 * logp).sum(axis=1)
-        m2 = (w2 * logp).sum(axis=1)
+        lo[rows] = np.where(g < 0, tr, lo[rows])
+        hi[rows] = np.where(g > 0, tr, hi[rows])
+        w1 = np.exp(tr[:, None] * lp - a1[:, None])
+        w2 = np.exp(2.0 * tr[:, None] * lp - a2[:, None])
+        m1 = (w1 * lp).sum(axis=1)
+        m2 = (w2 * lp).sum(axis=1)
         dg = value * 2.0 * (m2 - m1)
-        newton = t - g / np.where(np.abs(dg) > 1e-300, dg, 1.0)
-        inside = (newton > lo) & (newton < hi) & np.isfinite(newton) & (np.abs(dg) > 1e-300)
-        t = np.where(converged, t, np.where(inside, newton, 0.5 * (lo + hi)))
+        newton = tr - g / np.where(np.abs(dg) > 1e-300, dg, 1.0)
+        inside = (newton > lo[rows]) & (newton < hi[rows]) & np.isfinite(newton) & (np.abs(dg) > 1e-300)
+        t[rows] = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
     return t, converged
 
 
-def _project_batch(points: np.ndarray, mu: float) -> np.ndarray:
-    """Project rows onto {sum p = 1, sum p^2 = mu}; rows that land outside
-    the simplex come back as NaN."""
-    k = points.shape[1]
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding whole rows in the order numpy sums a
+    row of the transposed array (sequential below 8 terms, pairwise at 8)."""
+    if len(cols) == 8:
+        return ((cols[0] + cols[1]) + (cols[2] + cols[3])) + ((cols[4] + cols[5]) + (cols[6] + cols[7]))
+    total = cols[0].copy()
+    for row in cols[1:]:
+        total += row
+    return total
+
+
+def _best_projected(cols: np.ndarray, mu: float, c: np.ndarray):
+    """Best projection of the candidate columns onto {sum p = 1, sum p^2 = mu}
+    that stays inside the simplex, or None; also returns the candidate count.
+
+    The projection is monotone in each coordinate, so a candidate's
+    smallest projected weight is the projection of its smallest coordinate.
+    Feasibility is decided from that alone, and the projected points and
+    the objective are formed only for the feasible candidates.  Every value
+    equals the row-major computation bit for bit.
+    """
+    k, n = cols.shape
+    if n == 0:
+        return None, 0
     center = 1.0 / k
     radius = math.sqrt(max(mu - center, 0.0))
-    q = points + (1.0 - points.sum(axis=1, keepdims=True)) / k
-    d = q - center
-    norm = np.linalg.norm(d, axis=1, keepdims=True)
+    d = cols + (1.0 - _column_sums(cols)) / k
+    d -= center
+    norm = np.sqrt(_column_sums(d * d))
     with np.errstate(invalid="ignore", divide="ignore"):
-        proj = center + radius * d / norm
-    bad = (norm[:, 0] < 1e-300) | (proj.min(axis=1) < -_WEIGHT_TOL)
-    proj[bad] = np.nan
-    return proj
-
-
-def _best_projected(points: np.ndarray, mu: float, c: np.ndarray):
-    """Best feasible projection of the candidate rows, or None."""
-    if len(points) == 0:
-        return None, 0
-    proj = _project_batch(points, mu)
-    values = proj @ c
-    if np.all(np.isnan(values)):
-        return None, len(points)
-    idx = int(np.nanargmin(values))
-    return np.clip(proj[idx], 0.0, None), len(points)
+        lowest = center + radius * d.min(axis=0) / norm
+    feasible = np.flatnonzero((norm >= 1e-300) & (lowest >= -_WEIGHT_TOL))
+    if len(feasible) == 0:
+        return None, n
+    proj = center + radius * np.ascontiguousarray(d[:, feasible].T) / norm[feasible, None]
+    return np.clip(proj[int(np.argmin(proj @ c))], 0.0, None), n
 
 
 def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
@@ -262,6 +280,7 @@ def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
     Every candidate is evaluated after exact projection onto the
     {sum p = 1, sum p^2 = mu} manifold, so the search optimizes over the
     feasible set itself; shrinking local grids then refine the winner.
+    Candidates are held one per column.
     """
     c = _objective_coeffs(levels)
     resolution = _GRID_BASE_RESOLUTION.get(levels)
@@ -276,12 +295,12 @@ def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
 
     h = resolution
     offsets = _local_offsets(levels - 1)
+    full = np.empty((levels, offsets.shape[1]))
     while h > 1e-9:
         h *= 0.25
-        trial = best[1:][None, :] + h * offsets
-        full = np.empty((len(trial), levels))
-        full[:, 1:] = trial
-        full[:, 0] = 1.0 - trial.sum(axis=1)
+        np.multiply(h, offsets, out=full[1:])
+        full[1:] += best[1:, None]
+        np.subtract(1.0, _column_sums(full[1:]), out=full[0])
         cand, n_eval = _best_projected(full, mu, c)
         evaluations += n_eval
         if cand is not None and np.dot(c, cand) <= np.dot(c, best):
@@ -291,29 +310,23 @@ def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
 
 
 def _simplex_grid(k: int, resolution: float) -> np.ndarray:
+    """The compositions of n = 1/resolution into k parts, divided by n, one
+    per column, in lexicographic order."""
     n = round(1.0 / resolution)
-    if k == 2:
-        i = np.arange(n + 1)
-        return np.column_stack([i, n - i]) / n
-    if k == 3:
-        counts = n + 1 - np.arange(n + 1)
-        i = np.repeat(np.arange(n + 1), counts)
-        j = np.concatenate([np.arange(cnt) for cnt in counts])
-        return np.column_stack([i, j, n - i - j]) / n
-    # Generic compositions of n into k parts (coarse n keeps this small).
-    from itertools import combinations
-
-    combos = list(combinations(range(n + k - 1), k - 1))
-    bars = np.array(combos, dtype=float)
-    parts = np.diff(np.concatenate([np.full((len(bars), 1), -1.0), bars,
-                                    np.full((len(bars), 1), float(n + k - 1))], axis=1), axis=1) - 1.0
-    return parts / n
+    parts = np.empty((0, 1), dtype=np.int64)
+    rest = np.array([n])
+    for _ in range(k - 1):
+        counts = rest + 1
+        head = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        parts = np.vstack([np.repeat(parts, counts, axis=1), head])
+        rest = np.repeat(rest, counts) - head
+    return np.vstack([parts, rest]) / n
 
 
 def _local_offsets(free_dims: int) -> np.ndarray:
     steps = np.arange(-2, 3, dtype=float)
     grids = np.meshgrid(*([steps] * free_dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids])
 
 
 def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResult:

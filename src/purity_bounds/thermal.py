@@ -148,6 +148,8 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     T = _check_temperature(T)
     if model.kind != OSCILLATOR:
         raise ValueError("Fock rendering is defined for the oscillator closed form")
+    if dim < 2:
+        raise ValueError(f"Fock dimension must be >= 2, got {dim}")
     log_w = -(np.arange(dim) + 0.5) * model.hbar * model.omega / T
     w = np.exp(log_w - _logsumexp(log_w))
     return FockDensityMatrix(

@@ -116,6 +116,11 @@ class TestThermalState:
         state = thermal_state_fock(oscillator, 1.0, dim=60)
         assert purity(state) == pytest.approx(thermal_purity(oscillator, 1.0), abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [0, 1, -3])
+    def test_dimension_below_two_rejected(self, oscillator, dim):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            thermal_state_fock(oscillator, 1.0, dim=dim)
+
     def test_mean_occupation(self, oscillator):
         assert oscillator_mean_occupation(oscillator, 1.0) == pytest.approx(
             1.0 / (math.e - 1.0), rel=1e-14

@@ -196,8 +196,12 @@ def _power_projection(p: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]
     safe.  Returns (t, converged); vectorized over the sample axis.  Each
     row's arithmetic is independent of the others, so the bracket doubling
     and the iteration only carry the rows that are still unconverged.
+    The purity of p^t does not change when p is scaled, so each row's
+    log p is shifted to a maximum of 0: log-sums of t log p then stay near
+    0 and their difference keeps its digits at large t.
     """
     logp = np.log(np.clip(p, 1e-300, None))
+    logp -= logp.max(axis=1, keepdims=True)
     n = len(p)
     lo = np.zeros(n)
     hi = np.ones(n)

@@ -173,6 +173,12 @@ class TestFalsification:
         b = falsification_sweep(0.7, 6, 500, seed=9)
         assert a == b
 
+    def test_high_purity_samples_all_converge(self):
+        # At high purity t |log p| reaches ~4e4; the purity Newton must still
+        # converge on every sample instead of silently skipping some.
+        assert falsification_sweep(0.95, 8, 2000, seed=3).skipped == 0
+        assert all(falsification_sweep(0.99, 8, 1000, seed=s).skipped == 0 for s in range(20))
+
     def test_dim_cap(self):
         with pytest.raises(ValueError):
             falsification_sweep(0.5, 9, 10, seed=0)

@@ -262,8 +262,6 @@ def _best_projected(cols: np.ndarray, mu: float, c: np.ndarray):
     equals the row-major computation bit for bit.
     """
     k, n = cols.shape
-    if n == 0:
-        return None, 0
     center = 1.0 / k
     radius = math.sqrt(max(mu - center, 0.0))
     d = cols + (1.0 - _column_sums(cols)) / k
@@ -274,6 +272,7 @@ def _best_projected(cols: np.ndarray, mu: float, c: np.ndarray):
     feasible = np.flatnonzero((norm >= 1e-300) & (lowest >= -_WEIGHT_TOL))
     if len(feasible) == 0:
         return None, n
+    # Row-major rows: proj @ c rounds differently on a column-major layout.
     proj = center + radius * np.ascontiguousarray(d[:, feasible].T) / norm[feasible, None]
     return np.clip(proj[int(np.argmin(proj @ c))], 0.0, None), n
 

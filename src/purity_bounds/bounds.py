@@ -12,12 +12,12 @@ Phi(mu) >= 1 is the purity-dependent multiplier of the quantum limit; the
 whole chain can be read as the Heisenberg relation with an effective Planck
 constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).
 
-Phi is piecewise.  The second analytic piece is implemented as
-3 - sqrt(8 (mu - 1/3)) on [7/18, 5/9]: the variant sometimes quoted with
-the constant 2/3 inside the root has a negative radicand over that whole
-interval, while the 1/3 form is real, continuous with the first piece at
-mu = 5/9, and reproduced independently by the constrained minimizer in the
-``oracle`` module (see VERIFICATION.md).
+Phi is piecewise: the rank-k piece Phi_k(mu) = k - sqrt(k (k^2 - 1) (mu - 1/k) / 3)
+holds on [mu_{k+1}, mu_k], mu_k = 1/k + (k + 1) / (3k (k - 1)) (Dodonov,
+J. Opt. B 4, S98, 2002).  k = 2 and 3 give 2 - sqrt(2 mu - 1) on [5/9, 1]
+and 3 - sqrt(8 (mu - 1/3)) on [7/18, 5/9]; the variant of the latter quoted
+with 2/3 inside the root has a negative radicand there.  The ``oracle``
+minimizers reproduce every piece (see VERIFICATION.md).
 """
 
 from __future__ import annotations
@@ -31,15 +31,7 @@ import numpy as np
 from .errors import DegenerateCorrelationError
 from .moments import SecondMoments
 
-# Domain edges of the analytic pieces of Phi.
-PHI_PIECE1_MIN = 5.0 / 9.0
-PHI_PIECE2_MIN = 7.0 / 18.0
-
 PHI_MODES = ("exact", "interpolation", "asymptote")
-
-# Below 7/18 no exact piece is implemented, so purity-bound pass flags are
-# advisory: a violation within this relative slack still counts as a pass.
-ADVISORY_RELATIVE_SLACK = 0.02
 
 # A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
 # state that saturates a bound carry that much rounding.
@@ -50,44 +42,58 @@ _MU_DOMAIN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhiValue:
-    """Resolved Phi evaluation: value, the piece that produced it, fallback flag."""
+    """Resolved Phi evaluation: the value and the piece that produced it."""
 
     value: float
-    piece: str  # exact-piece-1 | exact-piece-2 | interpolation | asymptote
-    fallback: bool
+    piece: str  # rank-k | interpolation | asymptote
 
 
-def _check_mu(mu: float) -> float:
-    if not mu > 0.0 or mu > 1.0 + _MU_DOMAIN_TOL:
-        raise ValueError(f"purity {mu!r} outside (0, 1]")
-    return min(float(mu), 1.0)
+def _rank(mu: float) -> int | float:
+    """Rank k of the exact piece at mu: mu_{k+1} <= mu < mu_k, or k = 2 on [5/9, 1].
+
+    The floor of the root of mu_k = (4k - 2) / (3k (k - 1)) = mu is off by at
+    most one next to an edge, where one comparison with each (correctly
+    rounded) edge settles k; inf where the root overflows (mu < ~7.4e-309).
+    """
+    top = lambda j: (4 * j - 2) / (3 * j * (j - 1))
+    root = (3.0 * mu + 4.0 + math.sqrt(9.0 * mu * mu + 16.0)) / (6.0 * mu)
+    if root == math.inf:
+        return root
+    k = max(2, math.floor(root))
+    if k > 2 and mu >= top(k):
+        k -= 1
+    elif mu < top(k + 1):
+        k += 1
+    return k
 
 
 def phi_eval(mu: float, mode: str = "exact") -> PhiValue:
     """Evaluate Phi(mu) in the requested mode.
 
     Modes:
-      exact          analytic pieces on [7/18, 1]; below 7/18 falls back to
-                     the interpolation with ``fallback=True``
+      exact          the rank-k piece whose window holds mu, named "rank-k"
       interpolation  Phi_app(mu) = (4 + sqrt(16 + 9 mu^2)) / (9 mu)
       asymptote      8 / (9 mu), valid only for mu << 1
     """
-    mu = _check_mu(mu)
+    if not mu > 0.0 or mu > 1.0 + _MU_DOMAIN_TOL:
+        raise ValueError(f"purity {mu!r} outside (0, 1]")
+    mu = min(float(mu), 1.0)
     if mode == "exact":
-        if mu >= PHI_PIECE1_MIN:
-            return PhiValue(2.0 - math.sqrt(2.0 * mu - 1.0), "exact-piece-1", False)
-        if mu >= PHI_PIECE2_MIN:
-            return PhiValue(3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0)), "exact-piece-2", False)
-        return PhiValue(_phi_app(mu), "interpolation", True)
+        k = _rank(mu)
+        if k == math.inf:  # Phi exceeds 1.2e308 there
+            return PhiValue(k, "rank-inf")
+        # k (k^2 - 1) / 3 is scaled by s^-3 and mu - 1/k by s, s the power of
+        # two at or below k: no step overflows, and the scaling is exact, so
+        # ranks 2 and 3 give the bits of 2 - sqrt(2 mu - 1), 3 - sqrt(8 (mu - 1/3)).
+        s = 2.0 ** (math.frexp(k)[1] - 1)
+        u = k / s
+        root = s * math.sqrt(u * (u * u - 1.0 / (s * s)) / 3.0 * (s * (mu - 1.0 / k)))
+        return PhiValue(k - root, f"rank-{k:.17g}")
     if mode == "interpolation":
-        return PhiValue(_phi_app(mu), "interpolation", False)
+        return PhiValue((4.0 + math.sqrt(16.0 + 9.0 * mu * mu)) / (9.0 * mu), "interpolation")
     if mode == "asymptote":
-        return PhiValue(8.0 / (9.0 * mu), "asymptote", False)
+        return PhiValue(8.0 / (9.0 * mu), "asymptote")
     raise ValueError(f"unknown phi mode {mode!r}; expected one of {PHI_MODES}")
-
-
-def _phi_app(mu: float) -> float:
-    return (4.0 + math.sqrt(16.0 + 9.0 * mu * mu)) / (9.0 * mu)
 
 
 def phi(mu: float, mode: str = "exact") -> float:
@@ -160,7 +166,6 @@ class BoundReport:
     hbar_eff: float
     phi_value: float
     phi_piece: str
-    phi_fallback: bool
     heisenberg_slack: float
     sr_slack: float
     purity_slack: float
@@ -184,11 +189,7 @@ def bound_report(
     sigma_qp^2.  Slacks are reported as lhs - rhs of each inequality.  A
     flag passes when the deficit is at most ``PASS_ROUNDING_TOL`` of the
     bound, so a state that saturates a bound (the vacuum) is not failed by
-    rounding.  The purity-bound flag is strict for mu >= 7/18 (where an exact
-    Phi piece exists) and advisory below: there a deficit within
-    ``ADVISORY_RELATIVE_SLACK`` of the bound still passes, because the
-    interpolating Phi carries no error bound.  A NaN product (moments
-    unknown) gives ``None`` flags.
+    rounding.  A NaN product (moments unknown) gives ``None`` flags.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -199,8 +200,6 @@ def bound_report(
     sr_bound = quarter / one_minus_r2
     purity_bound = quarter * pv.value**2 / one_minus_r2
 
-    strict = mu >= PHI_PIECE2_MIN - 1e-15
-    purity_floor = purity_bound if strict else purity_bound * (1.0 - ADVISORY_RELATIVE_SLACK)
     def passes(lhs, bound):
         return None if math.isnan(lhs) else lhs >= bound - PASS_ROUNDING_TOL * bound
 
@@ -213,11 +212,10 @@ def bound_report(
         hbar_eff=scale_hbar(hbar, pv.value, r),
         phi_value=pv.value,
         phi_piece=pv.piece,
-        phi_fallback=pv.fallback,
         heisenberg_slack=product - quarter,
         sr_slack=sr_lhs - quarter,
         purity_slack=product - purity_bound,
         heisenberg_pass=passes(product, quarter),
         sr_pass=passes(sr_lhs, quarter),
-        purity_pass=passes(product, purity_floor),
+        purity_pass=passes(product, purity_bound),
     )

@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, replace
 import numpy as np
 
 from . import io as _io
-from .bounds import PHI_MODES, evaluate_bounds, phi_eval
+from .bounds import PHI_MODES, evaluate_bounds, phi, phi_eval
 from .decoherence import run_trajectory
 from .errors import NonConvergenceError
 from .moments import compute_moments
@@ -79,13 +79,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_phi(args) -> int:
     pv = phi_eval(args.mu, args.mode)
-    payload = {
-        "mu": args.mu,
-        "mode": args.mode,
-        "phi": pv.value,
-        "piece": pv.piece,
-        "fallback": pv.fallback,
-    }
+    payload = {"mu": args.mu, "mode": args.mode, "phi": pv.value, "piece": pv.piece}
     _emit(_io.render_json(payload), args.out)
     return 0
 
@@ -94,14 +88,8 @@ def _cmd_phi_curve(args) -> int:
     if not 0.0 < args.mu_from <= 1.0 or not 0.0 < args.mu_to <= 1.0:
         raise ValueError("purity endpoints must lie in (0, 1]")
     grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
-    rows = []
-    for mu in grid:
-        mu = float(mu)
-        exact = phi_eval(mu, "exact")
-        rows.append(
-            [mu, exact.value, phi_eval(mu, "interpolation").value,
-             phi_eval(mu, "asymptote").value, exact.fallback]
-        )
+    rows = [[mu, phi(mu, "exact"), phi(mu, "interpolation"), phi(mu, "asymptote")]
+            for mu in map(float, grid)]
     _emit(_io.render_csv(_io.PHI_CURVE_COLUMNS, rows), args.out)
     return 0
 

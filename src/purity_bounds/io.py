@@ -20,9 +20,9 @@ from .records import SweepRecord
 from .states import FockDensityMatrix, GaussianState, QuantumState
 from .tunneling import BarrierSpec, ParabolicBarrier, RectangularBarrier, SampledBarrier
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-PHI_CURVE_COLUMNS = ["mu", "phi_exact", "phi_app", "phi_asymptote", "fallback_flag"]
+PHI_CURVE_COLUMNS = ["mu", "phi_exact", "phi_app", "phi_asymptote"]
 ORACLE_COLUMNS = [
     "mu", "phi_oracle", "phi_exact", "phi_app",
     "rel_err_exact", "rel_err_app", "method", "iterations",
@@ -202,11 +202,7 @@ def bound_report_dict(report: BoundReport) -> dict:
         "product": report.product,
         "sr_lhs": report.sr_lhs,
         "hbar_eff": report.hbar_eff,
-        "phi": {
-            "value": report.phi_value,
-            "piece": report.phi_piece,
-            "fallback": report.phi_fallback,
-        },
+        "phi": {"value": report.phi_value, "piece": report.phi_piece},
         "slacks": {
             "heisenberg": report.heisenberg_slack,
             "schrodinger_robertson": report.sr_slack,

@@ -2,13 +2,13 @@
 
 The variance product of a mixture of number states with weights p is
 (sum_n p_n (n + 1/2))^2 hbar^2, so minimizing that product at fixed purity
-sum_n p_n^2 = mu gives a candidate quantum limit.  The analytic minimizers
-over 2 and 3 levels reproduce the two pieces of Phi; a grid search and a
-projected-gradient solver provide formula-independent cross-checks, and a
-random-density-matrix sweep guards the diagonal-mixture ansatz itself (the
-extremum is taken over diagonal weights, which a dense random state could
-in principle beat -- the sweep looks for such a violation and must find
-none).
+sum_n p_n^2 = mu gives a candidate quantum limit.  The rank-k analytic
+minimizer (weights linear in the level index) reproduces the rank-k piece
+of Phi; a grid search and a projected-gradient solver provide
+formula-independent cross-checks, and a random-density-matrix sweep guards
+the diagonal-mixture ansatz itself (the extremum is taken over diagonal
+weights, which a dense random state could in principle beat -- the sweep
+looks for such a violation and must find none).
 
 All stochastic paths take an explicit seed and are reproducible bit for
 bit for a fixed seed.
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PHI_PIECE2_MIN, phi, phi_eval
+from .bounds import _rank, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 from .states import fock_moment_operators
 from .thermal import _logsumexp
@@ -99,10 +99,9 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
     """Weights p_n = a - b n of the rank-k linear minimizer at purity mu.
 
     Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
-    weight is nonnegative (which bounds mu from above piece by piece);
-    outside that window a ``PieceDomainError`` is raised.  Ranks 2 and 3 are
-    the two analytic pieces of Phi; higher ranks are a documented extension
-    verified against the grid search in the test suite.
+    weight is nonnegative, i.e. up to the top mu_k of the rank-k window of
+    Phi; above it a ``PieceDomainError`` is raised.  On its window the rank-k
+    weights give the piece Phi_k of ``bounds.phi``.
     """
     if k < 2:
         raise ValueError("rank must be >= 2")
@@ -374,9 +373,8 @@ def min_product_fock_mixture(
     """Minimize the variance product over number-state mixtures of fixed purity.
 
     ``method`` is one of "auto", "rank2-analytic", "rank3-analytic",
-    "grid-refine", "projected-gradient".  "auto" picks the best feasible
-    analytic piece and falls back to the grid search where none applies
-    (more than 3 levels below the rank-3 window).
+    "grid-refine", "projected-gradient".  "auto" is the rank-k analytic
+    minimizer of the exact Phi piece at mu, capped at ``levels`` levels.
     """
     mu = _check_reachable(mu, levels)
     if method == "rank2-analytic":
@@ -394,20 +392,7 @@ def min_product_fock_mixture(
     if method != "auto":
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
-    candidates = []
-    if mu >= 0.5:
-        candidates.append(_analytic_result(mu, 2, levels, hbar))
-    if levels >= 3 and mu > 1.0 / 3.0:
-        try:
-            candidates.append(_analytic_result(mu, 3, levels, hbar))
-        except PieceDomainError:
-            pass
-    if levels >= 4 and mu < PHI_PIECE2_MIN:
-        # rank >= 4 minimizers can undercut rank 3 here; search instead.
-        return _grid_refine(mu, levels, hbar)
-    if candidates:
-        return min(candidates, key=lambda res: res.min_product)
-    return _grid_refine(mu, levels, hbar)
+    return _analytic_result(mu, min(_rank(mu), levels), levels, hbar)
 
 
 def _haar_unitaries(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,26 @@ from purity_bounds import (
     diagonal_mixture,
     effective_hbar,
     evaluate_bounds,
+    linear_ansatz_weights,
+    min_product_fock_mixture,
     moment_matrix,
     phi,
     phi_eval,
 )
-from purity_bounds.bounds import PHI_PIECE1_MIN, PHI_PIECE2_MIN
+
+
+def _load_reference():
+    """``perfbench/reference.py``: Phi coded from the physics, not from this package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def window_top(k):
+    """Top edge mu_k of the rank-k window."""
+    return 1.0 / k + (k + 1.0) / (3.0 * k * (k - 1.0))
 
 
 def make_moments(sigma_qq, sigma_pp, sigma_qp, mu=1.0):
@@ -44,16 +61,60 @@ class TestPhi:
 
     def test_piece_two_value(self):
         assert phi(0.5, "exact") == pytest.approx(3.0 - math.sqrt(4.0 / 3.0), abs=1e-15)
-        assert phi_eval(0.5, "exact").piece == "exact-piece-2"
+        assert phi_eval(0.5, "exact").piece == "rank-3"
 
     def test_lower_knot_value(self):
         assert phi(7.0 / 18.0, "exact") == pytest.approx(7.0 / 3.0, abs=1e-12)
 
-    def test_fallback_below_lower_knot(self):
-        pv = phi_eval(0.3, "exact")
-        assert pv.fallback
-        assert pv.piece == "interpolation"
-        assert pv.value == pytest.approx(phi(0.3, "interpolation"), abs=0.0)
+    def test_exact_is_bit_identical_to_the_closed_pieces_on_the_upper_range(self):
+        grid = list(np.linspace(7.0 / 18.0, 1.0, 20001))
+        for edge in (7.0 / 18.0, 5.0 / 9.0):
+            grid += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
+        for mu in grid:
+            mu = float(mu)
+            if mu >= 5.0 / 9.0:
+                expected, piece = 2.0 - math.sqrt(2.0 * mu - 1.0), "rank-2"
+            elif mu >= 7.0 / 18.0:
+                expected, piece = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0)), "rank-3"
+            else:
+                continue
+            pv = phi_eval(mu, "exact")
+            assert pv.value == expected
+            assert pv.piece == piece
+
+    @pytest.mark.parametrize("mu, k", [(0.35, 4), (0.3, 4), (0.25, 5), (0.2, 7)])
+    def test_exact_matches_the_projected_gradient_minimizer(self, mu, k):
+        res = min_product_fock_mixture(mu, 8, "projected-gradient")
+        assert abs(2.0 * math.sqrt(res.min_product) - phi(mu)) <= 1e-12 * phi(mu)
+        assert phi_eval(mu).piece == f"rank-{k}"
+
+    def test_continuous_at_the_window_edges(self):
+        # Two ulp either side of the edge between the rank-k and rank-(k+1) windows.
+        for k in range(2, 61):
+            edge = window_top(k + 1)
+            below = math.nextafter(math.nextafter(edge, 0.0), 0.0)
+            above = math.nextafter(math.nextafter(edge, 1.0), 1.0)
+            assert phi_eval(below).piece == f"rank-{k + 1}"
+            assert phi_eval(above).piece == f"rank-{k}"
+            assert abs(phi(below) - phi(above)) <= 1e-12 * phi(above)
+
+    def test_matches_the_independent_reference(self):
+        ref = _load_reference()
+        for mu in np.geomspace(1e-12, 1.0, 2001):
+            mu = float(mu)
+            assert abs(phi(mu) - ref.phi_true(mu)) <= 1e-14 * ref.phi_true(mu)
+
+    def test_small_purity_follows_the_asymptote(self):
+        for mu in np.geomspace(1e-300, 1e-6, 3001):
+            mu = float(mu)
+            assert abs(phi(mu) - 8.0 / (9.0 * mu)) <= 1e-12 * (8.0 / (9.0 * mu))
+
+    def test_rank_location_ends_for_every_positive_double(self):
+        # A step-by-step rank walk stalls below ~1e-25, where k + 1 == k.
+        assert phi(1e-25) == pytest.approx(8.0 / 9.0 * 1e25, rel=1e-12)
+        assert phi(1e-300) == pytest.approx(8.0 / 9.0 * 1e300, rel=1e-12)
+        # 8 / (9 mu) ~ 1.8e323 exceeds the double range.
+        assert phi(5e-324) == math.inf
 
     def test_asymptote_at_small_purity(self):
         assert phi(0.01, "asymptote") == pytest.approx(800.0 / 9.0, abs=1e-12)
@@ -68,7 +129,7 @@ class TestPhi:
 
     def test_gaussian_compatibility(self):
         # A Gaussian state of purity mu satisfies the bound, so Phi <= 1/mu.
-        for mu in np.linspace(PHI_PIECE2_MIN, 1.0, 500):
+        for mu in np.linspace(1e-3, 1.0, 500):
             assert phi(float(mu), "exact") <= 1.0 / mu + 1e-12
 
     def test_domain_errors(self):
@@ -213,24 +274,8 @@ class TestEvaluateBounds:
             eq7 = m.sigma_qq * m.sigma_pp >= 0.25 / (1.0 - m.r**2)
             assert report.sr_pass == eq7
 
-    def test_advisory_region_tolerates_small_deficit(self):
-        # mu below 7/18: a 1% deficit against the interpolated bound passes,
-        # the strict region fails the same relative deficit.
-        mu = 0.2
-        bound = phi(mu, "exact") ** 2 / 4.0
-        s = math.sqrt(bound * 0.995)
-        report = evaluate_bounds(make_moments(s, s, 0.0, mu=mu), hbar=1.0)
-        assert report.purity_slack < 0.0
-        assert report.purity_pass
-
-        mu = 0.5
-        bound = phi(mu, "exact") ** 2 / 4.0
-        s = math.sqrt(bound * 0.995)
-        report = evaluate_bounds(make_moments(s, s, 0.0, mu=mu), hbar=1.0)
-        assert not report.purity_pass
-
     def test_rounding_deficit_passes_but_1e12_deficit_fails(self):
-        for mu, r in ((1.0, 0.0), (0.5, 0.3), (0.9, -0.6)):
+        for mu, r in ((1.0, 0.0), (0.5, 0.3), (0.9, -0.6), (0.2, 0.0), (0.25, 0.4)):
             bound = phi(mu, "exact") ** 2 / (4.0 * (1.0 - r * r))
             rounding = 1.0 - 2.0 * np.finfo(float).eps
             for factor, expected in ((rounding, True), (1.0 - 1e-12, False)):
@@ -238,6 +283,13 @@ class TestEvaluateBounds:
                 report = evaluate_bounds(make_moments(s, s, r * s, mu=mu), hbar=1.0)
                 assert report.purity_slack < 0.0
                 assert report.purity_pass is expected
+
+    def test_rank5_minimizer_saturates_the_purity_bound(self):
+        state = diagonal_mixture(linear_ansatz_weights(0.25, 5), 8)
+        report = evaluate_bounds(compute_moments(state), hbar=1.0)
+        assert abs(report.purity_slack) <= 1e-12
+        assert report.purity_pass
+        assert report.phi_piece == "rank-5"
 
     def test_hbar_scaling(self):
         report = evaluate_bounds(make_moments(1.0, 1.0, 0.0, mu=0.8), hbar=2.0)

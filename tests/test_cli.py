@@ -77,7 +77,7 @@ class TestCheck:
         code, out = run(capsys, ["check", files["vacuum"]])
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["valid"] is True
         assert doc["slacks"]["heisenberg"] == 0.0
         assert doc["slacks"]["purity"] == 0.0
@@ -150,14 +150,14 @@ class TestPhiCommands:
         assert code == 0
         doc = json.loads(out)
         assert doc["phi"] == pytest.approx(3.0 - math.sqrt(4.0 / 3.0), abs=1e-12)
-        assert doc["piece"] == "exact-piece-2"
+        assert doc["piece"] == "rank-3"
 
     def test_phi_curve_rows_and_header(self, capsys):
         code, out = run(capsys, ["phi-curve", "--mu-from", str(7.0 / 18.0),
                                  "--mu-to", "1.0", "--steps", "3"])
         assert code == 0
         lines = out.strip().split("\n")
-        assert lines[0] == "mu,phi_exact,phi_app,phi_asymptote,fallback_flag"
+        assert lines[0] == "mu,phi_exact,phi_app,phi_asymptote"
         assert len(lines) == 4
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(7.0 / 3.0, abs=1e-8)

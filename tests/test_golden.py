@@ -12,6 +12,9 @@ the last ulp of each row.
 A change that is meant to alter an output regenerates the recorded files:
 
     PYTHONPATH=src python tests/test_golden.py --regen
+
+which prints each case whose stdout bytes, full-precision record or exit
+code changed.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ def _cases() -> dict[str, list[str]]:
             "--steps", "25", "--barrier", f("rectangular"), "--energy", "0.5", "--phi-mode", mode]
     cases["check-vacuum"] = ["check", f("vacuum")]
     cases["check-sub-heisenberg"] = ["check", f("sub_heisenberg")]
+    cases["check-rank5-minimizer"] = ["check", f("fock_rank5_minimizer")]
     cases["thermal-hot"] = ["thermal", "--t-min", "1e8", "--t-max", "1e14", "--steps", "7"]
     cases["phi-curve"] = ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"]
     cases["oracle-rank2"] = ["oracle", "--mu", "0.7", "--levels", "2"]
@@ -123,22 +127,34 @@ def test_sweep_values_match_recorded_full_precision(name):
     assert out.decode("utf-8") == _full_precision()[name]
 
 
-def regenerate() -> None:
-    codes = {}
+def regenerate() -> list[str]:
+    """Rewrite every recorded file; return one line per case whose record changed."""
+    old_codes, old_full = _exit_codes(), _full_precision()
+    codes, full, changed = {}, {}, []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, argv in sorted(CASES.items()):
+            path = GOLDEN / f"{name}.txt"
+            old_out = path.read_bytes() if path.exists() else None
             codes[name], out = run_case(argv)
-            (GOLDEN / f"{name}.txt").write_bytes(out)
-        full = {name: run_case(CASES[name], full_precision=True)[1].decode("utf-8")
-                for name in SWEEPS}
+            path.write_bytes(out)
+            if name in SWEEPS:
+                full[name] = run_case(argv, full_precision=True)[1].decode("utf-8")
+            what = [label for label, differs in (
+                ("stdout", out != old_out),
+                ("full precision", name in full and full[name] != old_full.get(name)),
+                ("exit code", codes[name] != old_codes.get(name)),
+            ) if differs]
+            if what:
+                changed.append(f"{name}: {', '.join(what)}")
     (GOLDEN / "full_precision.json").write_text(json.dumps(full, indent=1, sort_keys=True) + "\n",
                                                 encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",
                                             encoding="utf-8")
+    return changed
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         sys.exit("usage: python tests/test_golden.py --regen")
-    regenerate()
+    print("\n".join(regenerate()) or "no recorded output changed")

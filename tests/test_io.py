@@ -54,7 +54,7 @@ class TestNumberFormatting:
     def test_zero_and_integers_and_strings(self):
         assert format_number(0.0) == "0"
         assert format_number(7) == "7"
-        assert format_number("exact-piece-1") == "exact-piece-1"
+        assert format_number("rank-2") == "rank-2"
 
     def test_booleans(self):
         assert format_number(True) == "true"
@@ -168,7 +168,7 @@ class TestRendering:
         assert text == "a,b\n1,0.5\n2,0.25\n"
 
     def test_column_contracts_are_fixed(self):
-        assert PHI_CURVE_COLUMNS == ["mu", "phi_exact", "phi_app", "phi_asymptote", "fallback_flag"]
+        assert PHI_CURVE_COLUMNS == ["mu", "phi_exact", "phi_app", "phi_asymptote"]
         assert THERMAL_COLUMNS == ["T", "Z", "mu", "mu_asymptote", "phi", "phi_mode", "hbar_eff"]
         assert TUNNEL_COLUMNS[:2] == ["param_name", "param_value"]
         assert DECOHERE_COLUMNS[-1] == "inv_mu_ln_D"
@@ -176,5 +176,5 @@ class TestRendering:
 
     def test_json_carries_schema_version(self):
         doc = json.loads(render_json({"x": 1}))
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["x"] == 1

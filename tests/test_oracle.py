@@ -101,13 +101,15 @@ class TestNumericMethods:
         three = min_product_fock_mixture(mu, 3, "auto")
         assert three.min_product < two.min_product
 
-    def test_auto_uses_grid_below_rank3_window_with_many_levels(self):
-        res = min_product_fock_mixture(0.3, 4, "auto")
-        assert res.method == "grid-refine"
+    def test_auto_uses_the_rank_k_piece_below_the_rank3_window(self):
+        for mu, levels, k in ((0.3, 4, 4), (0.25, 8, 5)):
+            res = min_product_fock_mixture(mu, levels, "auto")
+            assert res.method == f"rank{k}-analytic"
+            assert res.iterations == 0
+            assert 2.0 * math.sqrt(res.min_product) == pytest.approx(phi(mu), rel=1e-14)
 
     def test_general_linear_ansatz_verified_by_grid(self):
-        """Rank-4/5 linear minimizers are a documented extension; the grid
-        search is their only certification."""
+        """The rank-4/5 linear minimizers agree with the grid search."""
         cases = [(0.3, 4), (0.28, 5)]
         for mu, k in cases:
             w = linear_ansatz_weights(mu, k)

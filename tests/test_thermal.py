@@ -154,7 +154,7 @@ class TestThermalBoundReport:
         mu = math.tanh(0.5)
         expected_phi = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0))
         assert report.phi_value == pytest.approx(expected_phi, abs=1e-12)
-        assert report.phi_piece == "exact-piece-2"
+        assert report.phi_piece == "rank-3"
         assert report.purity_bound == pytest.approx(expected_phi**2 / 4.0, abs=1e-12)
         n_bar = 1.0 / (math.e - 1.0)
         assert report.product == pytest.approx((n_bar + 0.5) ** 2, abs=1e-12)

@@ -37,8 +37,6 @@ DECOHERE_COLUMNS = ["t", "mu", "r", "phi", "hbar_eff", "ln_D", "D", "inv_mu_ln_D
 
 def format_number(value: Any) -> str:
     """9 significant digits; scientific notation below 1e-4 in magnitude."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, str):

@@ -4,11 +4,11 @@ The variance product of a mixture of number states with weights p is
 (sum_n p_n (n + 1/2))^2 hbar^2, so minimizing that product at fixed purity
 sum_n p_n^2 = mu gives a candidate quantum limit.  The rank-k analytic
 minimizer (weights linear in the level index) reproduces the rank-k piece
-of Phi; a grid search and a projected-gradient solver provide
-formula-independent cross-checks, and a random-density-matrix sweep guards
-the diagonal-mixture ansatz itself (the extremum is taken over diagonal
-weights, which a dense random state could in principle beat -- the sweep
-looks for such a violation and must find none).
+of Phi; an exact enumeration of the simplex faces and a projected-gradient
+solver provide formula-independent cross-checks, and a random-density-matrix
+sweep guards the diagonal-mixture ansatz itself (the extremum is taken over
+diagonal weights, which a dense random state could in principle beat --
+the sweep looks for such a violation and must find none).
 
 All stochastic paths take an explicit seed and are reproducible bit for
 bit for a fixed seed.
@@ -33,11 +33,6 @@ _PURITY_NEWTON_MAX_ITER = 100
 # The hard-assertion region of the bound tolerates at most this much
 # negative slack in the falsification sweep.
 FALSIFICATION_SLACK_TOL = 1e-8
-
-# Base simplex-grid resolution (in probability units) per number of levels.
-# 1e-3 is affordable through 3 levels; the local refinement rounds supply
-# the final accuracy regardless of the base resolution.
-_GRID_BASE_RESOLUTION = {2: 1e-3, 3: 1e-3, 4: 0.02, 5: 0.04, 6: 0.05, 7: 1 / 15, 8: 1 / 12}
 
 METHODS = ("auto", "rank2-analytic", "rank3-analytic", "grid-refine", "projected-gradient")
 
@@ -101,7 +96,8 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
     Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
     weight is nonnegative, i.e. up to the top mu_k of the rank-k window of
     Phi; above it a ``PieceDomainError`` is raised.  On its window the rank-k
-    weights give the piece Phi_k of ``bounds.phi``.
+    weights win the face enumeration of ``_face_minimizer`` over all supports
+    and give the piece Phi_k of ``bounds.phi``.
     """
     if k < 2:
         raise ValueError("rank must be >= 2")
@@ -165,12 +161,9 @@ def _project_plane_sphere(p: np.ndarray, mu: float) -> np.ndarray:
         if sub.min() >= -_WEIGHT_TOL:
             return np.clip(q, 0.0, None)
         active[idx[sub < 0]] = False
-    # Fallback: clamp, renormalize, then hit the purity sphere with the
-    # power-family scaling (always lands in the feasible set).
-    q = np.clip(p, 1e-12, None)
-    q = q / q.sum()
-    t, _ = _power_projection(q[None, :], mu)
-    return _apply_power(q[None, :], t)[0]
+    # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
+    # minimizes -p.q: the face enumeration gives the exact projection.
+    return _face_minimizer(-p, mu)[0]
 
 
 def _apply_power(p: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -239,96 +232,38 @@ def _power_projection(p: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]
     return t, converged
 
 
-def _column_sums(cols: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, adding whole rows in the order numpy sums a
-    row of the transposed array (sequential below 8 terms, pairwise at 8)."""
-    if len(cols) == 8:
-        return ((cols[0] + cols[1]) + (cols[2] + cols[3])) + ((cols[4] + cols[5]) + (cols[6] + cols[7]))
-    total = cols[0].copy()
-    for row in cols[1:]:
-        total += row
-    return total
+def _face_minimizer(c: np.ndarray, mu: float) -> tuple[np.ndarray, int]:
+    """Minimum of c.p on {sum p = 1, sum p^2 = mu, p >= 0}, by enumerating faces.
 
+    The minimum lies inside the face of the simplex given by some support S
+    of s levels (one row of the mask).  There the Lagrange conditions make
+    p_S - 1/s parallel to c_S - mean(c_S), so the only local minimum on the
+    face's purity sphere is
 
-def _best_projected(cols: np.ndarray, mu: float, c: np.ndarray):
-    """Best projection of the candidate columns onto {sum p = 1, sum p^2 = mu}
-    that stays inside the simplex, or None; also returns the candidate count.
+        p_S = 1/s - sqrt(mu - 1/s) (c_S - mean c_S) / |c_S - mean c_S|
 
-    The projection is monotone in each coordinate, so a candidate's
-    smallest projected weight is the projection of its smallest coordinate.
-    Feasibility is decided from that alone, and the projected points and
-    the objective are formed only for the feasible candidates.  Every value
-    equals the row-major computation bit for bit.
+    (for s = 2, the cheaper of a mirror pair that is feasible together).
+    Where c is constant on S every point costs the same, and the level
+    index stands in for c.  The minimum is the cheapest candidate with
+    nonnegative weights.  Costs are summed row by row, so they do not depend
+    on a row's place in the batch; ties go to the first support in mask
+    order.  Returns the minimizer and the number of supports.
     """
-    k, n = cols.shape
-    center = 1.0 / k
-    radius = math.sqrt(max(mu - center, 0.0))
-    d = cols + (1.0 - _column_sums(cols)) / k
-    d -= center
-    norm = np.sqrt(_column_sums(d * d))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lowest = center + radius * d.min(axis=0) / norm
-    feasible = np.flatnonzero((norm >= 1e-300) & (lowest >= -_WEIGHT_TOL))
-    if len(feasible) == 0:
-        return None, n
-    # Row-major rows: proj @ c rounds differently on a column-major layout.
-    proj = center + radius * np.ascontiguousarray(d[:, feasible].T) / norm[feasible, None]
-    return np.clip(proj[int(np.argmin(proj @ c))], 0.0, None), n
-
-
-def _grid_refine(mu: float, levels: int, hbar: float) -> MinimizationResult:
-    """Exhaustive simplex grid projected onto the purity sphere, then local shrink.
-
-    Every candidate is evaluated after exact projection onto the
-    {sum p = 1, sum p^2 = mu} manifold, so the search optimizes over the
-    feasible set itself; shrinking local grids then refine the winner.
-    Candidates are held one per column.
-    """
-    c = _objective_coeffs(levels)
-    resolution = _GRID_BASE_RESOLUTION.get(levels)
-    if resolution is None:
-        raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
-    evaluations = 0
-
-    best, n_eval = _best_projected(_simplex_grid(levels, resolution), mu, c)
-    evaluations += n_eval
-    if best is None:
-        raise InfeasibleTargetError(f"no grid point projects to purity {mu} with {levels} levels")
-
-    h = resolution
-    offsets = _local_offsets(levels - 1)
-    full = np.empty((levels, offsets.shape[1]))
-    while h > 1e-9:
-        h *= 0.25
-        np.multiply(h, offsets, out=full[1:])
-        full[1:] += best[1:, None]
-        np.subtract(1.0, _column_sums(full[1:]), out=full[0])
-        cand, n_eval = _best_projected(full, mu, c)
-        evaluations += n_eval
-        if cand is not None and np.dot(c, cand) <= np.dot(c, best):
-            best = cand
-
-    return _result(mu, _project_plane_sphere(best, mu), hbar, "grid-refine", evaluations)
-
-
-def _simplex_grid(k: int, resolution: float) -> np.ndarray:
-    """The compositions of n = 1/resolution into k parts, divided by n, one
-    per column, in lexicographic order."""
-    n = round(1.0 / resolution)
-    parts = np.empty((0, 1), dtype=np.int64)
-    rest = np.array([n])
-    for _ in range(k - 1):
-        counts = rest + 1
-        head = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        parts = np.vstack([np.repeat(parts, counts, axis=1), head])
-        rest = np.repeat(rest, counts) - head
-    return np.vstack([parts, rest]) / n
-
-
-def _local_offsets(free_dims: int) -> np.ndarray:
-    steps = np.arange(-2, 3, dtype=float)
-    grids = np.meshgrid(*([steps] * free_dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids])
+    n = len(c)
+    masks = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+    size = masks.sum(axis=1)
+    flat = np.where(masks, c, -np.inf).max(axis=1) == np.where(masks, c, np.inf).min(axis=1)
+    d = np.where(masks, np.where(flat[:, None], np.arange(n), c), 0.0)
+    d = np.where(masks, d - (d.sum(axis=1) / size)[:, None], 0.0)
+    norm = np.sqrt((d * d).sum(axis=1))
+    center = 1.0 / size
+    reachable = mu >= center
+    radius = np.sqrt(np.where(reachable, mu - center, 0.0))
+    scale = np.divide(radius, norm, out=np.zeros(len(masks)), where=norm > 0.0)
+    p = np.where(masks, center[:, None] - scale[:, None] * d, 0.0)
+    feasible = reachable & (p.min(axis=1) >= -_WEIGHT_TOL)
+    cost = np.where(feasible, (p * c).sum(axis=1), np.inf)
+    return np.clip(p[int(np.argmin(cost))], 0.0, None), len(masks)
 
 
 def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResult:
@@ -375,6 +310,8 @@ def min_product_fock_mixture(
     ``method`` is one of "auto", "rank2-analytic", "rank3-analytic",
     "grid-refine", "projected-gradient".  "auto" is the rank-k analytic
     minimizer of the exact Phi piece at mu, capped at ``levels`` levels.
+    "grid-refine" enumerates the faces of the simplex exactly (the name is
+    historical); its ``iterations`` is the number of supports, 2^levels - 1.
     """
     mu = _check_reachable(mu, levels)
     if method == "rank2-analytic":
@@ -386,7 +323,10 @@ def min_product_fock_mixture(
             raise ValueError("rank-3 minimizer needs at least 3 levels")
         return _analytic_result(mu, 3, levels, hbar)
     if method == "grid-refine":
-        return _grid_refine(mu, levels, hbar)
+        if levels > 8:
+            raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
+        p, supports = _face_minimizer(_objective_coeffs(levels), mu)
+        return _result(mu, p, hbar, "grid-refine", supports)
     if method == "projected-gradient":
         return _projected_gradient(mu, levels, hbar)
     if method != "auto":

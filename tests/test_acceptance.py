@@ -64,11 +64,12 @@ def test_criterion_2_oracle_agreement():
         grad = 2.0 * math.sqrt(
             min_product_fock_mixture(mu, 3, "projected-gradient").min_product
         )
-        assert abs(grid - PHI2(mu)) < 1e-4
+        assert abs(grid - PHI2(mu)) < 1e-12
         assert abs(grad - PHI2(mu)) < 1e-4
-        assert abs(grid - grad) < 1e-4
+        assert abs(grid - grad) < 1e-12
     report(2, "minimizer matches piece 1 on 50 points within 1e-6 and the "
-              "corrected piece 2 on 20 points within 1e-4 (grid + gradient)")
+              "corrected piece 2 on 20 points within 1e-12 (face enumeration) "
+              "and 1e-4 (gradient)")
 
 
 def test_criterion_3_piece_two_constant_certified():

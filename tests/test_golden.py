@@ -32,6 +32,7 @@ import pytest
 
 import purity_bounds.io as pio
 from purity_bounds.cli import main
+from purity_bounds.oracle import METHODS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -71,8 +72,10 @@ def _cases() -> dict[str, list[str]]:
     cases["oracle-rank2"] = ["oracle", "--mu", "0.7", "--levels", "2"]
     cases["oracle-sweep"] = ["oracle", "--mu-from", "0.39", "--mu-to", "0.55", "--steps", "12",
                              "--levels", "3"]
-    for method in ("rank2-analytic", "rank3-analytic", "grid-refine", "projected-gradient"):
+    for method in METHODS:
         cases[f"oracle-{method}"] = ["oracle", "--mu", "0.5", "--levels", "3", "--method", method]
+    cases["oracle-grid-refine-levels8"] = ["oracle", "--mu", "0.58", "--levels", "8",
+                                           "--method", "grid-refine"]
     cases["oracle-auto-low-purity"] = ["oracle", "--mu", "0.3", "--levels", "5"]
     for dim, seed in ((6, 42), (8, 7)):
         cases[f"oracle-falsify-dim{dim}"] = [

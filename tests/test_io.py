@@ -56,10 +56,6 @@ class TestNumberFormatting:
         assert format_number(7) == "7"
         assert format_number("rank-2") == "rank-2"
 
-    def test_booleans(self):
-        assert format_number(True) == "true"
-        assert format_number(False) == "false"
-
     def test_nan(self):
         assert format_number(float("nan")) == "nan"
 

@@ -13,6 +13,19 @@ from purity_bounds import (
     phi,
     phi_curve_certified,
 )
+from purity_bounds.oracle import _face_minimizer, _project_plane_sphere
+
+
+# Spot purities per level count, some of them below mu_{L+1}.
+SPOT_MUS = {
+    2: (0.55, 0.7, 0.9, 0.99),
+    3: (0.4, 0.5, 0.6, 0.8),
+    4: (0.3, 0.45, 0.6, 0.9),
+    5: (0.25, 0.35, 0.5, 0.7),
+    6: (0.2, 0.3, 0.5, 0.8),
+    7: (0.2, 0.3, 0.45, 0.6),
+    8: (0.25, 0.4, 0.58, 0.75),
+}
 
 
 def phi_from(result):
@@ -38,7 +51,7 @@ class TestAnalyticMinimizers:
         expected_phi = 3.0 - math.sqrt(8.0 * (0.5 - 1.0 / 3.0))
         assert res.min_product == pytest.approx((expected_phi / 2.0) ** 2, abs=1e-12)
         grid = min_product_fock_mixture(0.5, 3, "grid-refine")
-        assert abs(grid.min_product - res.min_product) < 1e-4
+        assert abs(grid.min_product - res.min_product) < 1e-12
 
     def test_rank3_weights_are_linear_in_level(self):
         res = min_product_fock_mixture(0.45, 3, "rank3-analytic")
@@ -85,15 +98,15 @@ class TestNumericMethods:
         analytic = min_product_fock_mixture(mu, 3, "auto")
         grid = min_product_fock_mixture(mu, 3, "grid-refine")
         gradient = min_product_fock_mixture(mu, 3, "projected-gradient")
-        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-4
+        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-12
         assert abs(phi_from(gradient) - phi_from(analytic)) < 1e-4
-        assert abs(phi_from(grid) - phi_from(gradient)) < 1e-4
+        assert abs(phi_from(grid) - phi_from(gradient)) < 1e-12
 
     @pytest.mark.parametrize("mu", [0.6, 0.8, 1.0])
     def test_grid_matches_rank2_on_two_levels(self, mu):
         grid = min_product_fock_mixture(mu, 2, "grid-refine")
         analytic = min_product_fock_mixture(mu, 2, "rank2-analytic")
-        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-8
+        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-12
 
     def test_more_levels_never_increase_the_minimum(self):
         mu = 0.52
@@ -109,13 +122,54 @@ class TestNumericMethods:
             assert 2.0 * math.sqrt(res.min_product) == pytest.approx(phi(mu), rel=1e-14)
 
     def test_general_linear_ansatz_verified_by_grid(self):
-        """The rank-4/5 linear minimizers agree with the grid search."""
-        cases = [(0.3, 4), (0.28, 5)]
-        for mu, k in cases:
-            w = linear_ansatz_weights(mu, k)
-            value = float(np.dot(np.arange(k) + 0.5, w))
+        """The face enumeration finds the rank-4/5 linear minimizers."""
+        for mu, k in [(0.3, 4), (0.28, 5)]:
             grid = min_product_fock_mixture(mu, k, "grid-refine")
-            assert abs(2.0 * value - phi_from(grid)) < 1e-6
+            np.testing.assert_allclose(grid.optimal_weights, linear_ansatz_weights(mu, k),
+                                       rtol=0.0, atol=1e-12)
+
+    def test_eight_levels_find_the_rank2_minimum(self):
+        res = min_product_fock_mixture(0.58, 8, "grid-refine")
+        assert res.min_product == pytest.approx(0.64, rel=1e-15)
+        assert res.iterations == 2**8 - 1
+
+    @pytest.mark.parametrize("levels", sorted(SPOT_MUS))
+    def test_grid_refine_matches_exact_phi(self, levels):
+        """On [mu_{L+1}, 1] the minimum over L levels is the exact Phi; below
+        mu_{L+1} (some spot purities) it is the rank-L linear minimizer."""
+        k = levels + 1
+        floor = 1.0 / k + (k + 1) / (3.0 * k * (k - 1))
+        sweep = [mu for mu in np.round(np.arange(0.01, 1.005, 0.01), 2) if mu >= floor]
+        for mu in map(float, sweep + list(SPOT_MUS[levels])):
+            res = min_product_fock_mixture(mu, levels, "grid-refine")
+            if mu >= floor:
+                expected = phi(mu, "exact")
+            else:
+                expected = 2.0 * float(np.dot(np.arange(levels) + 0.5,
+                                              linear_ansatz_weights(mu, levels)))
+            assert phi_from(res) == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert abs(res.optimal_weights.sum() - 1.0) <= 1e-14
+            assert abs(res.achieved_mu - mu) <= 1e-14
+
+    def test_face_minimizer_is_the_nearest_feasible_point(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            levels = int(rng.integers(2, 9))
+            x = rng.normal(size=levels)
+            mu = float(rng.uniform(1.0 / levels, 1.0))
+            q, supports = _face_minimizer(-x, mu)
+            assert supports == 2**levels - 1
+            assert q.min() >= 0.0
+            assert abs(q.sum() - 1.0) <= 1e-12 and abs(np.dot(q, q) - mu) <= 1e-12
+            active_set = _project_plane_sphere(x, mu)
+            assert np.linalg.norm(q - x) <= np.linalg.norm(active_set - x) + 1e-12
+        # c constant on every face: any point of a face's sphere is a minimum.
+        q, _ = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35)
+        assert q.min() >= 0.0 and abs(np.dot(q, q) - 0.35) <= 1e-12
+
+    def test_grid_refine_level_cap(self):
+        with pytest.raises(ValueError):
+            min_product_fock_mixture(0.5, 9, "grid-refine")
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):

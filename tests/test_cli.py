@@ -256,6 +256,22 @@ class TestTunnelCommand:
         code, _ = run(capsys, ["tunnel", "--barrier", str(path), "--energy", "0.5"])
         assert code == 3
 
+    def test_non_finite_inputs_exit_1(self, files, capsys):
+        path = files["dir"] / "nan.json"
+        path.write_text(json.dumps(dict(RECT, v0=float("nan"))))
+        code, out = run(capsys, ["tunnel", "--barrier", str(path), "--energy", "0.5"])
+        assert (code, out) == (1, "")
+        code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "nan"])
+        assert (code, out) == (1, "")
+
+    def test_two_hump_barrier_exits_1(self, files, capsys):
+        x = np.linspace(-8.0, 8.0, 401)
+        v = np.exp(-(x + 3.0) ** 2) + 0.9 * np.exp(-(x - 3.0) ** 2)
+        path = files["dir"] / "two_humps.json"
+        path.write_text(json.dumps({"shape": "sampled", "x": list(x), "v": list(v), "mass": 1.0}))
+        code, out = run(capsys, ["tunnel", "--barrier", str(path), "--energy", "0.5"])
+        assert (code, out) == (1, "")
+
     def test_bad_mu_list(self, files, capsys):
         code, _ = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
                                "--mu", "0.5,abc"])

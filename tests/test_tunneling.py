@@ -1,7 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from purity_bounds import (
     ParabolicBarrier,
@@ -14,6 +17,7 @@ from purity_bounds import (
     transparency,
     transparency_vs_purity,
     transparency_vs_temperature,
+    tunneling,
 )
 
 
@@ -57,15 +61,27 @@ class TestClosedForms:
     def test_energy_must_be_positive(self, rect):
         with pytest.raises(ValueError):
             transparency(rect, energy=0.0, hbar_eff=1.0)
+        with pytest.raises(ValueError):
+            transparency(rect, energy=math.nan, hbar_eff=1.0)
 
     def test_hbar_eff_must_be_positive(self, rect):
         with pytest.raises(ValueError):
             transparency(rect, energy=0.5, hbar_eff=0.0)
+        with pytest.raises(ValueError):
+            transparency(rect, energy=0.5, hbar_eff=math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        for fields in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                RectangularBarrier(*fields)
+            with pytest.raises(ValueError, match="finite"):
+                ParabolicBarrier(*fields)
 
 
 class TestQuadrature:
     def test_parabolic_quadrature_matches_closed_form(self, parabolic):
-        """Adaptive quadrature over the callable potential is the oracle for
+        """The cosine-mapped rule over the callable potential is the oracle for
         the closed-form parabolic action."""
         x_t = math.sqrt(0.5)
         action = action_integral(
@@ -118,6 +134,73 @@ class TestSampledBarriers:
             SampledBarrier(x=np.zeros(10), v=np.ones(10))
         with pytest.raises(ValueError):
             SampledBarrier(x=np.arange(10.0), v=np.ones(9))
+        x = np.linspace(-4.0, 4.0, 81)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SampledBarrier(x=np.where(x == -3.0, bad, x), v=np.exp(-x * x))
+            with pytest.raises(ValueError, match="finite"):
+                SampledBarrier(x=x, v=np.where(x == -3.0, bad, np.exp(-x * x)))
+
+    def test_two_humps_raise(self):
+        """A second interval with V > E is an error, not silently dropped."""
+        x = np.linspace(-8.0, 8.0, 401)
+        barrier = SampledBarrier(x=x, v=np.exp(-(x + 3.0) ** 2) + 0.9 * np.exp(-(x - 3.0) ** 2))
+        with pytest.raises(ValueError, match="2 separate intervals"):
+            transparency(barrier, 0.5, 1.0)
+
+
+GOLDEN_SAMPLED = Path(__file__).resolve().parent / "golden" / "inputs" / "sampled.json"
+
+
+class TestSampledKernel:
+    """The numpy PCHIP kernel against scipy's ``PchipInterpolator`` (tests only)."""
+
+    def test_slopes_match_reference(self):
+        rng = np.random.default_rng(20261018)
+        clamps = set()
+        for trial in range(200):
+            n = int(rng.integers(8, 40))
+            x = np.cumsum(rng.uniform(0.02, 1.0, n))
+            v = rng.normal(size=n)
+            if trial % 3 == 0:  # a flat run of three equal nodes
+                v[int(rng.integers(0, n - 3)):][:3] = v[0]
+            ours = tunneling._pchip_slopes(x, v)
+            # The reference slope at the last node comes from evaluating the
+            # last segment's derivative at its right end, which rounds.
+            ref = PchipInterpolator(x, v).derivative()(x)
+            np.testing.assert_allclose(ours, ref, rtol=1e-15, atol=1e-15 * np.abs(ref).max())
+            m = np.diff(v) / np.diff(x)
+            for slope, secant in ((ours[0], m[0]), (ours[-1], m[-1])):
+                if slope == 0.0 and secant != 0.0:
+                    clamps.add("sign")
+                elif slope == 3.0 * secant:
+                    clamps.add("overshoot")
+        assert clamps == {"sign", "overshoot"}
+
+    def test_turning_points_match_reference(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            x = np.concatenate(([-4.0], -4.0 + 8.0 * np.sort(rng.uniform(size=78)), [4.0]))
+            v = np.exp(-(x - rng.uniform(-1.0, 1.0)) ** 2 / rng.uniform(0.5, 2.0))
+            energy = rng.uniform(0.1, 0.8) * v.max()
+            roots = PchipInterpolator(x, v, extrapolate=False).solve(energy)
+            points = transparency(SampledBarrier(x=x, v=v), energy, 1.0).turning_points
+            np.testing.assert_allclose(points, roots, rtol=0.0, atol=1e-13)
+
+    def test_gaussian_probe_action(self):
+        """exp(-x^2) on 2001 nodes at E = 0.5 against the exact action of the
+        continuous barrier (mpmath, 30 digits)."""
+        x = np.linspace(-4.0, 4.0, 2001)
+        action = transparency(SampledBarrier(x=x, v=np.exp(-x * x)), 0.5, 1.0).action_integral
+        assert abs(action / 1.2489878585695742 - 1.0) < 1e-10
+
+    def test_rule_converged_at_16_nodes(self, monkeypatch):
+        data = json.loads(GOLDEN_SAMPLED.read_text(encoding="utf-8"))
+        barrier = SampledBarrier(x=data["x"], v=data["v"], mass=data["mass"])
+        action16 = transparency(barrier, 0.5, 1.0).action_integral
+        monkeypatch.setattr(tunneling, "_RULE", tunneling._cosine_rule(32))
+        action32 = transparency(barrier, 0.5, 1.0).action_integral
+        assert abs(action32 / action16 - 1.0) < 1e-14
 
 
 class TestScalingAndMonotonicity:

@@ -39,7 +39,6 @@ from .oracle import (
     min_product_fock_mixture,
     phi_curve_certified,
 )
-from .records import SweepRecord
 from .states import (
     FockDensityMatrix,
     GaussianState,
@@ -105,7 +104,6 @@ __all__ = [
     "linear_ansatz_weights",
     "min_product_fock_mixture",
     "phi_curve_certified",
-    "SweepRecord",
     "FockDensityMatrix",
     "GaussianState",
     "InvariantViolation",

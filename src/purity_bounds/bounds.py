@@ -102,8 +102,8 @@ def phi(mu: float, mode: str = "exact") -> float:
 
 
 def check_correlation(r: float) -> None:
-    """Reject a degenerate correlation coefficient, |r| >= 1."""
-    if abs(r) >= 1.0:
+    """Reject a degenerate correlation coefficient, |r| >= 1, and NaN."""
+    if not abs(r) < 1.0:
         raise DegenerateCorrelationError(f"|r| = {abs(r)!r} must be < 1")
 
 

@@ -1,7 +1,7 @@
 """Command-line surface tying the modules together.
 
 Subcommands: check, phi, phi-curve, oracle, thermal, tunnel, decohere.
-Tabular sweeps emit CSV with the column contracts documented in ``io``;
+Tabular sweeps emit CSV, one column per key of the sweep's column table;
 single reports (check, phi, falsification) emit JSON.  Output is byte
 identical for identical arguments and seed.
 
@@ -88,9 +88,12 @@ def _cmd_phi_curve(args) -> int:
     if not 0.0 < args.mu_from <= 1.0 or not 0.0 < args.mu_to <= 1.0:
         raise ValueError("purity endpoints must lie in (0, 1]")
     grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
-    rows = [[mu, phi(mu, "exact"), phi(mu, "interpolation"), phi(mu, "asymptote")]
-            for mu in map(float, grid)]
-    _emit(_io.render_csv(_io.PHI_CURVE_COLUMNS, rows), args.out)
+    mu = list(map(float, grid))
+    table = {"mu": mu}
+    for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
+                         ("phi_asymptote", "asymptote")):
+        table[column] = [phi(m, mode) for m in mu]
+    _emit(_io.render_table(table), args.out)
     return 0
 
 
@@ -122,14 +125,13 @@ def _cmd_thermal(args) -> int:
         if args.steps < 2 or not 0 < args.t_min < args.t_max:
             raise ValueError("need 0 < t-min < t-max and steps >= 2")
         t_grid = np.geomspace(args.t_min, args.t_max, args.steps)
-        records = transparency_vs_temperature(
+        table = transparency_vs_temperature(
             barrier, args.energy, args.hbar, model, t_grid, r=args.r, phi_mode=args.phi_mode
         )
-        _emit(_io.tunnel_sweep_csv(records), args.out)
-        return 0
-    records = thermal_sweep(model, args.t_min, args.t_max, args.steps,
-                            r=args.r, phi_mode=args.phi_mode)
-    _emit(_io.thermal_sweep_csv(records), args.out)
+    else:
+        table = thermal_sweep(model, args.t_min, args.t_max, args.steps,
+                              r=args.r, phi_mode=args.phi_mode)
+    _emit(_io.render_table(table), args.out)
     return 0
 
 
@@ -150,10 +152,10 @@ def _cmd_tunnel(args) -> int:
         mu_grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "tunnel")
     else:
         mu_grid = [1.0]
-    records = transparency_vs_purity(
+    table = transparency_vs_purity(
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )
-    _emit(_io.tunnel_sweep_csv(records), args.out)
+    _emit(_io.render_table(table), args.out)
     return 0
 
 
@@ -166,7 +168,7 @@ def _cmd_decohere(args) -> int:
         state, args.gamma, args.t_max, args.steps, barrier, args.energy,
         phi_mode=args.phi_mode,
     )
-    _emit(_io.decohere_csv(list(trajectory.records)), args.out)
+    _emit(_io.render_table(trajectory.records), args.out)
     return 0
 
 

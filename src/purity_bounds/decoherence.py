@@ -20,9 +20,8 @@ import numpy as np
 
 from .errors import InvalidStateError
 from .moments import compute_moments
-from .records import SweepRecord
 from .states import FockDensityMatrix
-from .tunneling import BarrierSpec, transparency, wkb_record
+from .tunneling import BarrierSpec, transparency, wkb_columns
 
 _PURITY_MONOTONE_TOL = 1e-10
 
@@ -31,7 +30,7 @@ _PURITY_MONOTONE_TOL = 1e-10
 class DephasingTrajectory:
     times: np.ndarray
     states: tuple[FockDensityMatrix, ...]
-    records: tuple[SweepRecord, ...]
+    records: dict[str, list]
 
 
 def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensityMatrix:
@@ -62,8 +61,9 @@ def run_trajectory(
     """Dephase rho0 over a uniform time grid and track the transparency.
 
     ``steps`` is the number of time samples; the grid runs from 0 to t_max
-    inclusive.  Each record carries the instantaneous purity, correlation,
-    Phi, hbar_eff, ln D, D and the product mu^-1 ln D.
+    inclusive.  ``records`` is the decohere table: per time, the
+    instantaneous purity, correlation, Phi, hbar_eff, ln D, D and the
+    product mu^-1 ln D.
     """
     if gamma < 0:
         raise ValueError(f"gamma {gamma!r} must be nonnegative")
@@ -76,20 +76,22 @@ def run_trajectory(
     action = transparency(barrier, energy, rho0.hbar).action_integral
 
     states = []
-    records = []
-    previous_mu = None
+    mu, r = [], []
     for t in times:
         # Exact exponential stepping: the state at time t follows from rho0
         # in one application, no error accumulation.
         state = rho0 if t == 0.0 else dephase_step(rho0, gamma, float(t))
         m = compute_moments(state)
         states.append(state)
-        # SecondMoments guarantees |r| < 1.
-        records.append(wkb_record("t", float(t), m.mu, m.r, action, rho0.hbar, phi_mode))
-        if previous_mu is not None and m.mu > previous_mu + _PURITY_MONOTONE_TOL:
+        if mu and m.mu > mu[-1] + _PURITY_MONOTONE_TOL:
             raise InvalidStateError(
-                f"purity increased along the trajectory ({previous_mu} -> {m.mu})"
+                f"purity increased along the trajectory ({mu[-1]} -> {m.mu})"
             )
-        previous_mu = m.mu
+        mu.append(m.mu)
+        r.append(m.r)
 
-    return DephasingTrajectory(times=times, states=tuple(states), records=tuple(records))
+    # SecondMoments guarantees |r| < 1.
+    wkb = wkb_columns(mu, r, action, rho0.hbar, phi_mode)
+    records = {"t": list(map(float, times)), "mu": mu, "r": r, **wkb,
+               "inv_mu_ln_D": [ln_d / m for ln_d, m in zip(wkb["ln_D"], mu)]}
+    return DephasingTrajectory(times=times, states=tuple(states), records=records)

@@ -16,23 +16,15 @@ from typing import Any
 import numpy as np
 
 from .bounds import BoundReport
-from .records import SweepRecord
 from .states import FockDensityMatrix, GaussianState, QuantumState
 from .tunneling import BarrierSpec, ParabolicBarrier, RectangularBarrier, SampledBarrier
 
 SCHEMA_VERSION = 2
 
-PHI_CURVE_COLUMNS = ["mu", "phi_exact", "phi_app", "phi_asymptote"]
 ORACLE_COLUMNS = [
     "mu", "phi_oracle", "phi_exact", "phi_app",
     "rel_err_exact", "rel_err_app", "method", "iterations",
 ]
-THERMAL_COLUMNS = ["T", "Z", "mu", "mu_asymptote", "phi", "phi_mode", "hbar_eff"]
-TUNNEL_COLUMNS = [
-    "param_name", "param_value", "mu", "phi", "hbar_eff",
-    "action", "ln_D", "D", "invariant_product",
-]
-DECOHERE_COLUMNS = ["t", "mu", "r", "phi", "hbar_eff", "ln_D", "D", "inv_mu_ln_D"]
 
 
 def format_number(value: Any) -> str:
@@ -58,29 +50,14 @@ def render_csv(header: list[str], rows: list[list[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tunnel_sweep_csv(records: list[SweepRecord]) -> str:
-    rows = [
-        [r.param_name, r.param_value, r.mu, r.phi, r.hbar_eff,
-         r.action, r.ln_D, r.D, r.invariant_product]
-        for r in records
-    ]
-    return render_csv(TUNNEL_COLUMNS, rows)
+def render_table(table: dict[str, list]) -> str:
+    """CSV of a column table: its keys are the header, its columns the rows."""
+    return render_csv(list(table), list(zip(*table.values())))
 
 
-def thermal_sweep_csv(records: list[SweepRecord]) -> str:
-    rows = [
-        [r.param_value, r.Z, r.mu, r.mu_asymptote, r.phi, r.phi_piece, r.hbar_eff]
-        for r in records
-    ]
-    return render_csv(THERMAL_COLUMNS, rows)
-
-
-def decohere_csv(records: list[SweepRecord]) -> str:
-    rows = [
-        [r.param_value, r.mu, r.r, r.phi, r.hbar_eff, r.ln_D, r.D, r.invariant_product]
-        for r in records
-    ]
-    return render_csv(DECOHERE_COLUMNS, rows)
+# perfbench/tracing.py still wraps these names; they go with the next
+# benchmark change.
+tunnel_sweep_csv = thermal_sweep_csv = decohere_csv = render_table
 
 
 def _require_fields(data: dict, required: set[str], what: str) -> None:

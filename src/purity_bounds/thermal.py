@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
-from .records import SweepRecord
 from .states import FockDensityMatrix
 
 OSCILLATOR = "oscillator"
@@ -38,8 +37,8 @@ class ThermalModel:
     omega: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0 or self.mass <= 0 or self.omega <= 0:
-            raise ValueError("hbar, mass and omega must be positive")
+        if not all(0 < f < math.inf for f in (self.hbar, self.mass, self.omega)):
+            raise ValueError("hbar, mass and omega must be positive and finite")
         if self.kind == OSCILLATOR:
             if self.spectrum is not None:
                 raise ValueError("oscillator closed form takes no spectrum")
@@ -186,28 +185,22 @@ def thermal_sweep(
     steps: int,
     r: float = 0.0,
     phi_mode: str = "exact",
-) -> list[SweepRecord]:
-    """Logarithmic temperature sweep of (Z, mu, Phi, hbar_eff)."""
+) -> dict[str, list]:
+    """Logarithmic temperature sweep of (Z, mu, Phi, hbar_eff) as a thermal table."""
     if not 0 < t_min < t_max:
         raise ValueError("need 0 < t_min < t_max")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     check_correlation(r)
-    records = []
-    for T in np.geomspace(t_min, t_max, steps):
-        T = float(T)
-        mu = thermal_purity(model, T)
-        pv = phi_eval(mu, phi_mode)
-        records.append(
-            SweepRecord(
-                param_name="T",
-                param_value=T,
-                mu=mu,
-                phi=pv.value,
-                phi_piece=pv.piece,
-                hbar_eff=scale_hbar(model.hbar, pv.value, r),
-                Z=partition_function(model, T),
-                mu_asymptote=model.hbar * model.omega / (2.0 * T),
-            )
-        )
-    return records
+    temperatures = list(map(float, np.geomspace(t_min, t_max, steps)))
+    mu = [thermal_purity(model, T) for T in temperatures]
+    phis = [phi_eval(m, phi_mode) for m in mu]
+    return {
+        "T": temperatures,
+        "Z": [partition_function(model, T) for T in temperatures],
+        "mu": mu,
+        "mu_asymptote": [model.hbar * model.omega / (2.0 * T) for T in temperatures],
+        "phi": [pv.value for pv in phis],
+        "phi_mode": [pv.piece for pv in phis],
+        "hbar_eff": [scale_hbar(model.hbar, pv.value, r) for pv in phis],
+    }

@@ -23,13 +23,12 @@ potential that exceeds E on more than one interval raises ValueError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import check_correlation, phi_eval, scale_hbar
 from .errors import ResolutionError
-from .records import SweepRecord
 from .thermal import ThermalModel, thermal_purity
 
 # A sampled barrier must put at least this many grid nodes strictly above
@@ -73,8 +72,9 @@ class SampledBarrier:
     shape = "sampled"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        # Copies: the caller's arrays stay writable and cannot change the barrier.
+        x = np.array(self.x, dtype=float)
+        v = np.array(self.v, dtype=float)
         if x.ndim != 1 or v.ndim != 1 or len(x) != len(v):
             raise ValueError("x and v must be equal-length 1-d grids")
         if len(x) < 8:
@@ -224,37 +224,33 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
                               turning_points=points, hbar_eff_used=hbar_eff)
 
 
-def wkb_record(
-    param_name: str,
-    param_value: float,
-    mu: float,
-    r: float,
-    action: float,
-    hbar: float,
-    phi_mode: str,
-    mu_asymptote: float | None = None,
-) -> SweepRecord:
-    """One sweep row: Phi(mu) -> hbar_eff -> ln D = -2 S / hbar_eff -> D.
+def wkb_columns(mu, r, action: float, hbar: float, phi_mode: str) -> dict[str, list]:
+    """The phi, hbar_eff, ln_D and D columns of a sweep, one row per entry of
+    ``mu`` and ``r``: Phi(mu) -> hbar_eff -> ln D = -2 S / hbar_eff -> D.
 
-    The invariant is mu^-1 ln D.  ``r`` must already be checked.
+    ``r`` must already be checked.
     """
-    pv = phi_eval(mu, phi_mode)
-    hbar_eff = scale_hbar(hbar, pv.value, r)
-    ln_d = -2.0 * action / hbar_eff
-    return SweepRecord(
-        param_name=param_name,
-        param_value=param_value,
-        mu=mu,
-        phi=pv.value,
-        phi_piece=pv.piece,
-        hbar_eff=hbar_eff,
-        mu_asymptote=mu_asymptote,
-        r=r,
-        action=action,
-        ln_D=ln_d,
-        D=math.exp(ln_d),
-        invariant_product=ln_d / mu,
-    )
+    phi = [phi_eval(m, phi_mode).value for m in mu]
+    hbar_eff = [scale_hbar(hbar, p, c) for p, c in zip(phi, r)]
+    ln_d = [-2.0 * action / h for h in hbar_eff]
+    return {"phi": phi, "hbar_eff": hbar_eff, "ln_D": ln_d, "D": [math.exp(x) for x in ln_d]}
+
+
+def _tunnel_table(param_name: str, values: list, mu: list, r: float, action: float,
+                  hbar: float, phi_mode: str, invariant) -> dict[str, list]:
+    """The tunnel CSV table; ``invariant(value, mu, ln_D)`` gives invariant_product."""
+    wkb = wkb_columns(mu, [r] * len(mu), action, hbar, phi_mode)
+    return {
+        "param_name": [param_name] * len(mu),
+        "param_value": values,
+        "mu": mu,
+        "phi": wkb["phi"],
+        "hbar_eff": wkb["hbar_eff"],
+        "action": [action] * len(mu),
+        "ln_D": wkb["ln_D"],
+        "D": wkb["D"],
+        "invariant_product": list(map(invariant, values, mu, wkb["ln_D"])),
+    }
 
 
 def transparency_vs_purity(
@@ -264,12 +260,13 @@ def transparency_vs_purity(
     r: float,
     mu_grid,
     phi_mode: str = "exact",
-) -> list[SweepRecord]:
-    """Transparency along a purity grid; records carry mu^-1 ln D."""
+) -> dict[str, list]:
+    """Transparency along a purity grid as a tunnel table; invariant_product is mu^-1 ln D."""
     check_correlation(r)
     action = transparency(barrier, energy, hbar).action_integral
-    return [wkb_record("mu", mu, mu, r, action, hbar, phi_mode)
-            for mu in map(float, np.asarray(mu_grid, dtype=float))]
+    mu = list(map(float, np.asarray(mu_grid, dtype=float)))
+    return _tunnel_table("mu", list(mu), mu, r, action, hbar, phi_mode,
+                         lambda _, m, ln_d: ln_d / m)
 
 
 def transparency_vs_temperature(
@@ -280,8 +277,8 @@ def transparency_vs_temperature(
     t_grid,
     r: float = 0.0,
     phi_mode: str = "exact",
-) -> list[SweepRecord]:
-    """Transparency along a temperature grid; records carry T ln D.
+) -> dict[str, list]:
+    """Transparency along a temperature grid as a tunnel table; invariant_product is T ln D.
 
     In "asymptote" mode the full high-temperature chain is used: the purity
     itself is replaced by its asymptote hbar omega / (2T) before Phi is
@@ -290,10 +287,10 @@ def transparency_vs_temperature(
     """
     check_correlation(r)
     action = transparency(barrier, energy, hbar).action_integral
-    records = []
-    for T in map(float, np.asarray(t_grid, dtype=float)):
-        mu_asym = model.hbar * model.omega / (2.0 * T)
-        mu = mu_asym if phi_mode == "asymptote" else thermal_purity(model, T)
-        row = wkb_record("T", T, mu, r, action, hbar, phi_mode, mu_asymptote=mu_asym)
-        records.append(replace(row, invariant_product=T * row.ln_D))
-    return records
+    temperatures = list(map(float, np.asarray(t_grid, dtype=float)))
+    if phi_mode == "asymptote":
+        mu = [model.hbar * model.omega / (2.0 * T) for T in temperatures]
+    else:
+        mu = [thermal_purity(model, T) for T in temperatures]
+    return _tunnel_table("T", temperatures, mu, r, action, hbar, phi_mode,
+                         lambda T, _, ln_d: T * ln_d)

@@ -127,15 +127,13 @@ def test_criterion_6_tunneling_closed_forms():
 def test_criterion_7_invariance_laws():
     rect = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
     oscillator = ThermalModel.oscillator()
-    records = transparency_vs_temperature(
+    products = transparency_vs_temperature(
         rect, 0.5, 1.0, oscillator, [50.0, 100.0, 200.0, 500.0], phi_mode="interpolation"
-    )
-    products = [rec.invariant_product for rec in records]
+    )["invariant_product"]
     assert max(products) / min(products) == pytest.approx(1.0, abs=0.01)
-    records = transparency_vs_purity(
+    products = transparency_vs_purity(
         rect, 0.5, 1.0, 0.0, [0.01, 0.005, 0.002], phi_mode="asymptote"
-    )
-    products = [rec.invariant_product for rec in records]
+    )["invariant_product"]
     assert max(products) - min(products) < 1e-12
     report(7, "T ln D constant within 1% on {50,100,200,500} with exact mu and "
               "interpolated Phi; mu^-1 ln D constant within 1e-12 in asymptote mode")
@@ -166,8 +164,8 @@ def test_criterion_9_decoherence_thesis():
     rect = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
     trajectory = run_trajectory(rho0, gamma=1.0, t_max=12.0, steps=13,
                                 barrier=rect, energy=0.5)
-    mus = [rec.mu for rec in trajectory.records]
-    ds = [rec.D for rec in trajectory.records]
+    mus = trajectory.records["mu"]
+    ds = trajectory.records["D"]
     assert all(b < a for a, b in zip(mus, mus[1:]))
     assert all(b > a for a, b in zip(ds, ds[1:]))
     d_start = math.exp(-2.0)

@@ -162,6 +162,10 @@ class TestEffectiveHbar:
         with pytest.raises(DegenerateCorrelationError):
             effective_hbar(1.0, 1.0, 1.0)
 
+    def test_nan_correlation_rejected(self):
+        with pytest.raises(DegenerateCorrelationError, match="nan"):
+            effective_hbar(1.0, math.nan, 1.0)
+
     def test_scales_with_hbar(self):
         assert effective_hbar(2.0, 0.0, 1.0) == 2.0
 

@@ -224,6 +224,17 @@ class TestThermalCommand:
         products = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(products) / min(products) == pytest.approx(1.0, abs=0.01)
 
+    def test_nan_correlation_exits_1(self, files, capsys):
+        sweep = ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2", "--r", "nan"]
+        assert run(capsys, sweep) == (1, "")
+        assert run(capsys, sweep + ["--barrier", files["rect"], "--energy", "0.5"]) == (1, "")
+
+    def test_non_finite_model_exits_1(self, capsys):
+        for flag in ("--hbar", "--mass", "--omega"):
+            code, out = run(capsys, ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",
+                                     flag, "nan"])
+            assert (code, out) == (1, "")
+
     def test_barrier_needs_energy(self, files, capsys):
         code, _ = run(capsys, ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",
                                "--barrier", files["rect"]])
@@ -262,6 +273,11 @@ class TestTunnelCommand:
         code, out = run(capsys, ["tunnel", "--barrier", str(path), "--energy", "0.5"])
         assert (code, out) == (1, "")
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "nan"])
+        assert (code, out) == (1, "")
+
+    def test_nan_correlation_exits_1(self, files, capsys):
+        code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
+                                 "--r", "nan"])
         assert (code, out) == (1, "")
 
     def test_two_hump_barrier_exits_1(self, files, capsys):

@@ -115,7 +115,7 @@ def test_every_case_is_recorded():
     assert set(_full_precision()) == set(SWEEPS)
 
 
-@pytest.mark.filterwarnings("ignore")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_recorded_bytes(name):
     code, out = run_case(CASES[name])
@@ -123,7 +123,7 @@ def test_cli_output_matches_recorded_bytes(name):
     assert code == _exit_codes()[name]
 
 
-@pytest.mark.filterwarnings("ignore")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("name", SWEEPS)
 def test_sweep_values_match_recorded_full_precision(name):
     _, out = run_case(CASES[name], full_precision=True)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,21 +10,29 @@ from purity_bounds import (
     ParabolicBarrier,
     RectangularBarrier,
     SampledBarrier,
+    ThermalModel,
+    pure_state_density,
+    run_trajectory,
+    thermal_sweep,
+    transparency_vs_purity,
+    transparency_vs_temperature,
 )
+from purity_bounds.cli import main
 from purity_bounds.io import (
-    DECOHERE_COLUMNS,
     ORACLE_COLUMNS,
-    PHI_CURVE_COLUMNS,
-    THERMAL_COLUMNS,
-    TUNNEL_COLUMNS,
     barrier_from_dict,
     format_number,
     load_barrier,
     load_state,
     render_csv,
     render_json,
+    render_table,
     state_from_dict,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+RECT = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
+TUNNEL = "`thermal --barrier` and `tunnel`"
 
 GAUSSIAN_DOC = {
     "type": "gaussian",
@@ -163,14 +172,59 @@ class TestRendering:
         text = render_csv(["a", "b"], [[1.0, 0.5], [2.0, 0.25]])
         assert text == "a,b\n1,0.5\n2,0.25\n"
 
+    def test_table_layout(self):
+        text = render_table({"a": [1.0, 2.0], "b": [0.5, 0.25]})
+        assert text == "a,b\n1,0.5\n2,0.25\n"
+
     def test_column_contracts_are_fixed(self):
-        assert PHI_CURVE_COLUMNS == ["mu", "phi_exact", "phi_app", "phi_asymptote"]
-        assert THERMAL_COLUMNS == ["T", "Z", "mu", "mu_asymptote", "phi", "phi_mode", "hbar_eff"]
-        assert TUNNEL_COLUMNS[:2] == ["param_name", "param_value"]
-        assert DECOHERE_COLUMNS[-1] == "inv_mu_ln_D"
-        assert ORACLE_COLUMNS[-2:] == ["method", "iterations"]
+        assert ORACLE_COLUMNS == readme_header("`oracle`")
 
     def test_json_carries_schema_version(self):
         doc = json.loads(render_json({"x": 1}))
         assert doc["schema_version"] == 2
         assert doc["x"] == 1
+
+
+def readme_header(producer: str) -> list[str]:
+    """The header that README's "CSV column contracts" gives for ``producer``."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith(f"- {producer}"):
+            return line.rsplit("`", 2)[1].split(", ")
+    raise AssertionError(f"README has no column contract for {producer}")
+
+
+def assert_table(table: dict[str, list], producer: str) -> None:
+    assert list(table) == readme_header(producer)
+    assert len({len(column) for column in table.values()}) == 1
+
+
+class TestTableContracts:
+    """Each sweep's column table carries exactly its README header, in order."""
+
+    def test_purity_sweep(self):
+        assert_table(transparency_vs_purity(RECT, 0.5, 1.0, 0.2, [0.9, 0.5, 0.3]), TUNNEL)
+
+    def test_temperature_sweep(self):
+        model = ThermalModel.oscillator()
+        for mode in ("exact", "asymptote"):
+            table = transparency_vs_temperature(RECT, 0.5, 1.0, model, [50.0, 500.0],
+                                                phi_mode=mode)
+            assert_table(table, TUNNEL)
+
+    def test_thermal_sweep(self):
+        assert_table(thermal_sweep(ThermalModel.oscillator(), 0.5, 5.0, 3), "`thermal` (plain)")
+
+    def test_trajectory(self):
+        trajectory = run_trajectory(pure_state_density([1.0, 1.0], dim=4), 1.0, 2.0, 3,
+                                    RECT, 0.5)
+        assert_table(trajectory.records, "`decohere`")
+
+    def test_phi_curve(self, capsys):
+        assert main(["phi-curve", "--mu-from", "0.4", "--mu-to", "1", "--steps", "3"]) == 0
+        lines = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        assert lines[0] == readme_header("`phi-curve`")
+        assert [len(line) for line in lines] == [4] * 4
+
+    def test_empty_purity_grid_renders_the_header_only(self):
+        table = transparency_vs_purity(RECT, 0.5, 1.0, 0.0, [])
+        assert render_table(table) == ",".join(readme_header(TUNNEL)) + "\n"

@@ -73,6 +73,12 @@ class TestPartitionFunction:
         with pytest.raises(ValueError):
             ThermalModel(kind="oscillator", spectrum=np.array([1.0]))
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_non_finite_or_nonpositive_scales_rejected(self, bad):
+        for fields in ({"hbar": bad}, {"mass": bad}, {"omega": bad}):
+            with pytest.raises(ValueError, match="positive and finite"):
+                ThermalModel.oscillator(**fields)
+
 
 class TestThermalPurity:
     def test_unit_temperature_z_ratio(self, oscillator):
@@ -183,21 +189,19 @@ class TestThermalBoundReport:
 
 class TestThermalSweep:
     def test_high_temperature_hbar_eff_doubles(self, oscillator):
-        records = thermal_sweep(oscillator, 50.0, 100.0, steps=2)
-        ratio = records[1].hbar_eff / records[0].hbar_eff
+        hbar_eff = thermal_sweep(oscillator, 50.0, 100.0, steps=2)["hbar_eff"]
+        ratio = hbar_eff[1] / hbar_eff[0]
         assert 1.98 <= ratio <= 2.02
 
     def test_single_low_temperature_point_consistency(self, oscillator):
-        records = thermal_sweep(oscillator, 0.05, 0.06, steps=2)
-        first = records[0]
-        assert first.mu == pytest.approx(thermal_purity(oscillator, 0.05), abs=1e-14)
-        assert first.phi == pytest.approx(1.0, abs=1e-7)
-        assert first.hbar_eff == pytest.approx(1.0, abs=1e-7)
-        assert first.Z == pytest.approx(partition_function(oscillator, 0.05), rel=1e-13)
+        table = thermal_sweep(oscillator, 0.05, 0.06, steps=2)
+        assert table["mu"][0] == pytest.approx(thermal_purity(oscillator, 0.05), abs=1e-14)
+        assert table["phi"][0] == pytest.approx(1.0, abs=1e-7)
+        assert table["hbar_eff"][0] == pytest.approx(1.0, abs=1e-7)
+        assert table["Z"][0] == pytest.approx(partition_function(oscillator, 0.05), rel=1e-13)
 
     def test_grid_is_logarithmic(self, oscillator):
-        records = thermal_sweep(oscillator, 1.0, 100.0, steps=3)
-        values = [rec.param_value for rec in records]
+        values = thermal_sweep(oscillator, 1.0, 100.0, steps=3)["T"]
         assert values == pytest.approx([1.0, 10.0, 100.0], rel=1e-12)
 
     def test_argument_validation(self, oscillator):

@@ -141,6 +141,14 @@ class TestSampledBarriers:
             with pytest.raises(ValueError, match="finite"):
                 SampledBarrier(x=x, v=np.where(x == -3.0, bad, np.exp(-x * x)))
 
+    def test_caller_arrays_stay_writable_and_apart(self):
+        x = np.linspace(-4.0, 4.0, 81)
+        v = np.exp(-x * x)
+        barrier = SampledBarrier(x=x, v=v)
+        x[0], v[40] = -5.0, 2.0
+        assert barrier.x[0] == -4.0 and barrier.v[40] == 1.0
+        assert not barrier.x.flags.writeable and not barrier.v.flags.writeable
+
     def test_two_humps_raise(self):
         """A second interval with V > E is an error, not silently dropped."""
         x = np.linspace(-8.0, 8.0, 401)
@@ -226,61 +234,59 @@ class TestScalingAndMonotonicity:
 
 class TestPuritySweep:
     def test_pure_state_limit(self, rect):
-        records = transparency_vs_purity(rect, 0.5, 1.0, 0.0, [1.0])
-        assert records[0].D == pytest.approx(math.exp(-2.0), abs=1e-12)
-        assert records[0].hbar_eff == 1.0
+        table = transparency_vs_purity(rect, 0.5, 1.0, 0.0, [1.0])
+        assert table["D"][0] == pytest.approx(math.exp(-2.0), abs=1e-12)
+        assert table["hbar_eff"][0] == 1.0
 
     def test_enhancement_direction(self, rect):
         grid = [0.9, 0.7, 0.5, 0.45]
-        records = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid)
-        d_values = [rec.D for rec in records]
+        d_values = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid)["D"]
         assert all(b > a for a, b in zip(d_values, d_values[1:]))
 
     def test_asymptote_invariant_is_exactly_constant(self, rect):
         grid = [0.01, 0.005, 0.002]
-        records = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid, phi_mode="asymptote")
-        invariants = [rec.invariant_product for rec in records]
+        table = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid, phi_mode="asymptote")
+        invariants = table["invariant_product"]
         assert max(invariants) - min(invariants) < 1e-12
         # ln D = -2 A * 9 mu / 8, so mu^-1 ln D = -9 A / 4
         assert invariants[0] == pytest.approx(-9.0 / 4.0, abs=1e-12)
 
     def test_interpolation_invariant_nearly_constant(self, rect):
         grid = [0.01, 0.005, 0.002]
-        records = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid, phi_mode="interpolation")
-        invariants = [rec.invariant_product for rec in records]
+        table = transparency_vs_purity(rect, 0.5, 1.0, 0.0, grid, phi_mode="interpolation")
+        invariants = table["invariant_product"]
         spread = (max(invariants) - min(invariants)) / abs(invariants[0])
         assert spread < 1e-4
 
     def test_correlation_enters_effective_hbar(self, rect):
-        records = transparency_vs_purity(rect, 0.5, 1.0, 0.8, [1.0])
-        assert records[0].hbar_eff == pytest.approx(1.0 / 0.6, abs=1e-12)
+        table = transparency_vs_purity(rect, 0.5, 1.0, 0.8, [1.0])
+        assert table["hbar_eff"][0] == pytest.approx(1.0 / 0.6, abs=1e-12)
 
 
 class TestTemperatureSweep:
     def test_asymptote_mode_invariant_exactly_constant(self, rect):
         model = ThermalModel.oscillator()
         grid = [50.0, 100.0, 200.0, 500.0]
-        records = transparency_vs_temperature(rect, 0.5, 1.0, model, grid, phi_mode="asymptote")
-        invariants = [rec.invariant_product for rec in records]
+        table = transparency_vs_temperature(rect, 0.5, 1.0, model, grid, phi_mode="asymptote")
+        invariants = table["invariant_product"]
         assert max(invariants) - min(invariants) < 1e-10
 
     def test_exact_purity_with_interpolation_within_one_percent(self, rect):
         model = ThermalModel.oscillator()
         grid = [50.0, 100.0, 200.0, 500.0]
-        records = transparency_vs_temperature(
+        table = transparency_vs_temperature(
             rect, 0.5, 1.0, model, grid, phi_mode="interpolation"
         )
-        invariants = [rec.invariant_product for rec in records]
+        invariants = table["invariant_product"]
         assert max(invariants) / min(invariants) == pytest.approx(1.0, abs=0.01)
 
     def test_low_temperature_matches_bare_transparency(self, rect):
         model = ThermalModel.oscillator()
-        records = transparency_vs_temperature(rect, 0.5, 1.0, model, [0.05])
-        assert records[0].D == pytest.approx(math.exp(-2.0), abs=1e-6)
+        table = transparency_vs_temperature(rect, 0.5, 1.0, model, [0.05])
+        assert table["D"][0] == pytest.approx(math.exp(-2.0), abs=1e-6)
 
     def test_records_carry_exact_purity_by_default(self, rect):
         model = ThermalModel.oscillator()
-        records = transparency_vs_temperature(rect, 0.5, 1.0, model, [2.0])
-        assert records[0].mu == pytest.approx(math.tanh(0.25), abs=1e-12)
-        assert records[0].mu_asymptote == pytest.approx(0.25, abs=1e-15)
-        assert records[0].phi == pytest.approx(phi(math.tanh(0.25)), abs=1e-12)
+        table = transparency_vs_temperature(rect, 0.5, 1.0, model, [2.0])
+        assert table["mu"][0] == pytest.approx(math.tanh(0.25), abs=1e-12)
+        assert table["phi"][0] == pytest.approx(phi(math.tanh(0.25)), abs=1e-12)

@@ -118,8 +118,8 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
     Reduces to hbar / sqrt(1 - r^2) for pure states and to plain hbar for
     uncorrelated pure states.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not hbar > 0:
+        raise ValueError(f"hbar {hbar!r} must be positive")
     check_correlation(r)
     return scale_hbar(hbar, phi(mu, phi_mode), r)
 
@@ -191,8 +191,8 @@ def bound_report(
     bound, so a state that saturates a bound (the vacuum) is not failed by
     rounding.  A NaN product (moments unknown) gives ``None`` flags.
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    if not hbar > 0:
+        raise ValueError(f"hbar {hbar!r} must be positive")
     check_correlation(r)
     pv = phi_eval(mu, phi_mode)
     quarter = hbar**2 / 4.0

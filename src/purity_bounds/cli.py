@@ -60,8 +60,8 @@ def _linear_grid(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
 def _cmd_check(args) -> int:
     state = _io.load_state(args.state)
     if args.hbar is not None:
-        if args.hbar <= 0:
-            raise ValueError("--hbar must be positive")
+        if not args.hbar > 0:
+            raise ValueError(f"--hbar {args.hbar!r} must be positive")
         state = replace(state, hbar=args.hbar)
     violations = validate_state(state)
     if violations:
@@ -213,7 +213,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--method", choices=METHODS, default="auto")
     p.add_argument("--falsify", action="store_true",
-                   help="probe the bound with random density matrices instead")
+                   help="probe the bound instead: one eigen-step on det Sigma from each "
+                        "of --samples random pure states")
     p.add_argument("--dim", type=int, default=None, help="matrix dimension for --falsify")
     p.add_argument("--samples", type=int, default=None, help="sample count for --falsify")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --falsify)")

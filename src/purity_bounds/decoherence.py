@@ -40,9 +40,9 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
     positive semidefiniteness are preserved exactly (the map is a Hadamard
     product with a positive semidefinite Gaussian kernel).
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma {gamma!r} must be nonnegative")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError(f"dt {dt!r} must be positive")
     n = np.arange(rho.dim)
     kernel = np.exp(-gamma * dt * (n[:, None] - n[None, :]) ** 2)
@@ -65,9 +65,9 @@ def run_trajectory(
     instantaneous purity, correlation, Phi, hbar_eff, ln D, D and the
     product mu^-1 ln D.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma {gamma!r} must be nonnegative")
-    if t_max <= 0:
+    if not t_max > 0:
         raise ValueError(f"t_max {t_max!r} must be positive")
     if steps < 2:
         raise ValueError("steps must be >= 2")

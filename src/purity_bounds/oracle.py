@@ -5,10 +5,11 @@ The variance product of a mixture of number states with weights p is
 sum_n p_n^2 = mu gives a candidate quantum limit.  The rank-k analytic
 minimizer (weights linear in the level index) reproduces the rank-k piece
 of Phi; an exact enumeration of the simplex faces and a projected-gradient
-solver provide formula-independent cross-checks, and a random-density-matrix
-sweep guards the diagonal-mixture ansatz itself (the extremum is taken over
-diagonal weights, which a dense random state could in principle beat --
-the sweep looks for such a violation and must find none).
+solver provide formula-independent cross-checks.  The falsification sweep
+guards the diagonal-mixture ansatz itself (the extremum is taken over
+diagonal weights, which a dense state could in principle beat): it steps
+random pure states onto the bound, one eigen-step on det Sigma each, so a
+Phi that is too large fails it, and it must find no state below the bound.
 
 All stochastic paths take an explicit seed and are reproducible bit for
 bit for a fixed seed.
@@ -24,11 +25,8 @@ import numpy as np
 from .bounds import _rank, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 from .states import fock_moment_operators
-from .thermal import _logsumexp
 
 _WEIGHT_TOL = 1e-12
-_PURITY_NEWTON_TOL = 1e-12
-_PURITY_NEWTON_MAX_ITER = 100
 
 # The hard-assertion region of the bound tolerates at most this much
 # negative slack in the falsification sweep.
@@ -49,7 +47,7 @@ class MinimizationResult:
 
 @dataclass(frozen=True)
 class FalsificationReport:
-    """Worst-case slack of the purity bound over random density matrices."""
+    """Smallest slack of the purity bound found; every start is used (``skipped`` is 0)."""
 
     mu: float
     dim: int
@@ -58,7 +56,7 @@ class FalsificationReport:
     skipped: int
     min_slack: float
     seed: int
-    method: str = "random-density-sampling"
+    method: str = "gradient-aligned-sampling"
 
 
 @dataclass(frozen=True)
@@ -163,80 +161,19 @@ def _project_plane_sphere(p: np.ndarray, mu: float) -> np.ndarray:
         active[idx[sub < 0]] = False
     # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
     # minimizes -p.q: the face enumeration gives the exact projection.
-    return _face_minimizer(-p, mu)[0]
+    return _face_minimizer(-p, mu, _all_supports(k))
 
 
-def _apply_power(p: np.ndarray, t: np.ndarray) -> np.ndarray:
-    logp = np.log(np.clip(p, 1e-300, None))
-    w = t[:, None] * logp
-    w = w - w.max(axis=1, keepdims=True)
-    e = np.exp(w)
-    return e / e.sum(axis=1, keepdims=True)
+def _all_supports(n: int) -> np.ndarray:
+    """Every nonempty support of n levels, as a (2^n - 1, n) boolean mask."""
+    return (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
-def _purity_of_power(logp: np.ndarray, t: np.ndarray) -> np.ndarray:
-    a1 = _logsumexp(t[:, None] * logp, axis=1)
-    a2 = _logsumexp(2.0 * t[:, None] * logp, axis=1)
-    return np.exp(a2 - 2.0 * a1)
-
-
-def _power_projection(p: np.ndarray, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scaling exponent t so that the purity of p^t / sum(p^t) equals mu.
-
-    The purity is monotone increasing in t, so a bracketed Newton iteration
-    (bisection fallback whenever the Newton step leaves the bracket) is
-    safe.  Returns (t, converged); vectorized over the sample axis.  Each
-    row's arithmetic is independent of the others, so the bracket doubling
-    and the iteration only carry the rows that are still unconverged.
-    The purity of p^t does not change when p is scaled, so each row's
-    log p is shifted to a maximum of 0: log-sums of t log p then stay near
-    0 and their difference keeps its digits at large t.
-    """
-    logp = np.log(np.clip(p, 1e-300, None))
-    logp -= logp.max(axis=1, keepdims=True)
-    n = len(p)
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    rows = np.arange(n)
-    for _ in range(80):
-        rows = rows[_purity_of_power(logp[rows], hi[rows]) < mu]
-        if len(rows) == 0:
-            break
-        hi[rows] *= 2.0
-
-    t = 0.5 * (lo + hi)
-    converged = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    for _ in range(_PURITY_NEWTON_MAX_ITER):
-        lp, tr = logp[rows], t[rows]
-        a1 = _logsumexp(tr[:, None] * lp, axis=1)
-        a2 = _logsumexp(2.0 * tr[:, None] * lp, axis=1)
-        value = np.exp(a2 - 2.0 * a1)
-        g = value - mu
-        done = np.abs(g) <= _PURITY_NEWTON_TOL
-        converged[rows[done]] = True
-        keep = ~done
-        rows, lp, tr, a1, a2, value, g = (x[keep] for x in (rows, lp, tr, a1, a2, value, g))
-        if len(rows) == 0:
-            break
-        lo[rows] = np.where(g < 0, tr, lo[rows])
-        hi[rows] = np.where(g > 0, tr, hi[rows])
-        w1 = np.exp(tr[:, None] * lp - a1[:, None])
-        w2 = np.exp(2.0 * tr[:, None] * lp - a2[:, None])
-        m1 = (w1 * lp).sum(axis=1)
-        m2 = (w2 * lp).sum(axis=1)
-        dg = value * 2.0 * (m2 - m1)
-        newton = tr - g / np.where(np.abs(dg) > 1e-300, dg, 1.0)
-        inside = (newton > lo[rows]) & (newton < hi[rows]) & np.isfinite(newton) & (np.abs(dg) > 1e-300)
-        t[rows] = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
-    return t, converged
-
-
-def _face_minimizer(c: np.ndarray, mu: float) -> tuple[np.ndarray, int]:
+def _face_minimizer(c: np.ndarray, mu: float, masks: np.ndarray) -> np.ndarray:
     """Minimum of c.p on {sum p = 1, sum p^2 = mu, p >= 0}, by enumerating faces.
 
     The minimum lies inside the face of the simplex given by some support S
-    of s levels (one row of the mask).  There the Lagrange conditions make
+    of s levels (one row of ``masks``).  There the Lagrange conditions make
     p_S - 1/s parallel to c_S - mean(c_S), so the only local minimum on the
     face's purity sphere is
 
@@ -245,25 +182,30 @@ def _face_minimizer(c: np.ndarray, mu: float) -> tuple[np.ndarray, int]:
     (for s = 2, the cheaper of a mirror pair that is feasible together).
     Where c is constant on S every point costs the same, and the level
     index stands in for c.  The minimum is the cheapest candidate with
-    nonnegative weights.  Costs are summed row by row, so they do not depend
-    on a row's place in the batch; ties go to the first support in mask
-    order.  Returns the minimizer and the number of supports.
+    nonnegative weights among the given supports: all of them
+    (``_all_supports``) for an arbitrary c, the prefixes for an ascending
+    one.  ``c`` may carry leading batch axes.  Costs are summed row by row,
+    so they do not depend on a row's place in the batch; ties go to the
+    first support in mask order.
     """
-    n = len(c)
-    masks = (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
+    c = np.asarray(c)
+    n = c.shape[-1]
     size = masks.sum(axis=1)
-    flat = np.where(masks, c, -np.inf).max(axis=1) == np.where(masks, c, np.inf).min(axis=1)
-    d = np.where(masks, np.where(flat[:, None], np.arange(n), c), 0.0)
-    d = np.where(masks, d - (d.sum(axis=1) / size)[:, None], 0.0)
-    norm = np.sqrt((d * d).sum(axis=1))
+    # c is flat on S iff it equals its value at the first level of S.
+    flat = ~(masks & (c[..., None, :] != c[..., masks.argmax(axis=1), None])).any(axis=-1)
+    c = c[..., None, :]
+    d = np.where(masks, np.where(flat[..., None], np.arange(n), c), 0.0)
+    d = np.where(masks, d - (d.sum(axis=-1) / size)[..., None], 0.0)
+    norm = np.sqrt((d * d).sum(axis=-1))
     center = 1.0 / size
     reachable = mu >= center
     radius = np.sqrt(np.where(reachable, mu - center, 0.0))
-    scale = np.divide(radius, norm, out=np.zeros(len(masks)), where=norm > 0.0)
-    p = np.where(masks, center[:, None] - scale[:, None] * d, 0.0)
-    feasible = reachable & (p.min(axis=1) >= -_WEIGHT_TOL)
-    cost = np.where(feasible, (p * c).sum(axis=1), np.inf)
-    return np.clip(p[int(np.argmin(cost))], 0.0, None), len(masks)
+    scale = np.divide(radius, norm, out=np.zeros(norm.shape), where=norm > 0.0)
+    p = np.where(masks, center[:, None] - scale[..., None] * d, 0.0)
+    feasible = reachable & (p >= -_WEIGHT_TOL).all(axis=-1)
+    cost = np.where(feasible, (p * c).sum(axis=-1), np.inf)
+    best = np.argmin(cost, axis=-1)[..., None, None]
+    return np.clip(np.take_along_axis(p, best, axis=-2)[..., 0, :], 0.0, None)
 
 
 def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResult:
@@ -325,8 +267,9 @@ def min_product_fock_mixture(
     if method == "grid-refine":
         if levels > 8:
             raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
-        p, supports = _face_minimizer(_objective_coeffs(levels), mu)
-        return _result(mu, p, hbar, "grid-refine", supports)
+        masks = _all_supports(levels)
+        p = _face_minimizer(_objective_coeffs(levels), mu, masks)
+        return _result(mu, p, hbar, "grid-refine", len(masks))
     if method == "projected-gradient":
         return _projected_gradient(mu, levels, hbar)
     if method != "auto":
@@ -335,24 +278,31 @@ def min_product_fock_mixture(
     return _analytic_result(mu, min(_rank(mu), levels), levels, hbar)
 
 
-def _haar_unitaries(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    z = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.einsum("bii->bi", r)
-    return q * (d / np.abs(d))[:, None, :]
+def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:
+    """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each rho; ops = (q, p, q^2, p^2, (qp+pq)/2)."""
+    mq, mp, eq2, ep2, eqp = np.einsum("bij,kji->kb", rho, ops).real
+    return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
 
 
 def falsification_sweep(
     mu: float, dim: int, samples: int, seed: int, hbar: float = 1.0
 ) -> FalsificationReport:
-    """Probe the purity bound with random density matrices of fixed purity.
+    """Probe the purity bound from ``samples`` random starts, each stepped onto it.
 
-    Spectra are drawn uniformly from the simplex, scaled onto the purity
-    sphere with a Newton iteration on the power family p^t, and conjugated
-    by Haar-random unitaries.  The moments are exact: they use the shared
-    operators of ``states.fock_moment_operators`` (unit mass and
-    frequency).  Returns the minimum of
-    sigma_qq sigma_pp (1 - r^2) - hbar^2 Phi^2(mu) / 4  found.
+    Each start is a random pure state (a normalised complex Gaussian
+    vector).  At its moments, the gradient of det Sigma with respect to rho is
+
+        G = s_pp (q^2 - 2<q>q) + s_qq (p^2 - 2<p>p) - 2 s_qp ((qp+pq)/2 - <p>q - <q>p),
+
+    a positive quadratic form in q and p.  Up to truncation its eigenvectors
+    are Gaussian-unitary images of number states, and a Gaussian unitary
+    changes neither det Sigma nor the purity.  The state V diag(w) V^dagger
+    whose spectrum w minimizes the ascending eigenvalues of G on the purity
+    sphere (``_face_minimizer`` over the prefix supports) is therefore the
+    image of a rank-k minimizer of Phi, and its slack lies at the bound.
+    The moments are exact: they use the shared operators of
+    ``states.fock_moment_operators`` (unit mass and frequency).  Returns the
+    minimum of  sigma_qq sigma_pp (1 - r^2) - hbar^2 Phi^2(mu) / 4  found.
     """
     if dim > 8:
         raise ValueError("falsification sweep supports dim <= 8")
@@ -360,39 +310,28 @@ def falsification_sweep(
         raise ValueError("samples must be in [1, 10^6]")
     mu = _check_reachable(mu, dim)
     rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
 
-    if mu >= 1.0 - 1e-12:
-        spectra = np.zeros((samples, dim))
-        spectra[:, 0] = 1.0
-        converged = np.ones(samples, dtype=bool)
-    else:
-        raw = rng.dirichlet(np.ones(dim), size=samples)
-        t, converged = _power_projection(raw, mu)
-        spectra = _apply_power(raw, t)
-
-    unitaries = _haar_unitaries(rng, dim, samples)
-    rho = np.einsum("bij,bj,bkj->bik", unitaries, spectra, unitaries.conj())
-
-    q, p, q2, p2, qp_sym = fock_moment_operators(dim, hbar, 1.0, 1.0)
-    expect = lambda op: np.real(np.einsum("bij,ji->b", rho, op))
-    mq = expect(q)
-    mp = expect(p)
-    sqq = expect(q2) - mq**2
-    spp = expect(p2) - mp**2
-    sqp = expect(qp_sym) - mq * mp
+    ops = np.array(fock_moment_operators(dim, hbar, 1.0, 1.0))
+    mq, mp, sqq, spp, sqp = _moments(np.einsum("bi,bj->bij", psi, psi.conj()), ops)
+    # G as coefficients of the five operators (q, p, q^2, p^2, (qp+pq)/2).
+    coeffs = np.stack(
+        [2.0 * (sqp * mp - spp * mq), 2.0 * (sqp * mq - sqq * mp), spp, sqq, -2.0 * sqp]
+    )
+    cost, vectors = np.linalg.eigh(np.einsum("kb,kij->bij", coeffs, ops))
+    weights = _face_minimizer(cost, mu, np.tri(dim, dtype=bool))
+    rho = (vectors * weights[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
+    _, _, sqq, spp, sqp = _moments(rho, ops)
 
     bound = (hbar * phi(mu, "exact") / 2.0) ** 2
-    slack = sqq * spp - sqp**2 - bound
-    used = int(converged.sum())
-    if used == 0:
-        raise InfeasibleTargetError("purity projection converged for no sample")
     return FalsificationReport(
         mu=mu,
         dim=dim,
         samples=samples,
-        used=used,
-        skipped=samples - used,
-        min_slack=float(np.min(slack[converged])),
+        used=samples,
+        skipped=0,
+        min_slack=float(np.min(sqq * spp - sqp**2 - bound)),
         seed=seed,
     )
 

@@ -75,18 +75,22 @@ class InvariantViolation:
     detail: str
 
 
+def _finite_violations(pairs) -> list[InvariantViolation]:
+    return [
+        InvariantViolation(name="finite", magnitude=float("inf"),
+                           detail=f"{name} = {value!r} is not finite")
+        for name, value in pairs
+        if not np.isfinite(value)
+    ]
+
+
 def _positivity_violations(pairs) -> list[InvariantViolation]:
-    out = []
-    for name, value in pairs:
-        if not value > 0:
-            out.append(
-                InvariantViolation(
-                    name="positive-parameter",
-                    magnitude=float(-value) if np.isfinite(value) else float("inf"),
-                    detail=f"{name} = {value!r} must be > 0",
-                )
-            )
-    return out
+    return [
+        InvariantViolation(name="positive-parameter", magnitude=float(-value),
+                           detail=f"{name} = {value!r} must be > 0")
+        for name, value in pairs
+        if not value > 0
+    ]
 
 
 def validate_state(state: QuantumState) -> list[InvariantViolation]:
@@ -94,7 +98,9 @@ def validate_state(state: QuantumState) -> list[InvariantViolation]:
 
     Returns an empty list iff the state is valid.  Never raises for a
     merely unphysical state; each violated invariant is reported with the
-    measured violation magnitude instead.
+    measured violation magnitude instead.  A NaN or infinite field or entry
+    is a ``finite`` violation (magnitude inf), and the checks that need
+    its value are skipped.
     """
     if isinstance(state, GaussianState):
         return _validate_gaussian(state)
@@ -104,9 +110,9 @@ def validate_state(state: QuantumState) -> list[InvariantViolation]:
 
 
 def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
-    violations = _positivity_violations(
-        [("hbar", state.hbar), ("sigma_qq", state.sigma_qq), ("sigma_pp", state.sigma_pp)]
-    )
+    params = [("hbar", state.hbar), ("sigma_qq", state.sigma_qq), ("sigma_pp", state.sigma_pp)]
+    moments = [("sigma_qp", state.sigma_qp), ("mean_q", state.mean_q), ("mean_p", state.mean_p)]
+    violations = _finite_violations(params + moments) or _positivity_violations(params)
     if violations:
         return violations
     det = state.sigma_qq * state.sigma_pp - state.sigma_qp**2
@@ -126,9 +132,8 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
 
 
 def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
-    violations = _positivity_violations(
-        [("hbar", state.hbar), ("mass", state.mass), ("omega", state.omega)]
-    )
+    params = [("hbar", state.hbar), ("mass", state.mass), ("omega", state.omega)]
+    violations = _finite_violations(params) or _positivity_violations(params)
     if state.dim < 2:
         violations.append(
             InvariantViolation(
@@ -139,6 +144,16 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
         )
         return violations
     rho = state.entries
+    bad = int(np.count_nonzero(~np.isfinite(rho)))
+    if bad:
+        violations.append(
+            InvariantViolation(
+                name="finite",
+                magnitude=float("inf"),
+                detail=f"{bad} of the {rho.size} entries are not finite",
+            )
+        )
+        return violations
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITICITY_TOL:
         violations.append(
@@ -182,8 +197,10 @@ def fock_quadrature_operators(
     """
     if dim < 2:
         raise ValueError(f"operator dimension must be >= 2, got {dim}")
-    if hbar <= 0 or mass <= 0 or omega <= 0:
-        raise ValueError("hbar, mass and omega must be positive")
+    if not (hbar > 0 and mass > 0 and omega > 0):
+        raise ValueError(
+            f"hbar, mass and omega must be positive, got {hbar!r}, {mass!r}, {omega!r}"
+        )
     ladder = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
     q = np.sqrt(hbar / (2.0 * mass * omega)) * (ladder + ladder.T)
     p = 1j * np.sqrt(hbar * mass * omega / 2.0) * (ladder.T - ladder)

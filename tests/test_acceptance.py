@@ -93,8 +93,9 @@ def test_criterion_4_falsification_sweep():
     for mu in (0.45, 0.55, 0.7, 0.9, 1.0):
         rep = falsification_sweep(mu, dim=6, samples=10_000, seed=42)
         assert rep.min_slack >= -1e-8, f"violation at mu={mu}: {rep.min_slack}"
-    report(4, "10^4 random dim-6 density matrices per purity in "
-              "{0.45,0.55,0.7,0.9,1.0} (seed 42) never undercut the bound by 1e-8")
+    report(4, "10^4 dim-6 random pure states per purity in {0.45,0.55,0.7,0.9,1.0} "
+              "(seed 42), each stepped onto the bound along the gradient of det Sigma, "
+              "never undercut it by 1e-8")
 
 
 def test_criterion_5_asymptotes():

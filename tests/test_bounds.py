@@ -19,6 +19,7 @@ from purity_bounds import (
     phi,
     phi_eval,
 )
+from purity_bounds.bounds import bound_report
 
 
 def _load_reference():
@@ -168,6 +169,13 @@ class TestEffectiveHbar:
 
     def test_scales_with_hbar(self):
         assert effective_hbar(2.0, 0.0, 1.0) == 2.0
+
+    @pytest.mark.parametrize("hbar", (0.0, -1.0, math.nan))
+    def test_nonpositive_or_nan_hbar_rejected(self, hbar):
+        with pytest.raises(ValueError, match="hbar"):
+            effective_hbar(hbar, 0.0, 1.0)
+        with pytest.raises(ValueError, match="hbar"):
+            bound_report(1.0, 1.0, hbar, 0.0, 1.0)
 
 
 class TestMomentMatrix:

@@ -114,6 +114,26 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["violations"][0]["name"] == "physicality"
 
+    def test_nan_hbar_override_is_input_error(self, files, capsys):
+        assert main(["check", files["vacuum"], "--hbar", "nan"]) == 1
+        assert "--hbar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, field", [
+        ({**VACUUM, "cov": {**VACUUM["cov"], "qp": math.nan}}, "sigma_qp"),
+        ({**VACUUM, "mean": [0.0, math.nan]}, "mean_p"),
+        ({**PLUS_STATE, "re": [[0.5, math.nan, 0, 0]] + PLUS_STATE["re"][1:]}, "entries"),
+    ])
+    def test_non_finite_state_exits_2_with_violations(self, files, capsys, doc, field):
+        path = files["dir"] / "nan_state.json"
+        path.write_text(json.dumps(doc))  # the bare literal NaN
+        assert "NaN" in path.read_text()
+        code, out = run(capsys, ["check", str(path)])
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert [v["name"] for v in doc["violations"]] == ["finite"]
+        assert field in doc["violations"][0]["detail"]
+
     def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
         # The vacuum saturates all three bounds; its moments carry up to a
         # few ulp of rounding, which must not fail it.
@@ -199,7 +219,7 @@ class TestOracleCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["min_slack"] >= -1e-8
-        assert doc["method"] == "random-density-sampling"
+        assert doc["method"] == "gradient-aligned-sampling"
 
     def test_needs_some_grid(self, capsys):
         code, _ = run(capsys, ["oracle"])
@@ -306,6 +326,17 @@ class TestDecohereCommand:
         last = lines[-1].split(",")
         assert float(first[6]) == pytest.approx(math.exp(-2.0), abs=1e-9)
         assert float(last[1]) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, name", [("--gamma", "gamma"), ("--t-max", "t_max")])
+    def test_nan_rate_or_duration_exits_1(self, files, capsys, flag, name):
+        argv = {"--gamma": "1.0", "--t-max": "2"}
+        argv[flag] = "nan"
+        code = main(["decohere", "--state", files["plus"], "--gamma", argv["--gamma"],
+                     "--t-max", argv["--t-max"], "--steps", "3",
+                     "--barrier", files["rect"], "--energy", "0.5"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert name in err and "nan" in err
 
     def test_gaussian_state_rejected(self, files, capsys):
         code, _ = run(capsys, ["decohere", "--state", files["vacuum"], "--gamma", "1.0",

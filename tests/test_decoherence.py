@@ -73,6 +73,12 @@ class TestDephaseStep:
         with pytest.raises(ValueError):
             dephase_step(plus_state, gamma=1.0, dt=0.0)
 
+    def test_nan_rate_and_step_rejected(self, plus_state):
+        with pytest.raises(ValueError, match="gamma"):
+            dephase_step(plus_state, gamma=math.nan, dt=1.0)
+        with pytest.raises(ValueError, match="dt"):
+            dephase_step(plus_state, gamma=1.0, dt=math.nan)
+
 
 class TestTrajectory:
     def test_initial_point_is_bare_transparency(self, plus_state, rect):
@@ -132,6 +138,14 @@ class TestTrajectory:
                            barrier=rect, energy=0.5)
         with pytest.raises(ValueError):
             run_trajectory(plus_state, gamma=1.0, t_max=1.0, steps=1,
+                           barrier=rect, energy=0.5)
+
+    def test_nan_arguments_rejected(self, plus_state, rect):
+        with pytest.raises(ValueError, match="gamma"):
+            run_trajectory(plus_state, gamma=math.nan, t_max=1.0, steps=3,
+                           barrier=rect, energy=0.5)
+        with pytest.raises(ValueError, match="t_max"):
+            run_trajectory(plus_state, gamma=1.0, t_max=math.nan, steps=3,
                            barrier=rect, energy=0.5)
 
     def test_diagonal_initial_state_is_static(self, rect):

@@ -13,7 +13,11 @@ from purity_bounds import (
     phi,
     phi_curve_certified,
 )
-from purity_bounds.oracle import _face_minimizer, _project_plane_sphere
+from purity_bounds import oracle
+from purity_bounds.oracle import _all_supports, _face_minimizer, _project_plane_sphere
+
+# The purities of acceptance criterion 4.
+CRITERION_4_MUS = (0.45, 0.55, 0.7, 0.9, 1.0)
 
 
 # Spot purities per level count, some of them below mu_{L+1}.
@@ -157,15 +161,32 @@ class TestNumericMethods:
             levels = int(rng.integers(2, 9))
             x = rng.normal(size=levels)
             mu = float(rng.uniform(1.0 / levels, 1.0))
-            q, supports = _face_minimizer(-x, mu)
-            assert supports == 2**levels - 1
+            q = _face_minimizer(-x, mu, _all_supports(levels))
             assert q.min() >= 0.0
             assert abs(q.sum() - 1.0) <= 1e-12 and abs(np.dot(q, q) - mu) <= 1e-12
             active_set = _project_plane_sphere(x, mu)
             assert np.linalg.norm(q - x) <= np.linalg.norm(active_set - x) + 1e-12
         # c constant on every face: any point of a face's sphere is a minimum.
-        q, _ = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35)
+        q = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35, _all_supports(3))
         assert q.min() >= 0.0 and abs(np.dot(q, q) - 0.35) <= 1e-12
+
+    def test_prefix_supports_suffice_for_ascending_costs(self):
+        rng = np.random.default_rng(13)
+        for levels in range(2, 9):
+            # Rounded entries make ties, so some prefixes are flat.
+            c = np.sort(np.round(rng.normal(size=(200, levels)), 1), axis=1)
+            mu = float(rng.uniform(1.0 / levels, 1.0))
+            prefix = _face_minimizer(c, mu, np.tri(levels, dtype=bool))
+            every = _face_minimizer(c, mu, _all_supports(levels))
+            assert np.all(np.abs((prefix * c).sum(axis=1) - (every * c).sum(axis=1)) <= 1e-12)
+            assert np.all(np.abs((prefix * prefix).sum(axis=1) - mu) <= 1e-12)
+
+    def test_batched_rows_match_single_rows(self):
+        rng = np.random.default_rng(17)
+        c = rng.normal(size=(40, 6))
+        batch = _face_minimizer(c, 0.4, _all_supports(6))
+        for row, p in zip(c, batch):
+            assert p.tobytes() == _face_minimizer(row, 0.4, _all_supports(6)).tobytes()
 
     def test_grid_refine_level_cap(self):
         with pytest.raises(ValueError):
@@ -230,10 +251,24 @@ class TestFalsification:
         assert a == b
 
     def test_high_purity_samples_all_converge(self):
-        # At high purity t |log p| reaches ~4e4; the purity Newton must still
-        # converge on every sample instead of silently skipping some.
+        # Every start is stepped onto the purity sphere in closed form, so no
+        # sample is ever skipped, at high purity either.
         assert falsification_sweep(0.95, 8, 2000, seed=3).skipped == 0
         assert all(falsification_sweep(0.99, 8, 1000, seed=s).skipped == 0 for s in range(20))
+
+    @pytest.mark.parametrize("mu", (0.3, 0.5, 0.7, 0.9))
+    def test_sweep_reaches_the_bound(self, mu):
+        bound = (phi(mu) / 2.0) ** 2
+        for seed in range(4):
+            report = falsification_sweep(mu, 8, 2000, seed=seed)
+            assert report.used == 2000 and report.skipped == 0
+            assert -1e-8 <= report.min_slack / bound <= 1e-6
+
+    def test_inflated_phi_fails(self, monkeypatch):
+        exact_phi = oracle.phi
+        monkeypatch.setattr(oracle, "phi", lambda mu, mode="exact": 1.01 * exact_phi(mu, mode))
+        for mu in CRITERION_4_MUS:
+            assert falsification_sweep(mu, 6, 10_000, seed=42).min_slack < -1e-8
 
     def test_dim_cap(self):
         with pytest.raises(ValueError):

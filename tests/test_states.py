@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ class TestGaussianValidation:
         report = validate_state(GaussianState(0.0, 0.0, -1.0, 0.5, 0.0))
         assert "positive-parameter" in names(report)
 
+    @pytest.mark.parametrize(
+        "field", ("mean_q", "mean_p", "sigma_qq", "sigma_pp", "sigma_qp", "hbar")
+    )
+    @pytest.mark.parametrize("value", (math.nan, math.inf))
+    def test_non_finite_field_is_a_finite_violation(self, field, value):
+        fields = dict(mean_q=0.0, mean_p=0.0, sigma_qq=0.5, sigma_pp=0.5, sigma_qp=0.0, hbar=1.0)
+        report = validate_state(GaussianState(**{**fields, field: value}))
+        assert names(report) == ["finite"]
+        assert field in report[0].detail
+
     def test_correlated_pure_state_is_valid(self):
         # det sigma = 1*0.5 - 0.25 = 0.25 saturates the bound
         assert validate_state(GaussianState(0.0, 0.0, 1.0, 0.5, 0.5)) == []
@@ -58,6 +70,13 @@ class TestFockValidation:
     def test_negative_eigenvalue_rejected(self):
         state = FockDensityMatrix(dim=2, entries=[[1.2, 0.0], [0.0, -0.2]])
         assert "positive-semidefinite" in names(validate_state(state))
+
+    def test_non_finite_entries_rejected(self):
+        for bad in (math.nan, math.inf):
+            state = FockDensityMatrix(dim=2, entries=[[1.0, bad], [0.0, 0.0]])
+            assert names(validate_state(state)) == ["finite"]
+        state = FockDensityMatrix(dim=2, entries=[[1.0, 0.0], [0.0, 0.0]], mass=math.nan)
+        assert names(validate_state(state)) == ["finite"]
 
     def test_dimension_one_rejected(self):
         state = FockDensityMatrix(dim=1, entries=[[1.0]])
@@ -121,6 +140,12 @@ class TestQuadratureOperators:
     def test_invalid_dimension(self):
         with pytest.raises(ValueError):
             fock_quadrature_operators(1)
+
+    @pytest.mark.parametrize("units", ({"hbar": math.nan}, {"mass": math.nan},
+                                       {"omega": math.nan}, {"omega": 0.0}))
+    def test_nonpositive_or_nan_units_rejected(self, units):
+        with pytest.raises(ValueError, match="must be positive"):
+            fock_quadrature_operators(3, **units)
 
     def test_unit_scaling(self):
         q1, p1 = fock_quadrature_operators(5)

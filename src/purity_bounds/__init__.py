@@ -7,129 +7,45 @@ constant hbar Phi(mu) / sqrt(1 - r^2), certifies the multiplier Phi(mu) by
 independent constrained minimization, and propagates hbar_eff into WKB
 barrier-transparency calculations (thermal states and dephasing
 trajectories included).
+
+The public names below load their home module on first access (PEP 562),
+so a caller that needs only the closed forms never imports numpy.
 """
 
-from .bounds import (
-    BoundReport,
-    MomentMatrixA,
-    PhiValue,
-    effective_hbar,
-    evaluate_bounds,
-    moment_matrix,
-    phi,
-    phi_eval,
-)
-from .decoherence import DephasingTrajectory, dephase_step, run_trajectory
-from .errors import (
-    DegenerateCorrelationError,
-    InfeasibleTargetError,
-    InvalidStateError,
-    NonConvergenceError,
-    PieceDomainError,
-    ResolutionError,
-    TruncationWarning,
-)
-from .moments import SecondMoments, compute_moments, purity
-from .oracle import (
-    FalsificationReport,
-    MinimizationResult,
-    PhiCurveRow,
-    falsification_sweep,
-    linear_ansatz_weights,
-    min_product_fock_mixture,
-    phi_curve_certified,
-)
-from .states import (
-    FockDensityMatrix,
-    GaussianState,
-    InvariantViolation,
-    QuantumState,
-    diagonal_mixture,
-    fock_projector,
-    fock_quadrature_operators,
-    pure_state_density,
-    validate_state,
-)
-from .thermal import (
-    ThermalModel,
-    log_partition_function,
-    oscillator_mean_occupation,
-    partition_function,
-    spectrum_tail_bound,
-    thermal_bound_report,
-    thermal_purity,
-    thermal_state_fock,
-    thermal_sweep,
-)
-from .tunneling import (
-    BarrierSpec,
-    ParabolicBarrier,
-    RectangularBarrier,
-    SampledBarrier,
-    TransparencyResult,
-    action_integral,
-    transparency,
-    transparency_vs_purity,
-    transparency_vs_temperature,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "MomentMatrixA",
-    "PhiValue",
-    "effective_hbar",
-    "evaluate_bounds",
-    "moment_matrix",
-    "phi",
-    "phi_eval",
-    "DephasingTrajectory",
-    "dephase_step",
-    "run_trajectory",
-    "DegenerateCorrelationError",
-    "InfeasibleTargetError",
-    "InvalidStateError",
-    "NonConvergenceError",
-    "PieceDomainError",
-    "ResolutionError",
-    "TruncationWarning",
-    "SecondMoments",
-    "compute_moments",
-    "purity",
-    "FalsificationReport",
-    "MinimizationResult",
-    "PhiCurveRow",
-    "falsification_sweep",
-    "linear_ansatz_weights",
-    "min_product_fock_mixture",
-    "phi_curve_certified",
-    "FockDensityMatrix",
-    "GaussianState",
-    "InvariantViolation",
-    "QuantumState",
-    "diagonal_mixture",
-    "fock_projector",
-    "fock_quadrature_operators",
-    "pure_state_density",
-    "validate_state",
-    "ThermalModel",
-    "log_partition_function",
-    "oscillator_mean_occupation",
-    "partition_function",
-    "spectrum_tail_bound",
-    "thermal_bound_report",
-    "thermal_purity",
-    "thermal_state_fock",
-    "thermal_sweep",
-    "BarrierSpec",
-    "ParabolicBarrier",
-    "RectangularBarrier",
-    "SampledBarrier",
-    "TransparencyResult",
-    "action_integral",
-    "transparency",
-    "transparency_vs_purity",
-    "transparency_vs_temperature",
-    "__version__",
-]
+# Home module -> the public names it defines.
+_EXPORTS = {
+    "bounds": "BoundReport PhiValue effective_hbar evaluate_bounds phi phi_eval",
+    "decoherence": "DephasingTrajectory dephase_step run_trajectory",
+    "errors": "DegenerateCorrelationError InfeasibleTargetError InvalidStateError "
+              "NonConvergenceError PieceDomainError ResolutionError TruncationWarning",
+    "moments": "MomentMatrixA SecondMoments compute_moments moment_matrix purity",
+    "oracle": "FalsificationReport MinimizationResult PhiCurveRow falsification_sweep "
+              "linear_ansatz_weights min_product_fock_mixture phi_curve_certified",
+    "states": "FockDensityMatrix GaussianState InvariantViolation QuantumState diagonal_mixture "
+              "fock_projector fock_quadrature_operators pure_state_density validate_state",
+    "thermal": "ThermalModel log_partition_function oscillator_mean_occupation "
+               "partition_function spectrum_tail_bound thermal_bound_report thermal_purity "
+               "thermal_state_fock thermal_sweep",
+    "tunneling": "BarrierSpec ParabolicBarrier RectangularBarrier SampledBarrier "
+                 "TransparencyResult action_integral transparency transparency_vs_purity "
+                 "transparency_vs_temperature",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -25,13 +25,17 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateCorrelationError
-from .moments import SecondMoments
+
+if TYPE_CHECKING:
+    from .moments import SecondMoments
 
 PHI_MODES = ("exact", "interpolation", "asymptote")
+# The ``oracle`` minimizers; defined here so the CLI parser can list them
+# without loading numpy.
+METHODS = ("auto", "rank2-analytic", "rank3-analytic", "grid-refine", "projected-gradient")
 
 # A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
 # state that saturates a bound carry that much rounding.
@@ -122,36 +126,6 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
         raise ValueError(f"hbar {hbar!r} must be positive")
     check_correlation(r)
     return scale_hbar(hbar, phi(mu, phi_mode), r)
-
-
-@dataclass(frozen=True)
-class MomentMatrixA:
-    """Hermitian 2x2 matrix [[sigma_qq, sigma_qp + i hbar/2], [c.c., sigma_pp]].
-
-    The state is physical iff both eigenvalues are nonnegative, which is the
-    matrix form of the Schrodinger-Robertson relation.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: tuple[float, float]
-
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return self.eigenvalues[0] >= -tol
-
-
-def moment_matrix(m: SecondMoments, hbar: float) -> MomentMatrixA:
-    """Build the moment matrix of the nonnegativity quadratic form."""
-    a = np.array(
-        [
-            [m.sigma_qq, m.sigma_qp + 0.5j * hbar],
-            [m.sigma_qp - 0.5j * hbar, m.sigma_pp],
-        ],
-        dtype=complex,
-    )
-    half_tr = 0.5 * (m.sigma_qq + m.sigma_pp)
-    # Closed form for a 2x2 Hermitian matrix.
-    radius = math.sqrt((0.5 * (m.sigma_qq - m.sigma_pp)) ** 2 + m.sigma_qp**2 + 0.25 * hbar**2)
-    return MomentMatrixA(matrix=a, eigenvalues=(half_tr - radius, half_tr + radius))
 
 
 @dataclass(frozen=True)

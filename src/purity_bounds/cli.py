@@ -15,16 +15,9 @@ import argparse
 import sys
 from dataclasses import asdict, astuple, replace
 
-import numpy as np
-
 from . import io as _io
-from .bounds import PHI_MODES, evaluate_bounds, phi, phi_eval
-from .decoherence import run_trajectory
+from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
 from .errors import NonConvergenceError
-from .moments import compute_moments
-from .oracle import FALSIFICATION_SLACK_TOL, METHODS, falsification_sweep, phi_curve_certified
-from .states import FockDensityMatrix, validate_state
-from .thermal import ThermalModel, thermal_sweep
 from .tunneling import transparency_vs_purity, transparency_vs_temperature
 
 
@@ -45,19 +38,24 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _linear_grid(lo: float, hi: float, steps: int, what: str) -> np.ndarray:
+def _linear_grid(lo: float, hi: float, steps: int, what: str) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi, the values of np.linspace."""
     if steps < 1:
         raise ValueError(f"{what}: steps must be >= 1")
     if steps == 1:
         if lo != hi:
             raise ValueError(f"{what}: a single step needs equal endpoints")
-        return np.array([lo])
+        return [lo]
     if not lo < hi:
         raise ValueError(f"{what}: need lower < upper")
-    return np.linspace(lo, hi, steps)
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps - 1)] + [hi]
 
 
 def _cmd_check(args) -> int:
+    from .moments import compute_moments
+    from .states import validate_state
+
     state = _io.load_state(args.state)
     if args.hbar is not None:
         if not args.hbar > 0:
@@ -87,8 +85,7 @@ def _cmd_phi(args) -> int:
 def _cmd_phi_curve(args) -> int:
     if not 0.0 < args.mu_from <= 1.0 or not 0.0 < args.mu_to <= 1.0:
         raise ValueError("purity endpoints must lie in (0, 1]")
-    grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
-    mu = list(map(float, grid))
+    mu = _linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
     table = {"mu": mu}
     for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
                          ("phi_asymptote", "asymptote")):
@@ -98,6 +95,8 @@ def _cmd_phi_curve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import FALSIFICATION_SLACK_TOL, falsification_sweep, phi_curve_certified
+
     if args.falsify:
         for name in ("mu", "dim", "samples", "seed"):
             if getattr(args, name) is None:
@@ -106,7 +105,7 @@ def _cmd_oracle(args) -> int:
         _emit(_io.render_json(asdict(report)), args.out)
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
     if args.mu is not None:
-        grid = np.array([args.mu])
+        grid = [args.mu]
     elif args.mu_from is not None and args.mu_to is not None and args.steps is not None:
         grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "oracle")
     else:
@@ -117,6 +116,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
+    import numpy as np
+
+    from .thermal import ThermalModel, thermal_sweep
+
     model = ThermalModel.oscillator(hbar=args.hbar, mass=args.mass, omega=args.omega)
     if (args.barrier is None) != (args.energy is None):
         raise ValueError("--barrier and --energy must be given together")
@@ -160,6 +163,9 @@ def _cmd_tunnel(args) -> int:
 
 
 def _cmd_decohere(args) -> int:
+    from .decoherence import run_trajectory
+    from .states import FockDensityMatrix
+
     state = _io.load_state(args.state)
     if not isinstance(state, FockDensityMatrix):
         raise ValueError("decohere needs a fock state file")

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import numbers
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .bounds import BoundReport
-from .states import FockDensityMatrix, GaussianState, QuantumState
 from .tunneling import BarrierSpec, ParabolicBarrier, RectangularBarrier, SampledBarrier
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
+    from .states import QuantumState
 
 SCHEMA_VERSION = 2
 
@@ -29,7 +30,7 @@ ORACLE_COLUMNS = [
 
 def format_number(value: Any) -> str:
     """9 significant digits; scientific notation below 1e-4 in magnitude."""
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy registers its integer types
         return str(int(value))
     if isinstance(value, str):
         return value
@@ -76,6 +77,8 @@ def _as_real(value, field: str) -> float:
 
 
 def state_from_dict(data: dict) -> QuantumState:
+    from .states import FockDensityMatrix, GaussianState
+
     if not isinstance(data, dict) or "type" not in data:
         raise ValueError("state file must be a JSON object with a 'type' field")
     kind = data["type"]
@@ -101,6 +104,8 @@ def state_from_dict(data: dict) -> QuantumState:
         dim = data["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
+        import numpy as np
+
         re = np.asarray(data["re"], dtype=float)
         im = np.asarray(data["im"], dtype=float)
         if re.shape != (dim, dim) or im.shape != (dim, dim):
@@ -147,11 +152,7 @@ def barrier_from_dict(data: dict) -> BarrierSpec:
         )
     if shape == "sampled":
         _require_fields(data, {"shape", "x", "v", "mass"}, "sampled barrier")
-        return SampledBarrier(
-            x=np.asarray(data["x"], dtype=float),
-            v=np.asarray(data["v"], dtype=float),
-            mass=_as_real(data["mass"], "mass"),
-        )
+        return SampledBarrier(x=data["x"], v=data["v"], mass=_as_real(data["mass"], "mass"))
     raise ValueError(f"unknown barrier shape {shape!r}")
 
 

@@ -1,4 +1,4 @@
-"""First/second quadrature moments, correlation coefficient and purity.
+"""First/second quadrature moments, correlation coefficient, purity and moment matrix.
 
 For a Fock-basis state the moments are evaluated exactly with the shared
 operators of ``states.fock_moment_operators``: they are built two levels
@@ -57,10 +57,11 @@ class SecondMoments:
         sigma_qp: float,
         mu: float,
     ) -> "SecondMoments":
-        if sigma_qq <= 0 or sigma_pp <= 0:
+        # Written so that NaN fails each guard.
+        if not (sigma_qq > 0 and sigma_pp > 0):
             raise InvalidStateError("variances must be positive")
         r = sigma_qp / math.sqrt(sigma_qq * sigma_pp)
-        if abs(r) >= 1.0 - DEGENERATE_R_TOL:
+        if not abs(r) < 1.0 - DEGENERATE_R_TOL:
             raise DegenerateCorrelationError(
                 f"|r| = {abs(r):.17g} is degenerate (>= 1 - {DEGENERATE_R_TOL})"
             )
@@ -76,6 +77,36 @@ class SecondMoments:
             mu=float(mu),
             linear_entropy=float(1.0 - mu),
         )
+
+
+@dataclass(frozen=True)
+class MomentMatrixA:
+    """Hermitian 2x2 matrix [[sigma_qq, sigma_qp + i hbar/2], [c.c., sigma_pp]].
+
+    The state is physical iff both eigenvalues are nonnegative, which is the
+    matrix form of the Schrodinger-Robertson relation.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: tuple[float, float]
+
+    def is_physical(self, tol: float = 1e-10) -> bool:
+        return self.eigenvalues[0] >= -tol
+
+
+def moment_matrix(m: SecondMoments, hbar: float) -> MomentMatrixA:
+    """Build the moment matrix of the nonnegativity quadratic form."""
+    a = np.array(
+        [
+            [m.sigma_qq, m.sigma_qp + 0.5j * hbar],
+            [m.sigma_qp - 0.5j * hbar, m.sigma_pp],
+        ],
+        dtype=complex,
+    )
+    half_tr = 0.5 * (m.sigma_qq + m.sigma_pp)
+    # Closed form for a 2x2 Hermitian matrix.
+    radius = math.sqrt((0.5 * (m.sigma_qq - m.sigma_pp)) ** 2 + m.sigma_qp**2 + 0.25 * hbar**2)
+    return MomentMatrixA(matrix=a, eigenvalues=(half_tr - radius, half_tr + radius))
 
 
 def _require_valid(state: QuantumState) -> None:
@@ -121,7 +152,7 @@ def _fock_moments(state: FockDensityMatrix) -> SecondMoments:
 
 def _gaussian_purity(state: GaussianState) -> float:
     det = state.sigma_qq * state.sigma_pp - state.sigma_qp**2
-    if det <= 0:
+    if not det > 0:
         raise InvalidStateError(f"covariance determinant {det!r} must be positive")
     return state.hbar / (2.0 * math.sqrt(det))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _rank, phi, phi_eval
+from .bounds import METHODS, _rank, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 from .states import fock_moment_operators
 
@@ -31,8 +31,6 @@ _WEIGHT_TOL = 1e-12
 # The hard-assertion region of the bound tolerates at most this much
 # negative slack in the falsification sweep.
 FALSIFICATION_SLACK_TOL = 1e-8
-
-METHODS = ("auto", "rank2-analytic", "rank3-analytic", "grid-refine", "projected-gradient")
 
 
 @dataclass(frozen=True)

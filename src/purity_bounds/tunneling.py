@@ -22,14 +22,18 @@ potential that exceeds E on more than one interval raises ValueError.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import check_correlation, phi_eval, scale_hbar
 from .errors import ResolutionError
-from .thermal import ThermalModel, thermal_purity
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .thermal import ThermalModel
 
 # A sampled barrier must put at least this many grid nodes strictly above
 # the energy, otherwise the grid cannot resolve the hump.
@@ -72,6 +76,8 @@ class SampledBarrier:
     shape = "sampled"
 
     def __post_init__(self):
+        import numpy as np
+
         # Copies: the caller's arrays stay writable and cannot change the barrier.
         x = np.array(self.x, dtype=float)
         v = np.array(self.v, dtype=float)
@@ -103,10 +109,13 @@ class TransparencyResult:
     hbar_eff_used: float
 
 
+@functools.cache
 def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule (Golub-Welsch) on theta in [0, pi]: cos(theta) and
     weight * sin(theta), so integral f dx over [a, b] is (b-a)/2 times
     sum(weights * f((a+b)/2 - (b-a)/2 cos(theta)))."""
+    import numpy as np
+
     k = np.arange(1.0, order)
     beta = k / np.sqrt(4.0 * k * k - 1.0)
     nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
@@ -114,8 +123,9 @@ def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(theta), np.pi * vectors[0] ** 2 * np.sin(theta)
 
 
-# 16 and 32 nodes agree to about 1e-15 on tests/golden/inputs/sampled.json.
-_RULE = _cosine_rule(16)
+# Nodes of the rule ``action_integral`` uses, built on first use.  16 and 32
+# nodes agree to about 1e-15 on tests/golden/inputs/sampled.json.
+_RULE_NODES = 16
 
 
 def action_integral(v, energy: float, mass: float, x1, x2) -> float:
@@ -125,7 +135,9 @@ def action_integral(v, energy: float, mass: float, x1, x2) -> float:
     also be arrays of interval ends; the integrals over the intervals are
     summed, and an interval with x2 < x1 adds 0.
     """
-    cos_theta, weights = _RULE
+    import numpy as np
+
+    cos_theta, weights = _cosine_rule(_RULE_NODES)
     half = 0.5 * np.maximum(np.subtract(x2, x1), 0.0)[..., None]
     points = 0.5 * np.add(x1, x2)[..., None] - half * cos_theta
     f = np.sqrt(2.0 * mass * np.maximum(v(points) - energy, 0.0))
@@ -138,6 +150,8 @@ def _pchip_slopes(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     sign or one is 0); at each end, the one-sided three-point rule, clamped to
     keep the end secant's sign and to 3 times it where the secants change sign.
     """
+    import numpy as np
+
     h = np.diff(x)
     m = np.diff(v) / h
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
@@ -154,6 +168,8 @@ def _pchip_slopes(x: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _sampled_action(barrier: SampledBarrier, energy: float):
     """Turning points and action of the one interval where V exceeds E."""
+    import numpy as np
+
     x, v = barrier.x, barrier.v
     inside = np.flatnonzero(v > energy)
     if len(inside) < _MIN_NODES_ABOVE:
@@ -204,7 +220,7 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
     if not hbar_eff > 0:
         raise ValueError(f"hbar_eff {hbar_eff!r} must be positive")
 
-    top = float(np.max(barrier.v)) if isinstance(barrier, SampledBarrier) else barrier.v0
+    top = float(barrier.v.max()) if isinstance(barrier, SampledBarrier) else barrier.v0
     if energy >= top:
         return TransparencyResult(D=1.0, ln_D=0.0, action_integral=0.0,
                                   turning_points=None, hbar_eff_used=hbar_eff)
@@ -264,7 +280,7 @@ def transparency_vs_purity(
     """Transparency along a purity grid as a tunnel table; invariant_product is mu^-1 ln D."""
     check_correlation(r)
     action = transparency(barrier, energy, hbar).action_integral
-    mu = list(map(float, np.asarray(mu_grid, dtype=float)))
+    mu = [float(m) for m in mu_grid]
     return _tunnel_table("mu", list(mu), mu, r, action, hbar, phi_mode,
                          lambda _, m, ln_d: ln_d / m)
 
@@ -285,9 +301,11 @@ def transparency_vs_temperature(
     evaluated, which makes T ln D exactly constant.  The other modes use the
     exact thermal purity.
     """
+    from .thermal import thermal_purity
+
     check_correlation(r)
     action = transparency(barrier, energy, hbar).action_integral
-    temperatures = list(map(float, np.asarray(t_grid, dtype=float)))
+    temperatures = [float(T) for T in t_grid]
     if phi_mode == "asymptote":
         mu = [model.hbar * model.omega / (2.0 * T) for T in temperatures]
     else:

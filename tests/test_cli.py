@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from purity_bounds.cli import main
+from purity_bounds.cli import _linear_grid, main
 
 VACUUM = {
     "type": "gaussian",
@@ -343,6 +343,19 @@ class TestDecohereCommand:
                                "--t-max", "1", "--steps", "3",
                                "--barrier", files["rect"], "--energy", "0.5"])
         assert code == 1
+
+
+def test_linear_grid_matches_linspace_bit_for_bit():
+    """The CLI's numpy-free grid gives the values of np.linspace on every grid."""
+    rng = np.random.default_rng(11)
+    grids = [(0.1, 1.0, 2), (-3.0, -1.0, 7), (0.5, 0.5 + 1e-6, 40)]
+    for _ in range(3000):
+        lo = rng.uniform(-10.0, 10.0)
+        span = 10.0 ** rng.uniform(-6.0, 1.0)
+        grids.append((lo, lo + span, int(rng.integers(2, 200))))
+    for lo, hi, steps in grids:
+        expected = list(map(float.hex, np.linspace(lo, hi, steps)))
+        assert list(map(float.hex, _linear_grid(lo, hi, steps, "grid"))) == expected
 
 
 class TestDeterminismAndUsage:

@@ -22,6 +22,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -128,6 +130,39 @@ def test_cli_output_matches_recorded_bytes(name):
 def test_sweep_values_match_recorded_full_precision(name):
     _, out = run_case(CASES[name], full_precision=True)
     assert out.decode("utf-8") == _full_precision()[name]
+
+
+# Cases whose commands run on the closed forms alone.
+NUMPY_FREE = sorted(name for name in CASES if name.startswith(
+    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-")))
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from purity_bounds.cli import main
+
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    results[name] = [code, buffer.getvalue()]
+print(json.dumps(results))
+"""
+
+
+def test_numpy_free_cases_match_recorded_bytes_without_numpy():
+    """The closed-form commands give the recorded bytes with numpy unimportable:
+    they run the same code as every other case, not a numpy-free copy of it."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
+    cases = {name: CASES[name] for name in NUMPY_FREE}
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases)],
+                          capture_output=True, text=True, env=env, check=True)
+    results = json.loads(proc.stdout)
+    assert "phi-curve" in results and len(results) == 13
+    for name, (code, out) in results.items():
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
+        assert code == _exit_codes()[name], name
 
 
 def regenerate() -> list[str]:

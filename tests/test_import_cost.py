@@ -1,5 +1,10 @@
-"""The package and every command load with numpy alone: no scipy module and
-no ``numpy.polynomial`` (which costs milliseconds on every cold call).
+"""Import cost of the package and of each command.
+
+``import purity_bounds`` loads no submodule and no numpy: the public names
+resolve on first access.  The closed-form commands (``phi``, ``phi-curve``
+and ``tunnel`` through a rectangular or parabolic barrier) run without
+numpy.  The other commands load numpy alone: no scipy module and no
+``numpy.polynomial`` (which costs milliseconds on every cold call).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -7,18 +12,23 @@ process already holds whatever other tests imported.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import purity_bounds
+
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS = ROOT / "tests" / "golden" / "inputs"
 
 _SCRIPT = """
 import contextlib, io, json, sys
-import purity_bounds, purity_bounds.cli
+import purity_bounds
+package_only = sorted(m for m in sys.modules if m.startswith("purity_bounds."))
+import purity_bounds.cli
 
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
@@ -26,7 +36,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         codes.append(purity_bounds.cli.main(argv))
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy": numpy,
+                  "package_only": package_only}))
 """
 
 
@@ -38,7 +50,13 @@ def _run(*argvs: list[str]) -> dict:
 
 
 def test_import_loads_no_scipy():
-    assert _run() == {"codes": [], "loaded": []}
+    result = _run()
+    assert result["codes"] == [] and result["loaded"] == []
+
+
+def test_import_loads_no_submodule_and_no_numpy():
+    result = _run()
+    assert result["package_only"] == [] and result["numpy"] == []
 
 
 def test_closed_form_commands_load_no_scipy():
@@ -49,10 +67,38 @@ def test_closed_form_commands_load_no_scipy():
         ["oracle", "--falsify", "--mu", "0.5", "--dim", "4", "--samples", "50", "--seed", "1"],
         ["tunnel", "--barrier", rectangular, "--energy", "0.5", "--mu", "1,0.5"],
     )
-    assert result == {"codes": [0, 0, 0, 0], "loaded": []}
+    assert result["codes"] == [0, 0, 0, 0] and result["loaded"] == []
 
 
 def test_sampled_barrier_loads_no_scipy():
     result = _run(["tunnel", "--barrier", str(INPUTS / "sampled.json"), "--energy", "0.5",
                    "--mu", "1,0.6"])
-    assert result == {"codes": [0], "loaded": []}
+    assert result["codes"] == [0] and result["loaded"] == []
+
+
+def test_closed_form_commands_load_no_numpy():
+    result = _run(
+        ["phi", "--mu", "0.5"],
+        ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"],
+        ["tunnel", "--barrier", str(INPUTS / "rectangular.json"), "--energy", "0.5",
+         "--mu", "1,0.5"],
+        ["tunnel", "--barrier", str(INPUTS / "parabolic.json"), "--energy", "0.7",
+         "--mu-from", "0.1", "--mu-to", "1.0", "--steps", "10"],
+    )
+    assert result["codes"] == [0, 0, 0, 0] and result["numpy"] == []
+
+
+def test_every_public_name_is_its_home_module_attribute():
+    for name in purity_bounds.__all__:
+        if name == "__version__":
+            continue
+        home = importlib.import_module(f"purity_bounds.{purity_bounds._HOME[name]}")
+        assert getattr(purity_bounds, name) is getattr(home, name), name
+    assert set(purity_bounds.__all__) <= set(dir(purity_bounds))
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from purity_bounds import *", namespace)
+    assert set(purity_bounds.__all__) <= set(namespace)
+    assert not hasattr(purity_bounds, "no_such_name")

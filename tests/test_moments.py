@@ -8,6 +8,7 @@ from purity_bounds import (
     FockDensityMatrix,
     GaussianState,
     InvalidStateError,
+    SecondMoments,
     ThermalModel,
     TruncationWarning,
     compute_moments,
@@ -17,6 +18,9 @@ from purity_bounds import (
     purity,
     thermal_state_fock,
 )
+from purity_bounds.moments import _gaussian_purity
+
+NAN = float("nan")
 
 
 def oscillator_eigenfunctions(x, n_max):
@@ -110,6 +114,27 @@ class TestGaussianMoments:
         assert not (abs(state.sigma_qp) / big >= 1.0)  # still physical, |r| < 1
         with pytest.raises(DegenerateCorrelationError):
             compute_moments(state)
+
+
+class TestNanRejected:
+    """A NaN field fails the guard that a finite bad value fails."""
+
+    @pytest.mark.parametrize("sigma_qq, sigma_pp", [(NAN, 1.0), (1.0, NAN)])
+    def test_nan_variance(self, sigma_qq, sigma_pp):
+        with pytest.raises(InvalidStateError):
+            SecondMoments.from_covariance(0.0, 0.0, sigma_qq, sigma_pp, 0.0, 0.5)
+
+    def test_nan_covariance(self):
+        with pytest.raises(DegenerateCorrelationError):
+            SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, NAN, 0.5)
+
+    def test_nan_purity(self):
+        with pytest.raises(InvalidStateError):
+            SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, 0.0, NAN)
+
+    def test_nan_gaussian_determinant(self):
+        with pytest.raises(InvalidStateError):
+            _gaussian_purity(GaussianState(0.0, 0.0, NAN, 1.0, 0.0))
 
 
 class TestPurity:

@@ -205,8 +205,9 @@ class TestSampledKernel:
     def test_rule_converged_at_16_nodes(self, monkeypatch):
         data = json.loads(GOLDEN_SAMPLED.read_text(encoding="utf-8"))
         barrier = SampledBarrier(x=data["x"], v=data["v"], mass=data["mass"])
+        assert tunneling._RULE_NODES == 16
         action16 = transparency(barrier, 0.5, 1.0).action_integral
-        monkeypatch.setattr(tunneling, "_RULE", tunneling._cosine_rule(32))
+        monkeypatch.setattr(tunneling, "_RULE_NODES", 32)
         action32 = transparency(barrier, 0.5, 1.0).action_integral
         assert abs(action32 / action16 - 1.0) < 1e-14
 

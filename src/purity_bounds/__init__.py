@@ -28,7 +28,7 @@ _EXPORTS = {
     "states": "FockDensityMatrix GaussianState InvariantViolation QuantumState diagonal_mixture "
               "fock_projector fock_quadrature_operators pure_state_density validate_state",
     "thermal": "ThermalModel log_partition_function oscillator_mean_occupation "
-               "partition_function spectrum_tail_bound thermal_bound_report thermal_purity "
+               "partition_function thermal_bound_report thermal_purity "
                "thermal_state_fock thermal_sweep",
     "tunneling": "BarrierSpec ParabolicBarrier RectangularBarrier SampledBarrier "
                  "TransparencyResult action_integral transparency transparency_vs_purity "

@@ -35,7 +35,7 @@ if TYPE_CHECKING:
 PHI_MODES = ("exact", "interpolation", "asymptote")
 # The ``oracle`` minimizers; defined here so the CLI parser can list them
 # without loading numpy.
-METHODS = ("auto", "rank2-analytic", "rank3-analytic", "grid-refine", "projected-gradient")
+METHODS = ("auto", "grid-refine", "projected-gradient")
 
 # A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
 # state that saturates a bound carry that much rounding.
@@ -163,7 +163,7 @@ def bound_report(
     sigma_qp^2.  Slacks are reported as lhs - rhs of each inequality.  A
     flag passes when the deficit is at most ``PASS_ROUNDING_TOL`` of the
     bound, so a state that saturates a bound (the vacuum) is not failed by
-    rounding.  A NaN product (moments unknown) gives ``None`` flags.
+    rounding.
     """
     if not hbar > 0:
         raise ValueError(f"hbar {hbar!r} must be positive")
@@ -175,7 +175,7 @@ def bound_report(
     purity_bound = quarter * pv.value**2 / one_minus_r2
 
     def passes(lhs, bound):
-        return None if math.isnan(lhs) else lhs >= bound - PASS_ROUNDING_TOL * bound
+        return lhs >= bound - PASS_ROUNDING_TOL * bound
 
     return BoundReport(
         heisenberg_bound=quarter,

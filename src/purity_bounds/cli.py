@@ -116,18 +116,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_thermal(args) -> int:
-    import numpy as np
+    from .thermal import ThermalModel, temperature_grid, thermal_sweep
 
-    from .thermal import ThermalModel, thermal_sweep
-
-    model = ThermalModel.oscillator(hbar=args.hbar, mass=args.mass, omega=args.omega)
+    model = ThermalModel(hbar=args.hbar, mass=args.mass, omega=args.omega)
     if (args.barrier is None) != (args.energy is None):
         raise ValueError("--barrier and --energy must be given together")
     if args.barrier is not None:
         barrier = _io.load_barrier(args.barrier)
-        if args.steps < 2 or not 0 < args.t_min < args.t_max:
-            raise ValueError("need 0 < t-min < t-max and steps >= 2")
-        t_grid = np.geomspace(args.t_min, args.t_max, args.steps)
+        t_grid = temperature_grid(args.t_min, args.t_max, args.steps)
         table = transparency_vs_temperature(
             barrier, args.energy, args.hbar, model, t_grid, r=args.r, phi_mode=args.phi_mode
         )

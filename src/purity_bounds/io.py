@@ -195,4 +195,4 @@ def bound_report_dict(report: BoundReport) -> dict:
 def render_json(payload: dict) -> str:
     document = {"schema_version": SCHEMA_VERSION}
     document.update(payload)
-    return json.dumps(document, indent=2, allow_nan=True) + "\n"
+    return json.dumps(document, indent=2, allow_nan=False) + "\n"

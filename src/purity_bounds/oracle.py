@@ -124,12 +124,6 @@ def _result(
     )
 
 
-def _analytic_result(mu: float, k: int, levels: int, hbar: float) -> MinimizationResult:
-    full = np.zeros(levels)
-    full[:k] = linear_ansatz_weights(mu, k)
-    return _result(mu, full, hbar, f"rank{k}-analytic", 0)
-
-
 def _project_plane_sphere(p: np.ndarray, mu: float) -> np.ndarray:
     """Project onto {sum p = 1, sum p^2 = mu, p >= 0} (active-set on the support)."""
     k = len(p)
@@ -247,21 +241,13 @@ def min_product_fock_mixture(
 ) -> MinimizationResult:
     """Minimize the variance product over number-state mixtures of fixed purity.
 
-    ``method`` is one of "auto", "rank2-analytic", "rank3-analytic",
-    "grid-refine", "projected-gradient".  "auto" is the rank-k analytic
-    minimizer of the exact Phi piece at mu, capped at ``levels`` levels.
+    ``method`` is one of "auto", "grid-refine", "projected-gradient".
+    "auto" is the rank-k analytic minimizer of the exact Phi piece at mu,
+    capped at ``levels`` levels, and names itself "rank{k}-analytic".
     "grid-refine" enumerates the faces of the simplex exactly (the name is
     historical); its ``iterations`` is the number of supports, 2^levels - 1.
     """
     mu = _check_reachable(mu, levels)
-    if method == "rank2-analytic":
-        if mu < 0.5:
-            raise PieceDomainError(f"rank-2 minimizer needs purity >= 1/2, got {mu}")
-        return _analytic_result(mu, 2, levels, hbar)
-    if method == "rank3-analytic":
-        if levels < 3:
-            raise ValueError("rank-3 minimizer needs at least 3 levels")
-        return _analytic_result(mu, 3, levels, hbar)
     if method == "grid-refine":
         if levels > 8:
             raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
@@ -273,7 +259,10 @@ def min_product_fock_mixture(
     if method != "auto":
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
-    return _analytic_result(mu, min(_rank(mu), levels), levels, hbar)
+    k = min(_rank(mu), levels)
+    full = np.zeros(levels)
+    full[:k] = linear_ansatz_weights(mu, k)
+    return _result(mu, full, hbar, f"rank{k}-analytic", 0)
 
 
 def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:

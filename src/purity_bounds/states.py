@@ -71,13 +71,13 @@ class InvariantViolation:
     """One violated state invariant, with the measured violation magnitude."""
 
     name: str
-    magnitude: float
+    magnitude: float | None  # None for a non-finite field or entry
     detail: str
 
 
 def _finite_violations(pairs) -> list[InvariantViolation]:
     return [
-        InvariantViolation(name="finite", magnitude=float("inf"),
+        InvariantViolation(name="finite", magnitude=None,
                            detail=f"{name} = {value!r} is not finite")
         for name, value in pairs
         if not np.isfinite(value)
@@ -99,7 +99,7 @@ def validate_state(state: QuantumState) -> list[InvariantViolation]:
     Returns an empty list iff the state is valid.  Never raises for a
     merely unphysical state; each violated invariant is reported with the
     measured violation magnitude instead.  A NaN or infinite field or entry
-    is a ``finite`` violation (magnitude inf), and the checks that need
+    is a ``finite`` violation (magnitude None), and the checks that need
     its value are skipped.
     """
     if isinstance(state, GaussianState):
@@ -149,7 +149,7 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
         violations.append(
             InvariantViolation(
                 name="finite",
-                magnitude=float("inf"),
+                magnitude=None,
                 detail=f"{bad} of the {rho.size} entries are not finite",
             )
         )

@@ -55,8 +55,8 @@ def test_criterion_1_phi_endpoint_and_continuity():
 
 def test_criterion_2_oracle_agreement():
     upper = np.linspace(5.0 / 9.0, 1.0, 50)
-    for row in phi_curve_certified(upper, levels=2, method="rank2-analytic"):
-        assert abs(row.phi_oracle - PHI1(row.mu)) < 1e-6
+    for row in phi_curve_certified(upper, levels=2, method="grid-refine"):
+        assert abs(row.phi_oracle - PHI1(row.mu)) < 1e-12
     lower = np.linspace(7.0 / 18.0, 5.0 / 9.0, 20)
     for mu in lower:
         mu = float(mu)
@@ -67,7 +67,7 @@ def test_criterion_2_oracle_agreement():
         assert abs(grid - PHI2(mu)) < 1e-12
         assert abs(grad - PHI2(mu)) < 1e-4
         assert abs(grid - grad) < 1e-12
-    report(2, "minimizer matches piece 1 on 50 points within 1e-6 and the "
+    report(2, "face enumeration matches piece 1 on 50 points within 1e-12 and the "
               "corrected piece 2 on 20 points within 1e-12 (face enumeration) "
               "and 1e-4 (gradient)")
 
@@ -101,7 +101,7 @@ def test_criterion_4_falsification_sweep():
 def test_criterion_5_asymptotes():
     for mu in (0.01, 0.005, 0.002, 0.0005):
         assert abs(PHI_APP(mu) * 9.0 * mu / 8.0 - 1.0) < 1e-4
-    oscillator = ThermalModel.oscillator()
+    oscillator = ThermalModel()
     for T in (5.0, 10.0, 20.0, 100.0):
         assert abs(thermal_purity(oscillator, T) * 2.0 * T - 1.0) < 0.01
     for T in np.geomspace(0.05, 100.0, 200):
@@ -127,7 +127,7 @@ def test_criterion_6_tunneling_closed_forms():
 
 def test_criterion_7_invariance_laws():
     rect = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
-    oscillator = ThermalModel.oscillator()
+    oscillator = ThermalModel()
     products = transparency_vs_temperature(
         rect, 0.5, 1.0, oscillator, [50.0, 100.0, 200.0, 500.0], phi_mode="interpolation"
     )["invariant_product"]

@@ -296,6 +296,12 @@ class TestEvaluateBounds:
                 assert report.purity_slack < 0.0
                 assert report.purity_pass is expected
 
+    def test_flags_are_plain_bools_even_for_a_nan_product(self):
+        report = bound_report(math.nan, math.nan, 1.0, 0.0, 0.5)
+        assert (report.heisenberg_pass, report.sr_pass, report.purity_pass) == (False,) * 3
+        assert all(type(flag) is bool for flag in
+                   (report.heisenberg_pass, report.sr_pass, report.purity_pass))
+
     def test_rank5_minimizer_saturates_the_purity_bound(self):
         state = diagonal_mixture(linear_ansatz_weights(0.25, 5), 8)
         report = evaluate_bounds(compute_moments(state), hbar=1.0)

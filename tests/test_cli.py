@@ -67,6 +67,10 @@ def files(tmp_path):
     }
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
@@ -129,9 +133,10 @@ class TestCheck:
         assert "NaN" in path.read_text()
         code, out = run(capsys, ["check", str(path)])
         assert code == 2
-        doc = json.loads(out)
+        doc = json.loads(out, parse_constant=reject_constant)  # strict RFC 8259 JSON
         assert doc["valid"] is False
         assert [v["name"] for v in doc["violations"]] == ["finite"]
+        assert doc["violations"][0]["magnitude"] is None
         assert field in doc["violations"][0]["detail"]
 
     def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
@@ -199,6 +204,11 @@ class TestPhiCommands:
         code, _ = run(capsys, ["phi", "--mu", "0.5", "--mode", "guess"])
         assert code == 1
 
+    def test_non_finite_result_is_input_error_not_json_token(self, capsys):
+        # Phi(5e-324) overflows; strict JSON has no token for it.
+        code, out = run(capsys, ["phi", "--mu", "5e-324"])
+        assert code == 1 and out == ""
+
 
 class TestOracleCommand:
     def test_single_point(self, capsys):
@@ -223,6 +233,11 @@ class TestOracleCommand:
 
     def test_needs_some_grid(self, capsys):
         code, _ = run(capsys, ["oracle"])
+        assert code == 1
+
+    @pytest.mark.parametrize("method", ["rank2-analytic", "rank3-analytic"])
+    def test_forced_rank_methods_are_gone(self, capsys, method):
+        code, _ = run(capsys, ["oracle", "--mu", "0.7", "--levels", "2", "--method", method])
         assert code == 1
 
 
@@ -254,6 +269,14 @@ class TestThermalCommand:
             code, out = run(capsys, ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",
                                      flag, "nan"])
             assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("grid", [("2", "1", "3"), ("0", "1", "3"), ("1", "2", "1")])
+    def test_bad_grid_gives_one_error_with_or_without_barrier(self, files, capsys, grid):
+        sweep = ["thermal", "--t-min", grid[0], "--t-max", grid[1], "--steps", grid[2]]
+        assert main(sweep) == 1
+        plain_err = capsys.readouterr().err
+        assert main(sweep + ["--barrier", files["rect"], "--energy", "0.5"]) == 1
+        assert capsys.readouterr().err == plain_err != ""
 
     def test_barrier_needs_energy(self, files, capsys):
         code, _ = run(capsys, ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",

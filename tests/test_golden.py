@@ -14,7 +14,8 @@ A change that is meant to alter an output regenerates the recorded files:
     PYTHONPATH=src python tests/test_golden.py --regen
 
 which prints each case whose stdout bytes, full-precision record or exit
-code changed.
+code changed, and deletes (printing ``<case>: removed``) the record of each
+case that no longer exists.
 """
 
 from __future__ import annotations
@@ -166,7 +167,10 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
 
 
 def regenerate() -> list[str]:
-    """Rewrite every recorded file; return one line per case whose record changed."""
+    """Rewrite every recorded file and delete those of removed cases.
+
+    Returns one line per case whose record changed or was removed.
+    """
     old_codes, old_full = _exit_codes(), _full_precision()
     codes, full, changed = {}, {}, []
     with warnings.catch_warnings():
@@ -185,6 +189,10 @@ def regenerate() -> list[str]:
             ) if differs]
             if what:
                 changed.append(f"{name}: {', '.join(what)}")
+    for path in sorted(GOLDEN.glob("*.txt")):
+        if path.stem not in CASES:
+            path.unlink()
+            changed.append(f"{path.stem}: removed")
     (GOLDEN / "full_precision.json").write_text(json.dumps(full, indent=1, sort_keys=True) + "\n",
                                                 encoding="utf-8")
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n",

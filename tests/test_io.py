@@ -205,14 +205,14 @@ class TestTableContracts:
         assert_table(transparency_vs_purity(RECT, 0.5, 1.0, 0.2, [0.9, 0.5, 0.3]), TUNNEL)
 
     def test_temperature_sweep(self):
-        model = ThermalModel.oscillator()
+        model = ThermalModel()
         for mode in ("exact", "asymptote"):
             table = transparency_vs_temperature(RECT, 0.5, 1.0, model, [50.0, 500.0],
                                                 phi_mode=mode)
             assert_table(table, TUNNEL)
 
     def test_thermal_sweep(self):
-        assert_table(thermal_sweep(ThermalModel.oscillator(), 0.5, 5.0, 3), "`thermal` (plain)")
+        assert_table(thermal_sweep(ThermalModel(), 0.5, 5.0, 3), "`thermal` (plain)")
 
     def test_trajectory(self):
         trajectory = run_trajectory(pure_state_density([1.0, 1.0], dim=4), 1.0, 2.0, 3,

@@ -73,7 +73,7 @@ class TestGaussianMoments:
     def test_thermal_purity_cross_checked_against_fock(self):
         """Gaussian sigma=1.5 corresponds to the oscillator at n_bar=1 (T=1/ln2)."""
         T = 1.0 / math.log(2.0)
-        fock = thermal_state_fock(ThermalModel.oscillator(), T, dim=40)
+        fock = thermal_state_fock(ThermalModel(), T, dim=40)
         mf = compute_moments(fock)
         mg = compute_moments(GaussianState(0.0, 0.0, 1.5, 1.5, 0.0))
         assert abs(mf.mu - mg.mu) < 1e-8

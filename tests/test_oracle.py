@@ -38,7 +38,8 @@ def phi_from(result):
 
 class TestAnalyticMinimizers:
     def test_rank2_at_mu_07(self):
-        res = min_product_fock_mixture(0.7, 2, "rank2-analytic")
+        res = min_product_fock_mixture(0.7, 2, "auto")
+        assert res.method == "rank2-analytic"
         p0 = (1.0 + math.sqrt(0.4)) / 2.0
         np.testing.assert_allclose(res.optimal_weights, [p0, 1.0 - p0], atol=1e-14)
         expected = (0.5 * p0 + 1.5 * (1.0 - p0)) ** 2
@@ -51,24 +52,25 @@ class TestAnalyticMinimizers:
         np.testing.assert_allclose(res.optimal_weights, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_rank3_at_mu_05_matches_corrected_piece(self):
-        res = min_product_fock_mixture(0.5, 3, "rank3-analytic")
+        res = min_product_fock_mixture(0.5, 3, "auto")
+        assert res.method == "rank3-analytic"
         expected_phi = 3.0 - math.sqrt(8.0 * (0.5 - 1.0 / 3.0))
         assert res.min_product == pytest.approx((expected_phi / 2.0) ** 2, abs=1e-12)
         grid = min_product_fock_mixture(0.5, 3, "grid-refine")
         assert abs(grid.min_product - res.min_product) < 1e-12
 
     def test_rank3_weights_are_linear_in_level(self):
-        res = min_product_fock_mixture(0.45, 3, "rank3-analytic")
+        res = min_product_fock_mixture(0.45, 3, "auto")
         w = res.optimal_weights
         assert w[0] - w[1] == pytest.approx(w[1] - w[2], abs=1e-12)
 
     def test_rank2_outside_domain(self):
-        with pytest.raises(PieceDomainError):
-            min_product_fock_mixture(0.45, 3, "rank2-analytic")
+        with pytest.raises(PieceDomainError, match="floor 1/2"):
+            linear_ansatz_weights(0.45, 2)
 
     def test_rank3_negative_weight_rejected(self):
-        with pytest.raises(PieceDomainError):
-            min_product_fock_mixture(0.6, 3, "rank3-analytic")
+        with pytest.raises(PieceDomainError, match="negative weight"):
+            linear_ansatz_weights(0.6, 3)
 
     def test_unreachable_purity(self):
         with pytest.raises(InfeasibleTargetError):
@@ -91,8 +93,8 @@ class TestAnalyticMinimizers:
             assert abs(res.optimal_weights.sum() - 1.0) <= 1e-12
 
     def test_hbar_units(self):
-        res = min_product_fock_mixture(0.7, 2, "rank2-analytic", hbar=2.0)
-        base = min_product_fock_mixture(0.7, 2, "rank2-analytic", hbar=1.0)
+        res = min_product_fock_mixture(0.7, 2, "auto", hbar=2.0)
+        base = min_product_fock_mixture(0.7, 2, "auto", hbar=1.0)
         assert res.min_product == pytest.approx(4.0 * base.min_product, abs=1e-12)
 
 
@@ -109,7 +111,7 @@ class TestNumericMethods:
     @pytest.mark.parametrize("mu", [0.6, 0.8, 1.0])
     def test_grid_matches_rank2_on_two_levels(self, mu):
         grid = min_product_fock_mixture(mu, 2, "grid-refine")
-        analytic = min_product_fock_mixture(mu, 2, "rank2-analytic")
+        analytic = min_product_fock_mixture(mu, 2, "auto")
         assert abs(phi_from(grid) - phi_from(analytic)) < 1e-12
 
     def test_more_levels_never_increase_the_minimum(self):
@@ -241,7 +243,7 @@ class TestFalsification:
                 if value < best:
                     best = value
                     best_angles = (theta, ph)
-        rank2 = min_product_fock_mixture(mu, 2, "rank2-analytic")
+        rank2 = min_product_fock_mixture(mu, 2, "auto")
         assert abs(best - rank2.min_product) < 1e-6
         assert best_angles[0] in (0.0, math.pi)  # a diagonal mixture
 

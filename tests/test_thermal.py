@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp as scipy_logsumexp
 
 from purity_bounds import (
     ThermalModel,
@@ -11,18 +13,21 @@ from purity_bounds import (
     partition_function,
     phi,
     purity,
-    spectrum_tail_bound,
     thermal_bound_report,
     thermal_purity,
     thermal_state_fock,
     thermal_sweep,
 )
-from purity_bounds.thermal import _logsumexp
 
 
 @pytest.fixture
 def oscillator():
-    return ThermalModel.oscillator()
+    return ThermalModel()
+
+
+def level_weights(T: float, levels: int = 300) -> np.ndarray:
+    """Boltzmann factors exp(-(n + 1/2)/T) of the first ``levels`` oscillator levels."""
+    return np.exp(-(np.arange(levels) + 0.5) / T)
 
 
 class TestPartitionFunction:
@@ -37,10 +42,9 @@ class TestPartitionFunction:
         )
 
     def test_spectrum_list_matches_closed_form(self, oscillator):
-        levels = np.arange(200) + 0.5
-        model = ThermalModel.from_spectrum(levels)
-        assert partition_function(model, 1.0) == pytest.approx(
-            partition_function(oscillator, 1.0), abs=1e-12
+        # independent oracle: Z as the sum over the levels (n + 1/2)
+        assert partition_function(oscillator, 1.0) == pytest.approx(
+            float(level_weights(1.0).sum()), abs=1e-12
         )
 
     def test_log_domain_survives_tiny_temperature(self, oscillator):
@@ -55,29 +59,22 @@ class TestPartitionFunction:
             partition_function(oscillator, -1.0)
 
     def test_general_units(self):
-        model = ThermalModel.oscillator(hbar=2.0, omega=3.0)
+        model = ThermalModel(hbar=2.0, omega=3.0)
         assert partition_function(model, 1.0) == pytest.approx(
             1.0 / (2.0 * math.sinh(3.0)), rel=1e-14
         )
 
-    def test_tail_bound(self):
-        model = ThermalModel.from_spectrum(np.arange(50) + 0.5)
-        assert spectrum_tail_bound(model, 1.0) == pytest.approx(math.exp(-49.5), rel=1e-12)
-        assert spectrum_tail_bound(ThermalModel.oscillator(), 1.0) == 0.0
-
-    def test_spectrum_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            ThermalModel.from_spectrum([1.0, 0.5])
-
     def test_oscillator_takes_no_spectrum(self):
-        with pytest.raises(ValueError):
-            ThermalModel(kind="oscillator", spectrum=np.array([1.0]))
+        # The model is the oscillator alone: its fields are its three scales.
+        assert [f.name for f in dataclasses.fields(ThermalModel)] == ["hbar", "mass", "omega"]
+        with pytest.raises(TypeError):
+            ThermalModel(spectrum=np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_non_finite_or_nonpositive_scales_rejected(self, bad):
         for fields in ({"hbar": bad}, {"mass": bad}, {"omega": bad}):
             with pytest.raises(ValueError, match="positive and finite"):
-                ThermalModel.oscillator(**fields)
+                ThermalModel(**fields)
 
 
 class TestThermalPurity:
@@ -110,17 +107,37 @@ class TestThermalPurity:
         phis = [phi(mu, "exact") for mu in mus]
         assert all(b > a for a, b in zip(phis, phis[1:]))
 
-    def test_spectrum_purity_equals_squared_weight_sum(self):
-        model = ThermalModel.from_spectrum(np.arange(300) + 0.5)
-        w = np.exp(-(np.arange(300) + 0.5) / 1.0)
+    def test_spectrum_purity_equals_squared_weight_sum(self, oscillator):
+        w = level_weights(1.0)
         w /= w.sum()
-        assert thermal_purity(model, 1.0) == pytest.approx(float(np.sum(w**2)), rel=1e-12)
+        assert thermal_purity(oscillator, 1.0) == pytest.approx(float(np.sum(w**2)), rel=1e-12)
 
 
 class TestThermalState:
     def test_fock_rendering_matches_purity(self, oscillator):
         state = thermal_state_fock(oscillator, 1.0, dim=60)
         assert purity(state) == pytest.approx(thermal_purity(oscillator, 1.0), abs=1e-10)
+
+    @pytest.mark.parametrize("hbar, omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
+    @pytest.mark.parametrize("dim", [2, 10, 60])
+    def test_fock_weights_are_truncated_geometric(self, hbar, omega, dim):
+        # independent oracle: (1 - q) q^n / (1 - q^dim), q = exp(-x), x = hbar omega / T,
+        # in 50-digit decimals.  Each weight is exp(-n x) up to normalisation, so
+        # it inherits the rounding of its exponent, n x eps relative: the
+        # tolerance is 1e-15 times max(1, n x).  Subnormal weights carry no
+        # relative precision and are only required to be subnormal.
+        model = ThermalModel(hbar=hbar, omega=omega)
+        n = np.arange(dim)
+        for T in map(float, np.geomspace(1e-3, 1e6, 91)):
+            w = thermal_state_fock(model, T, dim).populations()
+            with localcontext() as ctx:
+                ctx.prec = 50
+                q = (-Decimal(hbar) * Decimal(omega) / Decimal(T)).exp()
+                expected = np.array([float((1 - q) * q**k / (1 - q**dim)) for k in range(dim)])
+            normal = expected >= sys.float_info.min
+            scale = np.maximum(1.0, n * hbar * omega / T)[normal]
+            assert np.all(np.abs(w[normal] / expected[normal] - 1.0) <= 1e-15 * scale), T
+            assert np.all(w[~normal] < sys.float_info.min), T
 
     @pytest.mark.parametrize("dim", [0, 1, -3])
     def test_dimension_below_two_rejected(self, oscillator, dim):
@@ -174,13 +191,6 @@ class TestThermalBoundReport:
         report = thermal_bound_report(oscillator, 1.0)
         assert m.sigma_qq * m.sigma_pp == pytest.approx(report.product, abs=1e-10)
 
-    def test_spectrum_model_reports_bound_only(self):
-        model = ThermalModel.from_spectrum(np.arange(200) + 0.5)
-        report = thermal_bound_report(model, 1.0)
-        assert math.isnan(report.product)
-        assert report.purity_pass is None
-        assert report.purity_bound > 0.0
-
     def test_correlation_tightens_the_bound(self, oscillator):
         plain = thermal_bound_report(oscillator, 1.0, r=0.0)
         tilted = thermal_bound_report(oscillator, 1.0, r=0.6)
@@ -218,7 +228,7 @@ class TestHighTemperaturePrecision:
     def test_purity_matches_tanh(self, hbar, omega):
         # The log-domain ratio Z(T/2) / Z(T)^2 carries the rounding of log Z
         # itself, about eps * |log Z| (1.5e-14 at T = 1e14); allow 4x that.
-        model = ThermalModel.oscillator(hbar=hbar, omega=omega)
+        model = ThermalModel(hbar=hbar, omega=omega)
         eps = np.finfo(float).eps
         for T in map(float, self.TEMPERATURES):
             err = abs(thermal_purity(model, T) / math.tanh(hbar * omega / (2.0 * T)) - 1.0)
@@ -229,44 +239,3 @@ class TestHighTemperaturePrecision:
         worst = max(abs(partition_function(oscillator, float(T)) * 2.0 * math.sinh(0.5 / T) - 1.0)
                     for T in self.TEMPERATURES)
         assert worst <= 1e-14
-
-
-class TestLogSumExp:
-    """``_logsumexp`` reproduces ``scipy.special.logsumexp`` bit for bit."""
-
-    def _assert_same(self, a, axis=None):
-        ours, theirs = _logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
-        assert np.array_equal(ours, theirs, equal_nan=True), (a, ours, theirs)
-        assert np.shape(ours) == np.shape(theirs)
-
-    def test_random_inputs_across_magnitudes(self):
-        rng = np.random.default_rng(20240601)
-        for scale in np.geomspace(1e-3, 1e3, 13):
-            for _ in range(40):
-                self._assert_same(scale * rng.normal(size=int(rng.integers(1, 30))))
-                self._assert_same(scale * rng.normal(size=(7, int(rng.integers(1, 30)))), axis=1)
-
-    def test_minus_inf_entries_and_tied_maxima(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(50, 12)) * 30.0
-        a[::2, 3] = -np.inf
-        a[::3, :4] = -np.inf
-        a[1::2, 5] = a[1::2, 7] = a[1::2].max(axis=1)
-        a[4, :] = 2.5
-        self._assert_same(a, axis=1)
-        for row in a:
-            self._assert_same(row)
-
-    def test_all_minus_inf_row(self):
-        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -1.0, -np.inf]])
-        self._assert_same(a, axis=1)
-        assert _logsumexp(a[0]) == -np.inf
-
-    def test_plus_inf_entry(self):
-        self._assert_same(np.array([1.0, np.inf, -np.inf]))
-        self._assert_same(np.array([[np.inf, 2.0], [np.inf, np.inf]]), axis=1)
-        assert _logsumexp(np.array([1.0, np.inf])) == np.inf
-
-    def test_empty_input(self):
-        self._assert_same(np.array([]))
-        self._assert_same(np.zeros((3, 0)), axis=1)

@@ -21,8 +21,8 @@ _EXPORTS = {
     "bounds": "BoundReport PhiValue effective_hbar evaluate_bounds phi phi_eval",
     "decoherence": "DephasingTrajectory dephase_step run_trajectory",
     "errors": "DegenerateCorrelationError InfeasibleTargetError InvalidStateError "
-              "NonConvergenceError PieceDomainError ResolutionError TruncationWarning",
-    "moments": "MomentMatrixA SecondMoments compute_moments moment_matrix purity",
+              "PieceDomainError ResolutionError TruncationWarning",
+    "moments": "SecondMoments compute_moments purity",
     "oracle": "FalsificationReport MinimizationResult PhiCurveRow falsification_sweep "
               "linear_ansatz_weights min_product_fock_mixture phi_curve_certified",
     "states": "FockDensityMatrix GaussianState InvariantViolation QuantumState diagonal_mixture "

@@ -10,7 +10,10 @@ sigma_pp, covariance sigma_qp, correlation r and purity mu (hbar explicit):
 
 Phi(mu) >= 1 is the purity-dependent multiplier of the quantum limit; the
 whole chain can be read as the Heisenberg relation with an effective Planck
-constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).
+constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).  ``bound_report`` returns
+the chain as a ``BoundReport`` whose bounds, slacks and pass flags are keyed
+by ``BOUND_NAMES``; the Schrodinger-Robertson bound is reported in its
+product form and checked in its determinant form.
 
 Phi is piecewise: the rank-k piece Phi_k(mu) = k - sqrt(k (k^2 - 1) (mu - 1/k) / 3)
 holds on [mu_{k+1}, mu_k], mu_k = 1/k + (k + 1) / (3k (k - 1)) (Dodonov,
@@ -36,6 +39,8 @@ PHI_MODES = ("exact", "interpolation", "asymptote")
 # The ``oracle`` minimizers; defined here so the CLI parser can list them
 # without loading numpy.
 METHODS = ("auto", "grid-refine", "projected-gradient")
+# The keys of a ``BoundReport``'s bounds, slacks and flags, weakest bound first.
+BOUND_NAMES = ("heisenberg", "schrodinger_robertson", "purity")
 
 # A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
 # state that saturates a bound carry that much rounding.
@@ -130,22 +135,20 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All three bounds, their slacks and pass flags for one set of moments."""
+    """The three bounds of one set of moments, in the layout ``check`` prints.
 
-    heisenberg_bound: float
-    sr_bound: float
-    purity_bound: float
+    ``bounds``, ``slacks`` and ``flags`` are keyed by ``BOUND_NAMES``: the
+    right-hand side of each bound, lhs - rhs of the inequality checked, and
+    whether it holds (see ``bound_report``).
+    """
+
+    bounds: dict[str, float]
     product: float
     sr_lhs: float
     hbar_eff: float
-    phi_value: float
-    phi_piece: str
-    heisenberg_slack: float
-    sr_slack: float
-    purity_slack: float
-    heisenberg_pass: bool
-    sr_pass: bool
-    purity_pass: bool
+    phi: PhiValue
+    slacks: dict[str, float]
+    flags: dict[str, bool]
 
 
 def evaluate_bounds(m: SecondMoments, hbar: float, phi_mode: str = "exact") -> BoundReport:
@@ -160,10 +163,11 @@ def bound_report(
     """All three bounds at (hbar, r, mu), checked against a variance product.
 
     ``product`` is sigma_qq sigma_pp and ``sr_lhs`` is sigma_qq sigma_pp -
-    sigma_qp^2.  Slacks are reported as lhs - rhs of each inequality.  A
-    flag passes when the deficit is at most ``PASS_ROUNDING_TOL`` of the
-    bound, so a state that saturates a bound (the vacuum) is not failed by
-    rounding.
+    sigma_qp^2.  The Schrodinger-Robertson bound is reported in its product
+    form hbar^2 / (4 (1 - r^2)) but checked in its determinant form, sr_lhs
+    against hbar^2 / 4.  A flag passes when the deficit is at most
+    ``PASS_ROUNDING_TOL`` of the bound, so a state that saturates a bound
+    (the vacuum) is not failed by rounding.
     """
     if not hbar > 0:
         raise ValueError(f"hbar {hbar!r} must be positive")
@@ -171,25 +175,15 @@ def bound_report(
     pv = phi_eval(mu, phi_mode)
     quarter = hbar**2 / 4.0
     one_minus_r2 = 1.0 - r * r
-    sr_bound = quarter / one_minus_r2
     purity_bound = quarter * pv.value**2 / one_minus_r2
-
-    def passes(lhs, bound):
-        return lhs >= bound - PASS_ROUNDING_TOL * bound
-
+    checked = dict(zip(BOUND_NAMES,
+                       ((product, quarter), (sr_lhs, quarter), (product, purity_bound))))
     return BoundReport(
-        heisenberg_bound=quarter,
-        sr_bound=sr_bound,
-        purity_bound=purity_bound,
+        bounds=dict(zip(BOUND_NAMES, (quarter, quarter / one_minus_r2, purity_bound))),
         product=product,
         sr_lhs=sr_lhs,
         hbar_eff=scale_hbar(hbar, pv.value, r),
-        phi_value=pv.value,
-        phi_piece=pv.piece,
-        heisenberg_slack=product - quarter,
-        sr_slack=sr_lhs - quarter,
-        purity_slack=product - purity_bound,
-        heisenberg_pass=passes(product, quarter),
-        sr_pass=passes(sr_lhs, quarter),
-        purity_pass=passes(product, purity_bound),
+        phi=pv,
+        slacks={name: lhs - rhs for name, (lhs, rhs) in checked.items()},
+        flags={name: lhs >= rhs - PASS_ROUNDING_TOL * rhs for name, (lhs, rhs) in checked.items()},
     )

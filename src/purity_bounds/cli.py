@@ -6,7 +6,7 @@ single reports (check, phi, falsification) emit JSON.  Output is byte
 identical for identical arguments and seed.
 
 Exit codes: 0 success, 1 input/usage error, 2 bound-violation finding,
-3 numerical non-convergence.
+3 a sampled barrier grid too coarse to resolve the barrier.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, replace
 
 from . import io as _io
 from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
-from .errors import NonConvergenceError
+from .errors import ResolutionError
 from .tunneling import transparency_vs_purity, transparency_vs_temperature
 
 
@@ -71,8 +71,7 @@ def _cmd_check(args) -> int:
     payload = {"valid": True, "hbar": state.hbar, "moments": asdict(m)}
     payload.update(_io.bound_report_dict(report))
     _emit(_io.render_json(payload), args.out)
-    all_pass = report.heisenberg_pass and report.sr_pass and report.purity_pass
-    return 0 if all_pass else 2
+    return 0 if all(report.flags.values()) else 2
 
 
 def _cmd_phi(args) -> int:
@@ -118,7 +117,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_thermal(args) -> int:
     from .thermal import ThermalModel, temperature_grid, thermal_sweep
 
-    model = ThermalModel(hbar=args.hbar, mass=args.mass, omega=args.omega)
+    model = ThermalModel(hbar=args.hbar, omega=args.omega)
     if (args.barrier is None) != (args.energy is None):
         raise ValueError("--barrier and --energy must be given together")
     if args.barrier is not None:
@@ -229,7 +228,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--barrier", default=None, help="barrier JSON file")
     p.add_argument("--energy", type=float, default=None)
@@ -272,7 +270,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

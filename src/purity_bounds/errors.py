@@ -17,11 +17,7 @@ class PieceDomainError(ValueError):
     """An analytic minimizer was requested outside its domain of validity."""
 
 
-class NonConvergenceError(RuntimeError):
-    """An iterative numerical procedure failed to converge."""
-
-
-class ResolutionError(NonConvergenceError):
+class ResolutionError(RuntimeError):
     """A sampled potential grid is too coarse to resolve the barrier."""
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 from .tunneling import BarrierSpec, ParabolicBarrier, RectangularBarrier, SampledBarrier
@@ -169,27 +170,7 @@ def load_barrier(path: str) -> BarrierSpec:
 
 
 def bound_report_dict(report: BoundReport) -> dict:
-    return {
-        "bounds": {
-            "heisenberg": report.heisenberg_bound,
-            "schrodinger_robertson": report.sr_bound,
-            "purity": report.purity_bound,
-        },
-        "product": report.product,
-        "sr_lhs": report.sr_lhs,
-        "hbar_eff": report.hbar_eff,
-        "phi": {"value": report.phi_value, "piece": report.phi_piece},
-        "slacks": {
-            "heisenberg": report.heisenberg_slack,
-            "schrodinger_robertson": report.sr_slack,
-            "purity": report.purity_slack,
-        },
-        "flags": {
-            "heisenberg": report.heisenberg_pass,
-            "schrodinger_robertson": report.sr_pass,
-            "purity": report.purity_pass,
-        },
-    }
+    return asdict(report)
 
 
 def render_json(payload: dict) -> str:

@@ -1,4 +1,4 @@
-"""First/second quadrature moments, correlation coefficient, purity and moment matrix.
+"""First/second quadrature moments, correlation coefficient and purity.
 
 For a Fock-basis state the moments are evaluated exactly with the shared
 operators of ``states.fock_moment_operators``: they are built two levels
@@ -30,7 +30,7 @@ from .states import (
 # |r| at or beyond this is treated as a degenerate correlation.
 DEGENERATE_R_TOL = 1e-12
 # Eigenvalues of a density matrix in (-EIG_CLIP, 0) are clipped to zero when
-# the purity is computed; anything more negative is a hard error.
+# the purity is computed.
 EIG_CLIP = 1e-10
 
 
@@ -79,36 +79,6 @@ class SecondMoments:
         )
 
 
-@dataclass(frozen=True)
-class MomentMatrixA:
-    """Hermitian 2x2 matrix [[sigma_qq, sigma_qp + i hbar/2], [c.c., sigma_pp]].
-
-    The state is physical iff both eigenvalues are nonnegative, which is the
-    matrix form of the Schrodinger-Robertson relation.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: tuple[float, float]
-
-    def is_physical(self, tol: float = 1e-10) -> bool:
-        return self.eigenvalues[0] >= -tol
-
-
-def moment_matrix(m: SecondMoments, hbar: float) -> MomentMatrixA:
-    """Build the moment matrix of the nonnegativity quadratic form."""
-    a = np.array(
-        [
-            [m.sigma_qq, m.sigma_qp + 0.5j * hbar],
-            [m.sigma_qp - 0.5j * hbar, m.sigma_pp],
-        ],
-        dtype=complex,
-    )
-    half_tr = 0.5 * (m.sigma_qq + m.sigma_pp)
-    # Closed form for a 2x2 Hermitian matrix.
-    radius = math.sqrt((0.5 * (m.sigma_qq - m.sigma_pp)) ** 2 + m.sigma_qp**2 + 0.25 * hbar**2)
-    return MomentMatrixA(matrix=a, eigenvalues=(half_tr - radius, half_tr + radius))
-
-
 def _require_valid(state: QuantumState) -> None:
     violations = validate_state(state)
     if violations:
@@ -117,9 +87,10 @@ def _require_valid(state: QuantumState) -> None:
 
 
 def _clipped_eigenvalues(rho: np.ndarray) -> np.ndarray:
+    # Callers validate first: validate_state has rejected an eigenvalue of
+    # this same symmetrised matrix below -PSD_TOL (== EIG_CLIP), so only
+    # rounding is left to clip.
     eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if np.min(eigs) < -EIG_CLIP:
-        raise InvalidStateError(f"density matrix has eigenvalue {np.min(eigs):.3e} < -{EIG_CLIP}")
     return np.clip(eigs, 0.0, None)
 
 

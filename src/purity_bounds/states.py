@@ -115,7 +115,11 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     violations = _finite_violations(params + moments) or _positivity_violations(params)
     if violations:
         return violations
-    det = state.sigma_qq * state.sigma_pp - state.sigma_qp**2
+    # With * (not **) an overflowing product is inf, not an OverflowError.
+    det = state.sigma_qq * state.sigma_pp - state.sigma_qp * state.sigma_qp
+    violations = _finite_violations([("sigma_qq*sigma_pp - sigma_qp^2", det)])
+    if violations:
+        return violations
     floor = state.hbar**2 / 4.0
     if det < floor - PHYSICALITY_TOL:
         violations.append(

@@ -148,14 +148,14 @@ def test_criterion_8_reduction_chain():
         sqp = float(rng.uniform(-0.99, 0.99)) * math.sqrt(sqq * spp)
         pure = SecondMoments.from_covariance(0.0, 0.0, sqq, spp, sqp, 1.0)
         rep = evaluate_bounds(pure, hbar=1.0)
-        assert rep.purity_bound == rep.sr_bound
-        assert rep.purity_pass == (rep.product >= rep.sr_bound)
+        assert rep.bounds["purity"] == rep.bounds["schrodinger_robertson"]
+        assert rep.flags["purity"] == (rep.product >= rep.bounds["schrodinger_robertson"])
         uncorrelated = SecondMoments.from_covariance(
             0.0, 0.0, sqq, spp, 0.0, float(rng.uniform(0.4, 1.0))
         )
         rep = evaluate_bounds(uncorrelated, hbar=1.0)
-        assert rep.sr_bound == rep.heisenberg_bound
-        assert rep.sr_pass == rep.heisenberg_pass
+        assert rep.bounds["schrodinger_robertson"] == rep.bounds["heisenberg"]
+        assert rep.flags["schrodinger_robertson"] == rep.flags["heisenberg"]
     report(8, "over 10^4 random moment triples the purity bound at mu=1 equals "
               "the SR bound and SR at r=0 equals Heisenberg, flags identical")
 

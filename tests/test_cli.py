@@ -139,6 +139,16 @@ class TestCheck:
         assert doc["violations"][0]["magnitude"] is None
         assert field in doc["violations"][0]["detail"]
 
+    @pytest.mark.parametrize("qp", (0.0, 5e199))
+    def test_overflowing_determinant_exits_2_with_a_finite_violation(self, files, capsys, qp):
+        path = files["dir"] / "huge.json"
+        path.write_text(json.dumps({**VACUUM, "cov": {"qq": 1e200, "pp": 1e200, "qp": qp}}))
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        doc = json.loads(captured.out, parse_constant=reject_constant)
+        assert [(v["name"], v["magnitude"]) for v in doc["violations"]] == [("finite", None)]
+
     def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
         # The vacuum saturates all three bounds; its moments carry up to a
         # few ulp of rounding, which must not fail it.
@@ -265,10 +275,17 @@ class TestThermalCommand:
         assert run(capsys, sweep + ["--barrier", files["rect"], "--energy", "0.5"]) == (1, "")
 
     def test_non_finite_model_exits_1(self, capsys):
-        for flag in ("--hbar", "--mass", "--omega"):
+        for flag in ("--hbar", "--omega"):
             code, out = run(capsys, ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",
                                      flag, "nan"])
             assert (code, out) == (1, "")
+
+    def test_mass_is_not_an_option(self, capsys):
+        # Nothing in a thermal sweep depends on the mass, only on hbar omega.
+        code = main(["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2", "--mass", "2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "--mass" in captured.err
 
     @pytest.mark.parametrize("grid", [("2", "1", "3"), ("0", "1", "3"), ("1", "2", "1")])
     def test_bad_grid_gives_one_error_with_or_without_barrier(self, files, capsys, grid):
@@ -309,6 +326,17 @@ class TestTunnelCommand:
         path.write_text(json.dumps(spike))
         code, _ = run(capsys, ["tunnel", "--barrier", str(path), "--energy", "0.5"])
         assert code == 3
+
+    def test_coarse_smooth_barrier_exits_3(self, files, capsys):
+        # A Gaussian hump sampled on 8 nodes: only the 2 at x = -0.5, 0.5 lie above E.
+        x = np.linspace(-3.5, 3.5, 8)
+        coarse = {"shape": "sampled", "x": list(x), "v": list(np.exp(-x * x)), "mass": 1.0}
+        path = files["dir"] / "coarse.json"
+        path.write_text(json.dumps(coarse))
+        code = main(["tunnel", "--barrier", str(path), "--energy", "0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert captured.err.startswith("error: only 2 grid nodes lie above E")
 
     def test_non_finite_inputs_exit_1(self, files, capsys):
         path = files["dir"] / "nan.json"

@@ -70,6 +70,8 @@ def _cases() -> dict[str, list[str]]:
     cases["check-vacuum"] = ["check", f("vacuum")]
     cases["check-sub-heisenberg"] = ["check", f("sub_heisenberg")]
     cases["check-rank5-minimizer"] = ["check", f("fock_rank5_minimizer")]
+    cases["check-overflow"] = ["check", f("gaussian_overflow")]
+    cases["check-overflow-correlated"] = ["check", f("gaussian_overflow_correlated")]
     cases["thermal-hot"] = ["thermal", "--t-min", "1e8", "--t-max", "1e14", "--steps", "7"]
     cases["phi-curve"] = ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"]
     cases["oracle-rank2"] = ["oracle", "--mu", "0.7", "--levels", "2"]

@@ -108,6 +108,14 @@ class TestGaussianMoments:
         with pytest.raises(InvalidStateError):
             compute_moments(GaussianState(0.0, 0.0, 0.4, 0.4, 0.0))
 
+    @pytest.mark.parametrize("sigma_qp", (0.0, 5e199))
+    def test_overflowing_determinant_rejected(self, sigma_qp):
+        state = GaussianState(0.0, 0.0, 1e200, 1e200, sigma_qp)
+        with pytest.raises(InvalidStateError, match="finite"):
+            compute_moments(state)
+        with pytest.raises(InvalidStateError, match="finite"):
+            purity(state)
+
     def test_degenerate_correlation_rejected(self):
         big = 1.0e7
         state = GaussianState(0.0, 0.0, big, big, big * (1.0 - 5e-15))

@@ -45,6 +45,13 @@ class TestGaussianValidation:
         assert names(report) == ["finite"]
         assert field in report[0].detail
 
+    @pytest.mark.parametrize("sigma_qp", (0.0, 5e199))
+    def test_overflowing_determinant_is_a_finite_violation(self, sigma_qp):
+        report = validate_state(GaussianState(0.0, 0.0, 1e200, 1e200, sigma_qp))
+        assert names(report) == ["finite"]
+        assert report[0].magnitude is None
+        assert "sigma_qq*sigma_pp - sigma_qp^2" in report[0].detail
+
     def test_correlated_pure_state_is_valid(self):
         # det sigma = 1*0.5 - 0.25 = 0.25 saturates the bound
         assert validate_state(GaussianState(0.0, 0.0, 1.0, 0.5, 0.5)) == []

@@ -175,7 +175,7 @@ def bound_report(
     pv = phi_eval(mu, phi_mode)
     quarter = hbar**2 / 4.0
     one_minus_r2 = 1.0 - r * r
-    purity_bound = quarter * pv.value**2 / one_minus_r2
+    purity_bound = quarter * (pv.value * pv.value) / one_minus_r2
     checked = dict(zip(BOUND_NAMES,
                        ((product, quarter), (sr_lhs, quarter), (product, purity_bound))))
     return BoundReport(

@@ -46,8 +46,8 @@ def _linear_grid(lo: float, hi: float, steps: int, what: str) -> list[float]:
         if lo != hi:
             raise ValueError(f"{what}: a single step needs equal endpoints")
         return [lo]
-    if not lo < hi:
-        raise ValueError(f"{what}: need lower < upper")
+    if not -float("inf") < lo < hi < float("inf"):
+        raise ValueError(f"{what}: need finite lower < upper, got {lo!r}, {hi!r}")
     step = (hi - lo) / (steps - 1)
     return [lo + i * step for i in range(steps - 1)] + [hi]
 
@@ -58,8 +58,8 @@ def _cmd_check(args) -> int:
 
     state = _io.load_state(args.state)
     if args.hbar is not None:
-        if not args.hbar > 0:
-            raise ValueError(f"--hbar {args.hbar!r} must be positive")
+        if not 0 < args.hbar < float("inf"):
+            raise ValueError(f"--hbar {args.hbar!r} must be positive and finite")
         state = replace(state, hbar=args.hbar)
     violations = validate_state(state)
     if violations:

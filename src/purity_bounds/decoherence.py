@@ -14,16 +14,15 @@ state were frozen during traversal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidStateError
 from .moments import compute_moments
-from .states import FockDensityMatrix
+from .states import STATE_TOL, FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
-
-_PURITY_MONOTONE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
     positive semidefiniteness are preserved exactly (the map is a Hadamard
     product with a positive semidefinite Gaussian kernel).
     """
-    if not gamma >= 0:
-        raise ValueError(f"gamma {gamma!r} must be nonnegative")
-    if not dt > 0:
-        raise ValueError(f"dt {dt!r} must be positive")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma {gamma!r} must be nonnegative and finite")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt {dt!r} must be positive and finite")
     n = np.arange(rho.dim)
     kernel = np.exp(-gamma * dt * (n[:, None] - n[None, :]) ** 2)
     return replace(rho, entries=rho.entries * kernel)
@@ -65,10 +64,10 @@ def run_trajectory(
     instantaneous purity, correlation, Phi, hbar_eff, ln D, D and the
     product mu^-1 ln D.
     """
-    if not gamma >= 0:
-        raise ValueError(f"gamma {gamma!r} must be nonnegative")
-    if not t_max > 0:
-        raise ValueError(f"t_max {t_max!r} must be positive")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma {gamma!r} must be nonnegative and finite")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max {t_max!r} must be positive and finite")
     if steps < 2:
         raise ValueError("steps must be >= 2")
 
@@ -83,7 +82,7 @@ def run_trajectory(
         state = rho0 if t == 0.0 else dephase_step(rho0, gamma, float(t))
         m = compute_moments(state)
         states.append(state)
-        if mu and m.mu > mu[-1] + _PURITY_MONOTONE_TOL:
+        if mu and m.mu > mu[-1] + STATE_TOL:
             raise InvalidStateError(
                 f"purity increased along the trajectory ({mu[-1]} -> {m.mu})"
             )

@@ -7,6 +7,11 @@ truncation artifact for any state supported on the stored basis.  A
 ``TruncationWarning`` is still emitted when the top two levels are
 populated, because the stored matrix is then itself a suspect truncation
 of the intended state.
+
+``purity`` computes every purity, ``compute_moments``' too.  A valid state
+can come out above 1 by an excess within ``STATE_TOL``, which reads as 1:
+no later purity gate rejects a state that passed validation.  Only the
+Fock path loads numpy.
 """
 
 from __future__ import annotations
@@ -15,10 +20,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateCorrelationError, InvalidStateError, TruncationWarning
 from .states import (
+    STATE_TOL,
     TRUNCATION_POPULATION_TOL,
     FockDensityMatrix,
     GaussianState,
@@ -29,9 +33,6 @@ from .states import (
 
 # |r| at or beyond this is treated as a degenerate correlation.
 DEGENERATE_R_TOL = 1e-12
-# Eigenvalues of a density matrix in (-EIG_CLIP, 0) are clipped to zero when
-# the purity is computed.
-EIG_CLIP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -58,14 +59,15 @@ class SecondMoments:
         mu: float,
     ) -> "SecondMoments":
         # Written so that NaN fails each guard.
-        if not (sigma_qq > 0 and sigma_pp > 0):
-            raise InvalidStateError("variances must be positive")
+        if not (sigma_qq > 0 and sigma_pp > 0 and sigma_qq * sigma_pp > 0):
+            raise InvalidStateError(f"variances {sigma_qq!r}, {sigma_pp!r} and their product "
+                                    "must be positive")
         r = sigma_qp / math.sqrt(sigma_qq * sigma_pp)
         if not abs(r) < 1.0 - DEGENERATE_R_TOL:
             raise DegenerateCorrelationError(
                 f"|r| = {abs(r):.17g} is degenerate (>= 1 - {DEGENERATE_R_TOL})"
             )
-        if not 0.0 < mu <= 1.0 + EIG_CLIP:
+        if not 0.0 < mu <= 1.0 + STATE_TOL:
             raise InvalidStateError(f"purity {mu!r} outside (0, 1]")
         return cls(
             mean_q=float(mean_q),
@@ -86,20 +88,11 @@ def _require_valid(state: QuantumState) -> None:
         raise InvalidStateError(f"state fails validation: {names}")
 
 
-def _clipped_eigenvalues(rho: np.ndarray) -> np.ndarray:
-    # Callers validate first: validate_state has rejected an eigenvalue of
-    # this same symmetrised matrix below -PSD_TOL (== EIG_CLIP), so only
-    # rounding is left to clip.
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    return np.clip(eigs, 0.0, None)
-
-
 def _warn_if_truncated(state: FockDensityMatrix) -> None:
-    pops = state.populations()
-    top = pops[-2:]
-    if np.any(top >= TRUNCATION_POPULATION_TOL):
+    top = state.populations()[-2:].max()
+    if top >= TRUNCATION_POPULATION_TOL:
         warnings.warn(
-            f"top two basis levels carry population {top.max():.3e}; "
+            f"top two basis levels carry population {top:.3e}; "
             "moments describe the truncated matrix as stored, which may "
             "misrepresent the intended state",
             TruncationWarning,
@@ -107,17 +100,16 @@ def _warn_if_truncated(state: FockDensityMatrix) -> None:
         )
 
 
-def _fock_moments(state: FockDensityMatrix) -> SecondMoments:
+def _fock_moments(state: FockDensityMatrix, mu: float) -> SecondMoments:
     _warn_if_truncated(state)
     q, p, q2, p2, qp_sym = fock_moment_operators(state.dim, state.hbar, state.mass, state.omega)
     rho = state.entries
-    expect = lambda op: float(np.real(np.trace(rho @ op)))
+    expect = lambda op: float((rho @ op).trace().real)
     mean_q = expect(q)
     mean_p = expect(p)
     sigma_qq = expect(q2) - mean_q**2
     sigma_pp = expect(p2) - mean_p**2
     sigma_qp = expect(qp_sym) - mean_q * mean_p
-    mu = float(np.sum(_clipped_eigenvalues(rho) ** 2))
     return SecondMoments.from_covariance(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp, mu)
 
 
@@ -131,26 +123,29 @@ def _gaussian_purity(state: GaussianState) -> float:
 def compute_moments(state: QuantumState) -> SecondMoments:
     """Extract ``SecondMoments`` from either state representation.
 
-    Gaussian states have their moments copied and the purity evaluated as
-    hbar / (2 sqrt(det sigma)); Fock states get exact operator traces (see
-    module docstring) and the purity as the sum of squared eigenvalues.
+    Gaussian states have their moments copied; Fock states get exact
+    operator traces (see module docstring).  The purity is ``purity``'s.
     """
-    _require_valid(state)
+    mu = purity(state)
     if isinstance(state, GaussianState):
         return SecondMoments.from_covariance(
-            state.mean_q,
-            state.mean_p,
-            state.sigma_qq,
-            state.sigma_pp,
-            state.sigma_qp,
-            _gaussian_purity(state),
+            state.mean_q, state.mean_p, state.sigma_qq, state.sigma_pp, state.sigma_qp, mu
         )
-    return _fock_moments(state)
+    return _fock_moments(state, mu)
 
 
 def purity(state: QuantumState) -> float:
-    """Purity of the state: sum of squared eigenvalues, in (0, 1]."""
+    """Purity of a valid state, in (0, 1].
+
+    hbar / (2 sqrt(det sigma)) for a Gaussian state, the sum of squared
+    eigenvalues for a density matrix; a value above 1 reads as 1 (see
+    module docstring).
+    """
     _require_valid(state)
     if isinstance(state, GaussianState):
-        return _gaussian_purity(state)
-    return float(np.sum(_clipped_eigenvalues(state.entries) ** 2))
+        return min(_gaussian_purity(state), 1.0)
+    import numpy as np
+
+    # validate_state rejects an eigenvalue below -STATE_TOL: only rounding is clipped.
+    eigs = np.linalg.eigvalsh(0.5 * (state.entries + state.entries.conj().T))
+    return min(float(np.sum(np.clip(eigs, 0.0, None) ** 2)), 1.0)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import METHODS, _rank, phi, phi_eval
+from .bounds import _MU_DOMAIN_TOL, METHODS, _rank, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 from .states import fock_moment_operators
 
@@ -76,7 +76,7 @@ def _objective_coeffs(levels: int) -> np.ndarray:
 def _check_reachable(mu: float, levels: int) -> float:
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if not 0.0 < mu <= 1.0 + 1e-12:
+    if not 0.0 < mu <= 1.0 + _MU_DOMAIN_TOL:
         raise ValueError(f"purity {mu!r} outside (0, 1]")
     mu = min(float(mu), 1.0)
     if mu <= 1.0 / levels:

@@ -4,20 +4,24 @@ Two interchangeable descriptions of a single mode are supported: a Gaussian
 state summarized by its first and second quadrature moments, and a density
 matrix on a truncated number basis.  Every other module consumes one of
 these two types (or their union, ``QuantumState``).
+
+One tolerance, ``STATE_TOL``, judges every invariant: the hermiticity,
+trace and eigenvalues of a density matrix absolutely, the Gaussian
+determinant relative to hbar^2/4.  Only density-matrix code loads numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidStateError
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-PHYSICALITY_TOL = 1e-10
+if TYPE_CHECKING:
+    import numpy as np
+
+STATE_TOL = 1e-10
 # Populations of the top two basis levels above this emit a TruncationWarning
 # when moments are computed (the state then likely misrepresents the intended
 # physical state, whose support would extend past the truncation).
@@ -51,6 +55,8 @@ class FockDensityMatrix:
     omega: float = 1.0
 
     def __post_init__(self):
+        import numpy as np
+
         entries = np.array(self.entries, dtype=complex)
         if entries.ndim != 2 or entries.shape != (self.dim, self.dim):
             raise InvalidStateError(
@@ -60,7 +66,7 @@ class FockDensityMatrix:
         object.__setattr__(self, "entries", entries)
 
     def populations(self) -> np.ndarray:
-        return np.real(np.diagonal(self.entries)).copy()
+        return self.entries.diagonal().real.copy()
 
 
 QuantumState = GaussianState | FockDensityMatrix
@@ -80,7 +86,7 @@ def _finite_violations(pairs) -> list[InvariantViolation]:
         InvariantViolation(name="finite", magnitude=None,
                            detail=f"{name} = {value!r} is not finite")
         for name, value in pairs
-        if not np.isfinite(value)
+        if not math.isfinite(value)
     ]
 
 
@@ -121,7 +127,7 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     if violations:
         return violations
     floor = state.hbar**2 / 4.0
-    if det < floor - PHYSICALITY_TOL:
+    if det < floor * (1.0 - STATE_TOL):
         violations.append(
             InvariantViolation(
                 name="physicality",
@@ -136,6 +142,8 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
 
 
 def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
+    import numpy as np
+
     params = [("hbar", state.hbar), ("mass", state.mass), ("omega", state.omega)]
     violations = _finite_violations(params) or _positivity_violations(params)
     if state.dim < 2:
@@ -159,7 +167,7 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
         )
         return violations
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > HERMITICITY_TOL:
+    if herm > STATE_TOL:
         violations.append(
             InvariantViolation(
                 name="hermiticity",
@@ -168,7 +176,7 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
             )
         )
     trace_err = float(abs(np.trace(rho) - 1.0))
-    if trace_err > TRACE_TOL:
+    if trace_err > STATE_TOL:
         violations.append(
             InvariantViolation(
                 name="trace",
@@ -176,9 +184,9 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
                 detail=f"|Tr rho - 1| = {trace_err:.3e}",
             )
         )
-    if herm <= HERMITICITY_TOL:
+    if herm <= STATE_TOL:
         eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-        if eigmin < -PSD_TOL:
+        if eigmin < -STATE_TOL:
             violations.append(
                 InvariantViolation(
                     name="positive-semidefinite",
@@ -199,6 +207,8 @@ def fock_quadrature_operators(
     truncation, the commutator [q, p] equals i hbar only on the leading
     (dim-1) x (dim-1) block.
     """
+    import numpy as np
+
     if dim < 2:
         raise ValueError(f"operator dimension must be >= 2, got {dim}")
     if not (hbar > 0 and mass > 0 and omega > 0):
@@ -231,15 +241,15 @@ def fock_projector(
     """Projector |n><n| as a density matrix on ``dim`` levels."""
     if not 0 <= n < dim:
         raise ValueError(f"level {n} outside basis of dimension {dim}")
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[n, n] = 1.0
-    return FockDensityMatrix(dim=dim, entries=rho, hbar=hbar, mass=mass, omega=omega)
+    return diagonal_mixture([0.0] * n + [1.0], dim, hbar, mass, omega)
 
 
 def diagonal_mixture(
     weights, dim: int | None = None, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
 ) -> FockDensityMatrix:
     """Mixture of number states with the given probability weights."""
+    import numpy as np
+
     w = np.asarray(weights, dtype=float)
     if dim is None:
         dim = max(len(w), 2)
@@ -256,6 +266,8 @@ def pure_state_density(
     amplitudes, dim: int | None = None, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
 ) -> FockDensityMatrix:
     """Density matrix of the normalized pure state with the given amplitudes."""
+    import numpy as np
+
     psi = np.asarray(amplitudes, dtype=complex)
     norm = np.linalg.norm(psi)
     if norm == 0:

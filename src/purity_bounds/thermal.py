@@ -44,8 +44,8 @@ def _check_temperature(T: float) -> float:
 
 def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
     """``steps`` logarithmically spaced temperatures from t_min to t_max."""
-    if not 0 < t_min < t_max:
-        raise ValueError("need 0 < t_min < t_max")
+    if not 0 < t_min < t_max < math.inf:
+        raise ValueError(f"need 0 < t_min < t_max < inf, got {t_min!r}, {t_max!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
     return list(map(float, np.geomspace(t_min, t_max, steps)))

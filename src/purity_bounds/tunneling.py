@@ -215,10 +215,10 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
     Energy at or above the barrier top gives D = 1 with an empty forbidden
     region (no turning points).
     """
-    if not energy > 0:
-        raise ValueError(f"energy {energy!r} must be positive")
-    if not hbar_eff > 0:
-        raise ValueError(f"hbar_eff {hbar_eff!r} must be positive")
+    if not 0 < energy < math.inf:
+        raise ValueError(f"energy {energy!r} must be positive and finite")
+    if not 0 < hbar_eff < math.inf:
+        raise ValueError(f"hbar_eff {hbar_eff!r} must be positive and finite")
 
     top = float(barrier.v.max()) if isinstance(barrier, SampledBarrier) else barrier.v0
     if energy >= top:

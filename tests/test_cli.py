@@ -122,6 +122,10 @@ class TestCheck:
         assert main(["check", files["vacuum"], "--hbar", "nan"]) == 1
         assert "--hbar" in capsys.readouterr().err
 
+    def test_infinite_hbar_override_is_input_error(self, files, capsys):
+        assert main(["check", files["vacuum"], "--hbar", "inf"]) == 1
+        assert "--hbar inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc, field", [
         ({**VACUUM, "cov": {**VACUUM["cov"], "qp": math.nan}}, "sigma_qp"),
         ({**VACUUM, "mean": [0.0, math.nan]}, "mean_p"),
@@ -287,7 +291,8 @@ class TestThermalCommand:
         assert (code, captured.out) == (1, "")
         assert "--mass" in captured.err
 
-    @pytest.mark.parametrize("grid", [("2", "1", "3"), ("0", "1", "3"), ("1", "2", "1")])
+    @pytest.mark.parametrize("grid", [("2", "1", "3"), ("0", "1", "3"), ("1", "2", "1"),
+                                      ("1", "inf", "3")])
     def test_bad_grid_gives_one_error_with_or_without_barrier(self, files, capsys, grid):
         sweep = ["thermal", "--t-min", grid[0], "--t-max", grid[1], "--steps", grid[2]]
         assert main(sweep) == 1
@@ -345,6 +350,15 @@ class TestTunnelCommand:
         assert (code, out) == (1, "")
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "nan"])
         assert (code, out) == (1, "")
+        for flag, name in (("--energy", "energy"), ("--hbar", "hbar_eff")):
+            argv = {"--energy": "0.5", flag: "inf"}
+            assert main(["tunnel", "--barrier", files["rect"], *itertools.chain(*argv.items())]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"{name} inf must be" in captured.err
+        assert main(["tunnel", "--barrier", files["rect"], "--energy", "0.5",
+                     "--mu-from", "0.1", "--mu-to", "inf", "--steps", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "got 0.1, inf" in captured.err
 
     def test_nan_correlation_exits_1(self, files, capsys):
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
@@ -388,6 +402,15 @@ class TestDecohereCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert name in err and "nan" in err
+
+    @pytest.mark.parametrize("flag, name", [("--gamma", "gamma"), ("--t-max", "t_max")])
+    def test_infinite_rate_or_duration_exits_1(self, files, capsys, flag, name):
+        argv = {"--gamma": "1.0", "--t-max": "2", flag: "inf"}
+        code = main(["decohere", "--state", files["plus"], *itertools.chain(*argv.items()),
+                     "--steps", "3", "--barrier", files["rect"], "--energy", "0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: {name} inf must be")
 
     def test_gaussian_state_rejected(self, files, capsys):
         code, _ = run(capsys, ["decohere", "--state", files["vacuum"], "--gamma", "1.0",

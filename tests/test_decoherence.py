@@ -73,6 +73,12 @@ class TestDephaseStep:
         with pytest.raises(ValueError):
             dephase_step(plus_state, gamma=1.0, dt=0.0)
 
+    def test_infinite_rate_and_step_rejected(self, plus_state):
+        with pytest.raises(ValueError, match="gamma inf"):
+            dephase_step(plus_state, gamma=math.inf, dt=1.0)
+        with pytest.raises(ValueError, match="dt inf"):
+            dephase_step(plus_state, gamma=1.0, dt=math.inf)
+
     def test_nan_rate_and_step_rejected(self, plus_state):
         with pytest.raises(ValueError, match="gamma"):
             dephase_step(plus_state, gamma=math.nan, dt=1.0)

@@ -72,6 +72,14 @@ def _cases() -> dict[str, list[str]]:
     cases["check-rank5-minimizer"] = ["check", f("fock_rank5_minimizer")]
     cases["check-overflow"] = ["check", f("gaussian_overflow")]
     cases["check-overflow-correlated"] = ["check", f("gaussian_overflow_correlated")]
+    # Near purity 1 and far from hbar = 1, validation alone decides the outcome.
+    cases["check-purity-band"] = ["check", f("gaussian_purity_band")]
+    cases["check-fock-purity-band"] = ["check", f("fock_purity_band")]
+    cases["check-small-hbar"] = ["check", f("gaussian_small_hbar")]
+    cases["check-large-hbar"] = ["check", f("gaussian_large_hbar")]
+    # Phi^2 and sigma_qq sigma_pp leave the float range: input errors.
+    cases["check-phi-overflow"] = ["check", f("gaussian_phi_overflow")]
+    cases["check-tiny-hbar"] = ["check", f("fock_mixed"), "--hbar", "1e-300"]
     cases["thermal-hot"] = ["thermal", "--t-min", "1e8", "--t-max", "1e14", "--steps", "7"]
     cases["phi-curve"] = ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"]
     cases["oracle-rank2"] = ["oracle", "--mu", "0.7", "--levels", "2"]
@@ -135,9 +143,13 @@ def test_sweep_values_match_recorded_full_precision(name):
     assert out.decode("utf-8") == _full_precision()[name]
 
 
+def _is_gaussian_check(argv: list[str]) -> bool:
+    return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == "gaussian"
+
+
 # Cases whose commands run on the closed forms alone.
 NUMPY_FREE = sorted(name for name in CASES if name.startswith(
-    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-")))
+    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-")) or _is_gaussian_check(CASES[name]))
 
 _WITHOUT_NUMPY = """
 import contextlib, io, json, sys
@@ -162,7 +174,7 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
     proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases)],
                           capture_output=True, text=True, env=env, check=True)
     results = json.loads(proc.stdout)
-    assert "phi-curve" in results and len(results) == 13
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 26
     for name, (code, out) in results.items():
         assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
         assert code == _exit_codes()[name], name

@@ -1,9 +1,9 @@
 """Import cost of the package and of each command.
 
 ``import purity_bounds`` loads no submodule and no numpy: the public names
-resolve on first access.  The closed-form commands (``phi``, ``phi-curve``
-and ``tunnel`` through a rectangular or parabolic barrier) run without
-numpy.  The other commands load numpy alone: no scipy module and no
+resolve on first access.  The closed-form commands (``phi``, ``phi-curve``,
+``tunnel`` through a rectangular or parabolic barrier and ``check`` on a
+Gaussian state) run without numpy.  The other commands load numpy alone: no scipy module and no
 ``numpy.polynomial`` (which costs milliseconds on every cold call).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
@@ -86,6 +86,12 @@ def test_closed_form_commands_load_no_numpy():
          "--mu-from", "0.1", "--mu-to", "1.0", "--steps", "10"],
     )
     assert result["codes"] == [0, 0, 0, 0] and result["numpy"] == []
+
+
+def test_gaussian_check_loads_no_numpy():
+    result = _run(["check", str(INPUTS / "gaussian.json")],
+                  ["check", str(INPUTS / "sub_heisenberg.json")])
+    assert result["codes"] == [0, 2] and result["numpy"] == []
 
 
 def test_every_public_name_is_its_home_module_attribute():

@@ -13,10 +13,12 @@ from purity_bounds import (
     TruncationWarning,
     compute_moments,
     diagonal_mixture,
+    evaluate_bounds,
     fock_projector,
     pure_state_density,
     purity,
     thermal_state_fock,
+    validate_state,
 )
 from purity_bounds.moments import _gaussian_purity
 
@@ -190,3 +192,49 @@ def test_sr_restatement_for_random_fock_states():
         lhs = m.sigma_qq * m.sigma_pp * (1.0 - m.r**2)
         assert lhs >= 0.25 - 1e-10
         assert abs(lhs - (m.sigma_qq * m.sigma_pp - m.sigma_qp**2)) < 1e-9 * max(1.0, lhs)
+
+
+def rotated_gaussian(hbar, det_scale, s, theta):
+    """Gaussian state whose covariance is diag(s, det_scale / s) hbar/2 rotated by theta:
+    det = det_scale hbar^2 / 4 up to rounding."""
+    a, b = 0.5 * hbar * s, 0.5 * hbar * det_scale / s
+    c, d = math.cos(theta), math.sin(theta)
+    return GaussianState(0.0, 0.0, a * c * c + b * d * d, a * d * d + b * c * c, (a - b) * c * d,
+                         hbar=hbar)
+
+
+class TestAnyHbar:
+    """Validation is relative to hbar^2/4 and the purity of a valid state is at most 1,
+    so hbar far from 1 neither rejects a valid state nor admits an invalid one."""
+
+    @staticmethod
+    def draws(seed, n):
+        rng = np.random.default_rng(seed)
+        for _ in range(n):
+            yield rng, 10.0 ** rng.uniform(-6.0, 6.0), math.exp(rng.uniform(-3.0, 3.0))
+
+    def test_valid_states_pass_moments_and_bounds(self):
+        for rng, hbar, s in self.draws(5, 1000):
+            mu = 1.0 if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+            state = rotated_gaussian(hbar, 1.0 / mu**2, s, rng.uniform(0.0, math.pi))
+            m = compute_moments(state)
+            assert 0.0 < m.mu <= 1.0
+            evaluate_bounds(m, hbar)
+        for rng, hbar, _ in self.draws(6, 200):
+            rank = int(rng.integers(1, 5))
+            state = pure_state_density(rng.standard_normal(4) + 1j * rng.standard_normal(4),
+                                       dim=6, hbar=hbar)
+            if rank > 1:
+                weights = rng.dirichlet(np.ones(rank))
+                z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                u, _ = np.linalg.qr(z)
+                rho = u[:, :rank] @ np.diag(weights) @ u[:, :rank].conj().T
+                state = FockDensityMatrix(dim=6, entries=np.pad(rho, ((0, 2), (0, 2))), hbar=hbar)
+            m = compute_moments(state)
+            assert 0.0 < m.mu <= 1.0
+            evaluate_bounds(m, hbar)
+
+    def test_determinant_deficit_fails_physicality(self):
+        for rng, hbar, s in self.draws(7, 1000):
+            state = rotated_gaussian(hbar, 1.0 - 1e-8, s, rng.uniform(0.0, math.pi))
+            assert [v.name for v in validate_state(state)] == ["physicality"], hbar

@@ -63,12 +63,16 @@ class TestClosedForms:
             transparency(rect, energy=0.0, hbar_eff=1.0)
         with pytest.raises(ValueError):
             transparency(rect, energy=math.nan, hbar_eff=1.0)
+        with pytest.raises(ValueError, match="energy inf"):
+            transparency(rect, energy=math.inf, hbar_eff=1.0)
 
     def test_hbar_eff_must_be_positive(self, rect):
         with pytest.raises(ValueError):
             transparency(rect, energy=0.5, hbar_eff=0.0)
         with pytest.raises(ValueError):
             transparency(rect, energy=0.5, hbar_eff=math.nan)
+        with pytest.raises(ValueError, match="hbar_eff inf"):
+            transparency(rect, energy=0.5, hbar_eff=math.inf)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_fields_rejected(self, bad):

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DegenerateCorrelationError
+from .errors import DegenerateCorrelationError, check_positive
 
 if TYPE_CHECKING:
     from .moments import SecondMoments
@@ -127,8 +127,7 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
     Reduces to hbar / sqrt(1 - r^2) for pure states and to plain hbar for
     uncorrelated pure states.
     """
-    if not hbar > 0:
-        raise ValueError(f"hbar {hbar!r} must be positive")
+    check_positive("hbar", hbar)
     check_correlation(r)
     return scale_hbar(hbar, phi(mu, phi_mode), r)
 
@@ -169,8 +168,7 @@ def bound_report(
     ``PASS_ROUNDING_TOL`` of the bound, so a state that saturates a bound
     (the vacuum) is not failed by rounding.
     """
-    if not hbar > 0:
-        raise ValueError(f"hbar {hbar!r} must be positive")
+    check_positive("hbar", hbar)
     check_correlation(r)
     pv = phi_eval(mu, phi_mode)
     quarter = hbar**2 / 4.0

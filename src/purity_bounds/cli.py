@@ -17,7 +17,7 @@ from dataclasses import asdict, astuple, replace
 
 from . import io as _io
 from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
-from .errors import ResolutionError
+from .errors import ResolutionError, check_positive
 from .tunneling import transparency_vs_purity, transparency_vs_temperature
 
 
@@ -58,9 +58,7 @@ def _cmd_check(args) -> int:
 
     state = _io.load_state(args.state)
     if args.hbar is not None:
-        if not 0 < args.hbar < float("inf"):
-            raise ValueError(f"--hbar {args.hbar!r} must be positive and finite")
-        state = replace(state, hbar=args.hbar)
+        state = replace(state, hbar=check_positive("--hbar", args.hbar))
     violations = validate_state(state)
     if violations:
         payload = {"valid": False, "violations": [asdict(v) for v in violations]}
@@ -124,7 +122,7 @@ def _cmd_thermal(args) -> int:
         barrier = _io.load_barrier(args.barrier)
         t_grid = temperature_grid(args.t_min, args.t_max, args.steps)
         table = transparency_vs_temperature(
-            barrier, args.energy, args.hbar, model, t_grid, r=args.r, phi_mode=args.phi_mode
+            barrier, args.energy, model, t_grid, r=args.r, phi_mode=args.phi_mode
         )
     else:
         table = thermal_sweep(model, args.t_min, args.t_max, args.steps,

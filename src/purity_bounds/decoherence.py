@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, check_positive
 from .moments import compute_moments
 from .states import STATE_TOL, FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
@@ -41,8 +41,7 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
     """
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma {gamma!r} must be nonnegative and finite")
-    if not 0 < dt < math.inf:
-        raise ValueError(f"dt {dt!r} must be positive and finite")
+    check_positive("dt", dt)
     n = np.arange(rho.dim)
     kernel = np.exp(-gamma * dt * (n[:, None] - n[None, :]) ** 2)
     return replace(rho, entries=rho.entries * kernel)
@@ -66,8 +65,7 @@ def run_trajectory(
     """
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma {gamma!r} must be nonnegative and finite")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max {t_max!r} must be positive and finite")
+    check_positive("t_max", t_max)
     if steps < 2:
         raise ValueError("steps must be >= 2")
 

@@ -1,4 +1,18 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one rule
+for a physical parameter (``check_positive``)."""
+
+import math
+
+
+def check_positive(name: str, value: float) -> float:
+    """Return ``value`` if it is positive and finite; raise ValueError otherwise.
+
+    Every physical scale (hbar, a mass, a frequency, an energy, a
+    temperature, a time) is checked by this rule; NaN fails it.
+    """
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} {value!r} must be positive and finite")
+    return value
 
 
 class InvalidStateError(ValueError):

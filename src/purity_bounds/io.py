@@ -121,16 +121,21 @@ def state_from_dict(data: dict) -> QuantumState:
     raise ValueError(f"unknown state type {kind!r}; expected 'gaussian' or 'fock'")
 
 
-def load_state(path: str) -> QuantumState:
+def _load(path: str, parse):
+    """``parse`` of the JSON in ``path``; every failure is a ValueError naming the path."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     try:
-        return state_from_dict(data)
+        return parse(data)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_state(path: str) -> QuantumState:
+    return _load(path, state_from_dict)
 
 
 def barrier_from_dict(data: dict) -> BarrierSpec:
@@ -158,15 +163,7 @@ def barrier_from_dict(data: dict) -> BarrierSpec:
 
 
 def load_barrier(path: str) -> BarrierSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        return barrier_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return _load(path, barrier_from_dict)
 
 
 def bound_report_dict(report: BoundReport) -> dict:

@@ -11,8 +11,10 @@ diagonal weights, which a dense state could in principle beat): it steps
 random pure states onto the bound, one eigen-step on det Sigma each, so a
 Phi that is too large fails it, and it must find no state below the bound.
 
-All stochastic paths take an explicit seed and are reproducible bit for
-bit for a fixed seed.
+The oracle works in units of hbar (hbar = mass = omega = 1): a variance
+product such as ``min_product`` is in units of hbar^2, and Phi is
+2 sqrt(min_product).  All stochastic paths take an explicit seed and are
+reproducible bit for bit for a fixed seed.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
     """
     if k < 2:
         raise ValueError("rank must be >= 2")
-    if mu < 1.0 / k:
+    if not mu >= 1.0 / k:  # NaN fails too
         raise PieceDomainError(f"purity {mu} below the rank-{k} floor 1/{k}")
     b = math.sqrt((mu - 1.0 / k) * 12.0 / (k * (k * k - 1.0)))
     a = 1.0 / k + b * (k - 1.0) / 2.0
@@ -109,15 +111,13 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _result(
-    mu: float, weights: np.ndarray, hbar: float, method: str, iterations: int
-) -> MinimizationResult:
+def _result(mu: float, weights: np.ndarray, method: str, iterations: int) -> MinimizationResult:
     """Package minimizer weights with their purity and variance product."""
     value = float(np.dot(_objective_coeffs(len(weights)), weights))
     return MinimizationResult(
         mu_target=mu,
         achieved_mu=float(np.sum(weights**2)),
-        min_product=value * value * hbar * hbar,
+        min_product=value * value,
         optimal_weights=weights,
         method=method,
         iterations=iterations,
@@ -200,7 +200,7 @@ def _face_minimizer(c: np.ndarray, mu: float, masks: np.ndarray) -> np.ndarray:
     return np.clip(np.take_along_axis(p, best, axis=-2)[..., 0, :], 0.0, None)
 
 
-def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResult:
+def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
     """Gradient steps on the mean level number, projected back to the feasible set.
 
     The feasible set (purity sphere cut by the simplex) is nonconvex and can
@@ -233,12 +233,10 @@ def _projected_gradient(mu: float, levels: int, hbar: float) -> MinimizationResu
                 step *= 0.5
         if f < best_f:
             best_p, best_f = p, f
-    return _result(mu, best_p, hbar, "projected-gradient", iterations)
+    return _result(mu, best_p, "projected-gradient", iterations)
 
 
-def min_product_fock_mixture(
-    mu: float, levels: int, method: str = "auto", hbar: float = 1.0
-) -> MinimizationResult:
+def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> MinimizationResult:
     """Minimize the variance product over number-state mixtures of fixed purity.
 
     ``method`` is one of "auto", "grid-refine", "projected-gradient".
@@ -253,16 +251,16 @@ def min_product_fock_mixture(
             raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
         masks = _all_supports(levels)
         p = _face_minimizer(_objective_coeffs(levels), mu, masks)
-        return _result(mu, p, hbar, "grid-refine", len(masks))
+        return _result(mu, p, "grid-refine", len(masks))
     if method == "projected-gradient":
-        return _projected_gradient(mu, levels, hbar)
+        return _projected_gradient(mu, levels)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
     k = min(_rank(mu), levels)
     full = np.zeros(levels)
     full[:k] = linear_ansatz_weights(mu, k)
-    return _result(mu, full, hbar, f"rank{k}-analytic", 0)
+    return _result(mu, full, f"rank{k}-analytic", 0)
 
 
 def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -271,9 +269,7 @@ def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:
     return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
 
 
-def falsification_sweep(
-    mu: float, dim: int, samples: int, seed: int, hbar: float = 1.0
-) -> FalsificationReport:
+def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> FalsificationReport:
     """Probe the purity bound from ``samples`` random starts, each stepped onto it.
 
     Each start is a random pure state (a normalised complex Gaussian
@@ -288,8 +284,8 @@ def falsification_sweep(
     sphere (``_face_minimizer`` over the prefix supports) is therefore the
     image of a rank-k minimizer of Phi, and its slack lies at the bound.
     The moments are exact: they use the shared operators of
-    ``states.fock_moment_operators`` (unit mass and frequency).  Returns the
-    minimum of  sigma_qq sigma_pp (1 - r^2) - hbar^2 Phi^2(mu) / 4  found.
+    ``states.fock_moment_operators``.  Returns the minimum of
+    sigma_qq sigma_pp (1 - r^2) - Phi^2(mu) / 4  found, in units of hbar^2.
     """
     if dim > 8:
         raise ValueError("falsification sweep supports dim <= 8")
@@ -300,7 +296,7 @@ def falsification_sweep(
     psi = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
 
-    ops = np.array(fock_moment_operators(dim, hbar, 1.0, 1.0))
+    ops = np.array(fock_moment_operators(dim))
     mq, mp, sqq, spp, sqp = _moments(np.einsum("bi,bj->bij", psi, psi.conj()), ops)
     # G as coefficients of the five operators (q, p, q^2, p^2, (qp+pq)/2).
     coeffs = np.stack(
@@ -311,7 +307,7 @@ def falsification_sweep(
     rho = (vectors * weights[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
     _, _, sqq, spp, sqp = _moments(rho, ops)
 
-    bound = (hbar * phi(mu, "exact") / 2.0) ** 2
+    bound = (phi(mu, "exact") / 2.0) ** 2
     return FalsificationReport(
         mu=mu,
         dim=dim,
@@ -323,14 +319,12 @@ def falsification_sweep(
     )
 
 
-def phi_curve_certified(
-    mu_grid, levels: int, hbar: float = 1.0, method: str = "auto"
-) -> list[PhiCurveRow]:
+def phi_curve_certified(mu_grid, levels: int, method: str = "auto") -> list[PhiCurveRow]:
     """Tabulate the minimizer-certified Phi against the formulas on a grid."""
     rows = []
     for mu in np.asarray(mu_grid, dtype=float):
-        res = min_product_fock_mixture(float(mu), levels, method=method, hbar=hbar)
-        phi_oracle = 2.0 * math.sqrt(res.min_product) / hbar
+        res = min_product_fock_mixture(float(mu), levels, method=method)
+        phi_oracle = 2.0 * math.sqrt(res.min_product)
         exact = phi_eval(float(min(mu, 1.0)), "exact").value
         app = phi_eval(float(min(mu, 1.0)), "interpolation").value
         rows.append(

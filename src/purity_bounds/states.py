@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import InvalidStateError
+from .errors import InvalidStateError, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -45,7 +45,9 @@ class FockDensityMatrix:
     """Density matrix on the number basis truncated to ``dim`` levels.
 
     The oscillator units (``hbar``, ``mass``, ``omega``) fix the quadrature
-    operators used when moments are extracted from the matrix.
+    operators used when moments are extracted from the matrix.  The
+    constructors below use hbar = mass = omega = 1; ``dataclasses.replace``
+    sets other units.
     """
 
     dim: int
@@ -211,10 +213,8 @@ def fock_quadrature_operators(
 
     if dim < 2:
         raise ValueError(f"operator dimension must be >= 2, got {dim}")
-    if not (hbar > 0 and mass > 0 and omega > 0):
-        raise ValueError(
-            f"hbar, mass and omega must be positive, got {hbar!r}, {mass!r}, {omega!r}"
-        )
+    for name, value in (("hbar", hbar), ("mass", mass), ("omega", omega)):
+        check_positive(name, value)
     ladder = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
     q = np.sqrt(hbar / (2.0 * mass * omega)) * (ladder + ladder.T)
     p = 1j * np.sqrt(hbar * mass * omega / 2.0) * (ladder.T - ladder)
@@ -235,18 +235,14 @@ def fock_moment_operators(
     return tuple(op[:dim, :dim] for op in ops)
 
 
-def fock_projector(
-    n: int, dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
-) -> FockDensityMatrix:
+def fock_projector(n: int, dim: int) -> FockDensityMatrix:
     """Projector |n><n| as a density matrix on ``dim`` levels."""
     if not 0 <= n < dim:
         raise ValueError(f"level {n} outside basis of dimension {dim}")
-    return diagonal_mixture([0.0] * n + [1.0], dim, hbar, mass, omega)
+    return diagonal_mixture([0.0] * n + [1.0], dim)
 
 
-def diagonal_mixture(
-    weights, dim: int | None = None, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
-) -> FockDensityMatrix:
+def diagonal_mixture(weights, dim: int | None = None) -> FockDensityMatrix:
     """Mixture of number states with the given probability weights."""
     import numpy as np
 
@@ -257,14 +253,10 @@ def diagonal_mixture(
         raise ValueError("more weights than basis levels")
     diag = np.zeros(dim)
     diag[: len(w)] = w
-    return FockDensityMatrix(
-        dim=dim, entries=np.diag(diag).astype(complex), hbar=hbar, mass=mass, omega=omega
-    )
+    return FockDensityMatrix(dim=dim, entries=np.diag(diag).astype(complex))
 
 
-def pure_state_density(
-    amplitudes, dim: int | None = None, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
-) -> FockDensityMatrix:
+def pure_state_density(amplitudes, dim: int | None = None) -> FockDensityMatrix:
     """Density matrix of the normalized pure state with the given amplitudes."""
     import numpy as np
 
@@ -279,6 +271,4 @@ def pure_state_density(
         raise ValueError("more amplitudes than basis levels")
     full = np.zeros(dim, dtype=complex)
     full[: len(psi)] = psi
-    return FockDensityMatrix(
-        dim=dim, entries=np.outer(full, full.conj()), hbar=hbar, mass=mass, omega=omega
-    )
+    return FockDensityMatrix(dim=dim, entries=np.outer(full, full.conj()))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
+from .errors import check_positive
 from .states import FockDensityMatrix
 
 
@@ -32,14 +33,8 @@ class ThermalModel:
     omega: float = 1.0
 
     def __post_init__(self):
-        if not all(0 < f < math.inf for f in (self.hbar, self.mass, self.omega)):
-            raise ValueError("hbar, mass and omega must be positive and finite")
-
-
-def _check_temperature(T: float) -> float:
-    if not T > 0:
-        raise ValueError(f"temperature {T!r} must be positive")
-    return float(T)
+        for name in ("hbar", "mass", "omega"):
+            check_positive(name, getattr(self, name))
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
@@ -53,7 +48,7 @@ def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
 
 def log_partition_function(model: ThermalModel, T: float) -> float:
     """log Z(T); stable for arbitrarily small positive T."""
-    x = model.hbar * model.omega / (2.0 * _check_temperature(T))
+    x = model.hbar * model.omega / (2.0 * check_positive("temperature", T))
     # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x)); expm1 keeps 1 - e^(-2x)
     # accurate when x is tiny (high temperature).
     return -x - math.log(-math.expm1(-2.0 * x)) if x < 350 else -x
@@ -66,7 +61,7 @@ def partition_function(model: ThermalModel, T: float) -> float:
 
 def thermal_purity(model: ThermalModel, T: float) -> float:
     """Purity mu(T) = Z(T/2) / Z(T)^2, evaluated in the log domain."""
-    T = _check_temperature(T)
+    check_positive("temperature", T)
     return math.exp(
         log_partition_function(model, T / 2.0) - 2.0 * log_partition_function(model, T)
     )
@@ -78,7 +73,7 @@ def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
     Past the overflow of expm1 (hbar omega / T > ~709.78) the occupation is
     exp(-hbar omega / T) to working precision, which underflows to 0.
     """
-    x = model.hbar * model.omega / _check_temperature(T)
+    x = model.hbar * model.omega / check_positive("temperature", T)
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:
@@ -87,7 +82,7 @@ def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
 
 def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMatrix:
     """Thermal state truncated (and renormalized) to ``dim`` levels."""
-    T = _check_temperature(T)
+    check_positive("temperature", T)
     if dim < 2:
         raise ValueError(f"Fock dimension must be >= 2, got {dim}")
     # The ground-state weight is 1 before normalisation, so nothing overflows.

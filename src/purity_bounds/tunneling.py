@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import check_correlation, phi_eval, scale_hbar
-from .errors import ResolutionError
+from .errors import ResolutionError, check_positive
 
 if TYPE_CHECKING:
     import numpy as np
@@ -48,8 +48,8 @@ class RectangularBarrier:
     shape = "rectangular"
 
     def __post_init__(self):
-        if not all(0 < f < math.inf for f in (self.v0, self.width, self.mass)):
-            raise ValueError("v0, width and mass must be positive and finite")
+        for name in ("v0", "width", "mass"):
+            check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class ParabolicBarrier:
     shape = "parabolic"
 
     def __post_init__(self):
-        if not all(0 < f < math.inf for f in (self.v0, self.curvature, self.mass)):
-            raise ValueError("v0, curvature and mass must be positive and finite")
+        for name in ("v0", "curvature", "mass"):
+            check_positive(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ class SampledBarrier:
             raise ValueError("x and v must be finite")
         if np.any(np.diff(x) <= 0):
             raise ValueError("x grid must be strictly increasing")
-        if not 0 < self.mass < math.inf:
-            raise ValueError("mass must be positive and finite")
+        check_positive("mass", self.mass)
         x.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -215,10 +214,8 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
     Energy at or above the barrier top gives D = 1 with an empty forbidden
     region (no turning points).
     """
-    if not 0 < energy < math.inf:
-        raise ValueError(f"energy {energy!r} must be positive and finite")
-    if not 0 < hbar_eff < math.inf:
-        raise ValueError(f"hbar_eff {hbar_eff!r} must be positive and finite")
+    check_positive("energy", energy)
+    check_positive("hbar_eff", hbar_eff)
 
     top = float(barrier.v.max()) if isinstance(barrier, SampledBarrier) else barrier.v0
     if energy >= top:
@@ -279,7 +276,7 @@ def transparency_vs_purity(
 ) -> dict[str, list]:
     """Transparency along a purity grid as a tunnel table; invariant_product is mu^-1 ln D."""
     check_correlation(r)
-    action = transparency(barrier, energy, hbar).action_integral
+    action = transparency(barrier, energy, check_positive("hbar", hbar)).action_integral
     mu = [float(m) for m in mu_grid]
     return _tunnel_table("mu", list(mu), mu, r, action, hbar, phi_mode,
                          lambda _, m, ln_d: ln_d / m)
@@ -288,7 +285,6 @@ def transparency_vs_purity(
 def transparency_vs_temperature(
     barrier: BarrierSpec,
     energy: float,
-    hbar: float,
     model: ThermalModel,
     t_grid,
     r: float = 0.0,
@@ -296,19 +292,19 @@ def transparency_vs_temperature(
 ) -> dict[str, list]:
     """Transparency along a temperature grid as a tunnel table; invariant_product is T ln D.
 
-    In "asymptote" mode the full high-temperature chain is used: the purity
-    itself is replaced by its asymptote hbar omega / (2T) before Phi is
-    evaluated, which makes T ln D exactly constant.  The other modes use the
-    exact thermal purity.
+    hbar is ``model.hbar``.  In "asymptote" mode the full high-temperature
+    chain is used: the purity itself is replaced by its asymptote
+    hbar omega / (2T) before Phi is evaluated, which makes T ln D exactly
+    constant.  The other modes use the exact thermal purity.
     """
     from .thermal import thermal_purity
 
     check_correlation(r)
-    action = transparency(barrier, energy, hbar).action_integral
+    action = transparency(barrier, energy, model.hbar).action_integral
     temperatures = [float(T) for T in t_grid]
     if phi_mode == "asymptote":
         mu = [model.hbar * model.omega / (2.0 * T) for T in temperatures]
     else:
         mu = [thermal_purity(model, T) for T in temperatures]
-    return _tunnel_table("T", temperatures, mu, r, action, hbar, phi_mode,
+    return _tunnel_table("T", temperatures, mu, r, action, model.hbar, phi_mode,
                          lambda T, _, ln_d: T * ln_d)

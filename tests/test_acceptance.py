@@ -129,7 +129,7 @@ def test_criterion_7_invariance_laws():
     rect = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
     oscillator = ThermalModel()
     products = transparency_vs_temperature(
-        rect, 0.5, 1.0, oscillator, [50.0, 100.0, 200.0, 500.0], phi_mode="interpolation"
+        rect, 0.5, oscillator, [50.0, 100.0, 200.0, 500.0], phi_mode="interpolation"
     )["invariant_product"]
     assert max(products) / min(products) == pytest.approx(1.0, abs=0.01)
     products = transparency_vs_purity(

@@ -350,7 +350,7 @@ class TestTunnelCommand:
         assert (code, out) == (1, "")
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "nan"])
         assert (code, out) == (1, "")
-        for flag, name in (("--energy", "energy"), ("--hbar", "hbar_eff")):
+        for flag, name in (("--energy", "energy"), ("--hbar", "hbar")):
             argv = {"--energy": "0.5", flag: "inf"}
             assert main(["tunnel", "--barrier", files["rect"], *itertools.chain(*argv.items())]) == 1
             captured = capsys.readouterr()

@@ -207,7 +207,7 @@ class TestTableContracts:
     def test_temperature_sweep(self):
         model = ThermalModel()
         for mode in ("exact", "asymptote"):
-            table = transparency_vs_temperature(RECT, 0.5, 1.0, model, [50.0, 500.0],
+            table = transparency_vs_temperature(RECT, 0.5, model, [50.0, 500.0],
                                                 phi_mode=mode)
             assert_table(table, TUNNEL)
 

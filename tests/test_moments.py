@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,8 +223,8 @@ class TestAnyHbar:
             evaluate_bounds(m, hbar)
         for rng, hbar, _ in self.draws(6, 200):
             rank = int(rng.integers(1, 5))
-            state = pure_state_density(rng.standard_normal(4) + 1j * rng.standard_normal(4),
-                                       dim=6, hbar=hbar)
+            amplitudes = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            state = replace(pure_state_density(amplitudes, dim=6), hbar=hbar)
             if rank > 1:
                 weights = rng.dirichlet(np.ones(rank))
                 z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -67,6 +67,8 @@ class TestAnalyticMinimizers:
     def test_rank2_outside_domain(self):
         with pytest.raises(PieceDomainError, match="floor 1/2"):
             linear_ansatz_weights(0.45, 2)
+        with pytest.raises(PieceDomainError, match="purity nan below"):
+            linear_ansatz_weights(math.nan, 3)
 
     def test_rank3_negative_weight_rejected(self):
         with pytest.raises(PieceDomainError, match="negative weight"):
@@ -92,10 +94,6 @@ class TestAnalyticMinimizers:
             assert res.optimal_weights.min() >= 0.0
             assert abs(res.optimal_weights.sum() - 1.0) <= 1e-12
 
-    def test_hbar_units(self):
-        res = min_product_fock_mixture(0.7, 2, "auto", hbar=2.0)
-        base = min_product_fock_mixture(0.7, 2, "auto", hbar=1.0)
-        assert res.min_product == pytest.approx(4.0 * base.min_product, abs=1e-12)
 
 
 class TestNumericMethods:

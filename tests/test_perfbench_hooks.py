@@ -2,8 +2,9 @@
 
 ``perfbench/tracing.py`` wraps the functions listed in ``SPANS`` and
 ``perfbench/workloads.py`` calls package attributes directly; renaming or
-deleting one of them breaks the benchmark without failing any other test.
-These tests only read ``perfbench/``.
+deleting one of them, or removing or moving a parameter such a call uses,
+breaks the benchmark without failing any other test.  These tests only
+read ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import purity_bounds
@@ -37,12 +39,37 @@ def test_every_traced_span_resolves_to_a_function():
     assert missing == []
 
 
+OWNERS = {"pb": purity_bounds, "pb_io": purity_bounds.io}
+
+
+def _workloads_tree():
+    return ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+
+
 def test_every_workload_attribute_resolves():
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    owners = {"pb": purity_bounds, "pb_io": purity_bounds.io}
-    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+    used = {(node.value.id, node.attr) for node in ast.walk(_workloads_tree())
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id in owners}
+            and node.value.id in OWNERS}
     assert used
-    missing = sorted(f"{owner}.{attr}" for owner, attr in used if not hasattr(owners[owner], attr))
+    missing = sorted(f"{owner}.{attr}" for owner, attr in used if not hasattr(OWNERS[owner], attr))
     assert missing == []
+
+
+def test_every_workload_call_binds_to_its_target():
+    calls = [node for node in ast.walk(_workloads_tree())
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id in OWNERS]
+    assert calls
+    unbound = []
+    for call in calls:
+        name = f"{call.func.value.id}.{call.func.attr}"
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords):
+            unbound.append(f"line {call.lineno}: {name} unpacks its arguments")
+            continue
+        target = getattr(OWNERS[call.func.value.id], call.func.attr)
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {name}: {exc}")
+    assert unbound == []

@@ -272,7 +272,7 @@ class TestTemperatureSweep:
     def test_asymptote_mode_invariant_exactly_constant(self, rect):
         model = ThermalModel()
         grid = [50.0, 100.0, 200.0, 500.0]
-        table = transparency_vs_temperature(rect, 0.5, 1.0, model, grid, phi_mode="asymptote")
+        table = transparency_vs_temperature(rect, 0.5, model, grid, phi_mode="asymptote")
         invariants = table["invariant_product"]
         assert max(invariants) - min(invariants) < 1e-10
 
@@ -280,18 +280,18 @@ class TestTemperatureSweep:
         model = ThermalModel()
         grid = [50.0, 100.0, 200.0, 500.0]
         table = transparency_vs_temperature(
-            rect, 0.5, 1.0, model, grid, phi_mode="interpolation"
+            rect, 0.5, model, grid, phi_mode="interpolation"
         )
         invariants = table["invariant_product"]
         assert max(invariants) / min(invariants) == pytest.approx(1.0, abs=0.01)
 
     def test_low_temperature_matches_bare_transparency(self, rect):
         model = ThermalModel()
-        table = transparency_vs_temperature(rect, 0.5, 1.0, model, [0.05])
+        table = transparency_vs_temperature(rect, 0.5, model, [0.05])
         assert table["D"][0] == pytest.approx(math.exp(-2.0), abs=1e-6)
 
     def test_records_carry_exact_purity_by_default(self, rect):
         model = ThermalModel()
-        table = transparency_vs_temperature(rect, 0.5, 1.0, model, [2.0])
+        table = transparency_vs_temperature(rect, 0.5, model, [2.0])
         assert table["mu"][0] == pytest.approx(math.tanh(0.25), abs=1e-12)
         assert table["phi"][0] == pytest.approx(phi(math.tanh(0.25)), abs=1e-12)

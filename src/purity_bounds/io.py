@@ -30,14 +30,14 @@ ORACLE_COLUMNS = [
 
 
 def format_number(value: Any) -> str:
-    """9 significant digits; scientific notation below 1e-4 in magnitude."""
+    """9 significant digits, scientific below 1e-4 in magnitude; inf and NaN raise ValueError."""
     if isinstance(value, numbers.Integral):  # numpy registers its integer types
         return str(int(value))
     if isinstance(value, str):
         return value
     v = float(value)
-    if math.isnan(v):
-        return "nan"
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite number {v!r} in the output")
     if v == 0.0:
         return "0"
     if abs(v) < 1e-4:

@@ -20,6 +20,7 @@ reproducible bit for bit for a fixed seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +114,7 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
 
 def _result(mu: float, weights: np.ndarray, method: str, iterations: int) -> MinimizationResult:
     """Package minimizer weights with their purity and variance product."""
-    value = float(np.dot(_objective_coeffs(len(weights)), weights))
+    value = math.fsum(_objective_coeffs(len(weights)) * weights)
     return MinimizationResult(
         mu_target=mu,
         achieved_mu=float(np.sum(weights**2)),
@@ -124,36 +125,34 @@ def _result(mu: float, weights: np.ndarray, method: str, iterations: int) -> Min
     )
 
 
-def _project_plane_sphere(p: np.ndarray, mu: float) -> np.ndarray:
+def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
     """Project onto {sum p = 1, sum p^2 = mu, p >= 0} (active-set on the support)."""
     k = len(p)
-    active = np.ones(k, dtype=bool)
-    q = p.astype(float).copy()
+    support = range(k)
+    q = p
     for _ in range(k + 1):
-        idx = np.flatnonzero(active)
-        n_act = len(idx)
+        n_act = len(support)
         if n_act == 0 or mu < 1.0 / n_act - 1e-15:
             break  # cannot satisfy the sphere on this support; fall through
-        sub = q[idx]
-        sub = sub + (1.0 - sub.sum()) / n_act
+        sub = [q[i] for i in support]
+        shift = (1.0 - math.fsum(sub)) / n_act
         center = 1.0 / n_act
-        d = sub - center
-        norm = float(np.linalg.norm(d))
-        radius = math.sqrt(max(mu - 1.0 / n_act, 0.0))
+        d = [x + shift - center for x in sub]
+        norm = math.sqrt(math.fsum(map(operator.mul, d, d)))
+        radius = math.sqrt(max(mu - center, 0.0))
         if norm < 1e-300:
             # Ambiguous projection from the sphere center: descend the
             # objective, i.e. move weight toward the lowest levels.
-            d = -(np.arange(n_act) - (n_act - 1) / 2.0)
-            norm = float(np.linalg.norm(d))
-        sub = center + radius * d / norm if radius > 0 else np.full(n_act, center)
-        q = np.zeros(k)
-        q[idx] = sub
-        if sub.min() >= -_WEIGHT_TOL:
-            return np.clip(q, 0.0, None)
-        active[idx[sub < 0]] = False
+            d = [(n_act - 1) / 2.0 - j for j in range(n_act)]
+            norm = math.sqrt(math.fsum(map(operator.mul, d, d)))
+        sub = [center + radius * x / norm for x in d] if radius > 0 else [center] * n_act
+        q = dict(zip(support, sub))
+        if min(sub) >= -_WEIGHT_TOL:
+            return [max(q.get(i, 0.0), 0.0) for i in range(k)]
+        support = [i for i in support if q[i] >= 0.0]
     # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
     # minimizes -p.q: the face enumeration gives the exact projection.
-    return _face_minimizer(-p, mu, _all_supports(k))
+    return _face_minimizer(-np.array(p), mu, _all_supports(k)).tolist()
 
 
 def _all_supports(n: int) -> np.ndarray:
@@ -206,34 +205,34 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
     The feasible set (purity sphere cut by the simplex) is nonconvex and can
     split into several arcs, so the descent is restarted from one start per
     vertex bias plus a start biased along the descent direction; the best
-    endpoint wins.
+    endpoint wins.  It runs on Python floats, and every sum is a correctly
+    rounded ``math.fsum``, so its bits depend on no BLAS kernel.
     """
-    c = _objective_coeffs(levels)
-    uniform = np.full(levels, 1.0 / levels)
-    starts = [_project_plane_sphere(uniform - 0.1 * (c - c.mean()), mu)]
-    for j in range(levels):
-        seed_point = uniform.copy()
-        seed_point[j] += 1.0
-        starts.append(_project_plane_sphere(seed_point / seed_point.sum(), mu))
+    u = 1.0 / levels
+    c = _objective_coeffs(levels).tolist()
+    mean = math.fsum(c) / levels
+    starts = [_project_plane_sphere([u - 0.1 * (x - mean) for x in c], mu)]
+    total = math.fsum([u + 1.0] + [u] * (levels - 1))  # each vertex-biased start's sum
+    starts += [_project_plane_sphere([(u + (i == j)) / total for i in range(levels)], mu)
+               for j in range(levels)]
 
-    best_p = None
-    best_f = math.inf
+    best_p, best_f = None, math.inf
     iterations = 0
     for start in starts:
         p = start
-        f = float(np.dot(c, p))
+        f = math.fsum(map(operator.mul, c, p))
         step = 0.5
         while step > 1e-13:
             iterations += 1
-            trial = _project_plane_sphere(p - step * c, mu)
-            ft = float(np.dot(c, trial))
+            trial = _project_plane_sphere([x - step * y for x, y in zip(p, c)], mu)
+            ft = math.fsum(map(operator.mul, c, trial))
             if ft < f - 1e-15:
                 p, f = trial, ft
             else:
                 step *= 0.5
         if f < best_f:
             best_p, best_f = p, f
-    return _result(mu, best_p, "projected-gradient", iterations)
+    return _result(mu, np.array(best_p), "projected-gradient", iterations)
 
 
 def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> MinimizationResult:

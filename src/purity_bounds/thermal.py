@@ -35,6 +35,7 @@ class ThermalModel:
     def __post_init__(self):
         for name in ("hbar", "mass", "omega"):
             check_positive(name, getattr(self, name))
+        check_positive("hbar * omega", self.hbar * self.omega)
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:

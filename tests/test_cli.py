@@ -284,6 +284,13 @@ class TestThermalCommand:
                                      flag, "nan"])
             assert (code, out) == (1, "")
 
+    def test_overflowing_hbar_omega_exits_1_naming_the_product(self, capsys):
+        code = main(["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2",
+                     "--hbar", "1e300", "--omega", "1e300"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: hbar * omega inf must be positive and finite\n"
+
     def test_mass_is_not_an_option(self, capsys):
         # Nothing in a thermal sweep depends on the mass, only on hbar omega.
         code = main(["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2", "--mass", "2"])
@@ -359,6 +366,10 @@ class TestTunnelCommand:
                      "--mu-from", "0.1", "--mu-to", "inf", "--steps", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "got 0.1, inf" in captured.err
+        # Finite inputs whose result is not: ln D = -inf for a subnormal hbar.
+        code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
+                                 "--hbar", "1e-320"])
+        assert (code, out) == (1, "")
 
     def test_nan_correlation_exits_1(self, files, capsys):
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",

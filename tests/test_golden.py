@@ -24,6 +24,7 @@ import contextlib
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -151,9 +152,10 @@ def _is_gaussian_check(argv: list[str]) -> bool:
 NUMPY_FREE = sorted(name for name in CASES if name.startswith(
     ("phi-", "tunnel-rectangular-", "tunnel-parabolic-")) or _is_gaussian_check(CASES[name]))
 
-_WITHOUT_NUMPY = """
+_CHILD = """
 import contextlib, io, json, sys
-sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+if sys.argv[2] == "without-numpy":
+    sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 from purity_bounds.cli import main
 
 results = {}
@@ -166,18 +168,52 @@ print(json.dumps(results))
 """
 
 
-def test_numpy_free_cases_match_recorded_bytes_without_numpy():
-    """The closed-form commands give the recorded bytes with numpy unimportable:
-    they run the same code as every other case, not a numpy-free copy of it."""
-    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"))
-    cases = {name: CASES[name] for name in NUMPY_FREE}
-    proc = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases)],
+def _run_in_child(names: list[str], mode: str = "", **env: str) -> dict[str, list]:
+    """Run the named cases in a fresh interpreter; returns {name: [exit code, stdout]}."""
+    env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"), **env)
+    cases = {name: CASES[name] for name in names}
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases), mode],
                           capture_output=True, text=True, env=env, check=True)
-    results = json.loads(proc.stdout)
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 26
+    return json.loads(proc.stdout)
+
+
+def _assert_recorded(results: dict[str, list]) -> None:
     for name, (code, out) in results.items():
         assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
         assert code == _exit_codes()[name], name
+
+
+def test_numpy_free_cases_match_recorded_bytes_without_numpy():
+    """The closed-form commands give the recorded bytes with numpy unimportable:
+    they run the same code as every other case, not a numpy-free copy of it."""
+    results = _run_in_child(NUMPY_FREE, "without-numpy")
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 26
+    _assert_recorded(results)
+
+
+def _openblas_dynamic_arch_on_x86() -> bool:
+    """True where OpenBLAS picks its kernel at run time on an x86-64 CPU."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 only prints its configuration
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+# The minimizer cases; the falsifier's eigensolver is LAPACK's and is not covered.
+ORACLE_MINIMIZERS = sorted(name for name in CASES
+                           if name.startswith("oracle-") and "falsify" not in name)
+
+
+@pytest.mark.skipif(not _openblas_dynamic_arch_on_x86(),
+                    reason="needs OpenBLAS built with DYNAMIC_ARCH on x86-64")
+def test_oracle_bytes_do_not_depend_on_the_blas_kernel():
+    """The oracle's sums are its own, correctly rounded: OpenBLAS's SSE kernel
+    (safe on any x86-64) gives the recorded bytes too."""
+    assert len(ORACLE_MINIMIZERS) == 7
+    _assert_recorded(_run_in_child(ORACLE_MINIMIZERS, OPENBLAS_CORETYPE="Prescott"))
 
 
 def regenerate() -> list[str]:

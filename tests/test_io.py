@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -65,8 +66,10 @@ class TestNumberFormatting:
         assert format_number(7) == "7"
         assert format_number("rank-2") == "rank-2"
 
-    def test_nan(self):
-        assert format_number(float("nan")) == "nan"
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_raises(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            format_number(value)
 
     def test_boundary_uses_plain_notation(self):
         assert format_number(1e-4) == "0.0001"

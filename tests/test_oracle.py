@@ -164,7 +164,7 @@ class TestNumericMethods:
             q = _face_minimizer(-x, mu, _all_supports(levels))
             assert q.min() >= 0.0
             assert abs(q.sum() - 1.0) <= 1e-12 and abs(np.dot(q, q) - mu) <= 1e-12
-            active_set = _project_plane_sphere(x, mu)
+            active_set = np.array(_project_plane_sphere(x.tolist(), mu))
             assert np.linalg.norm(q - x) <= np.linalg.norm(active_set - x) + 1e-12
         # c constant on every face: any point of a face's sphere is a minimum.
         q = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35, _all_supports(3))

@@ -18,7 +18,6 @@ from dataclasses import asdict, astuple, replace
 from . import io as _io
 from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
 from .errors import ResolutionError, check_positive
-from .tunneling import transparency_vs_purity, transparency_vs_temperature
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -119,6 +118,8 @@ def _cmd_thermal(args) -> int:
     if (args.barrier is None) != (args.energy is None):
         raise ValueError("--barrier and --energy must be given together")
     if args.barrier is not None:
+        from .tunneling import transparency_vs_temperature
+
         barrier = _io.load_barrier(args.barrier)
         t_grid = temperature_grid(args.t_min, args.t_max, args.steps)
         table = transparency_vs_temperature(
@@ -139,6 +140,8 @@ def _parse_mu_list(text: str) -> list[float]:
 
 
 def _cmd_tunnel(args) -> int:
+    from .tunneling import transparency_vs_purity
+
     barrier = _io.load_barrier(args.barrier)
     if args.mu is not None:
         mu_grid = _parse_mu_list(args.mu)

@@ -15,11 +15,10 @@ import numbers
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
-from .tunneling import BarrierSpec, ParabolicBarrier, RectangularBarrier, SampledBarrier
-
 if TYPE_CHECKING:
     from .bounds import BoundReport
     from .states import QuantumState
+    from .tunneling import BarrierSpec
 
 SCHEMA_VERSION = 2
 
@@ -139,6 +138,8 @@ def load_state(path: str) -> QuantumState:
 
 
 def barrier_from_dict(data: dict) -> BarrierSpec:
+    from .tunneling import ParabolicBarrier, RectangularBarrier, SampledBarrier
+
     if not isinstance(data, dict) or "shape" not in data:
         raise ValueError("barrier file must be a JSON object with a 'shape' field")
     shape = data["shape"]

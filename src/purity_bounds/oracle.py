@@ -14,7 +14,9 @@ Phi that is too large fails it, and it must find no state below the bound.
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
 2 sqrt(min_product).  All stochastic paths take an explicit seed and are
-reproducible bit for bit for a fixed seed.
+reproducible bit for bit for a fixed seed.  The rank-k weights and the
+descent are plain floats; only the face enumeration and the falsifier
+load numpy.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import _MU_DOMAIN_TOL, METHODS, _rank, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
-from .states import fock_moment_operators
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WEIGHT_TOL = 1e-12
 
@@ -41,7 +44,7 @@ class MinimizationResult:
     mu_target: float
     achieved_mu: float
     min_product: float
-    optimal_weights: np.ndarray
+    optimal_weights: tuple[float, ...]
     method: str
     iterations: int
 
@@ -72,8 +75,8 @@ class PhiCurveRow:
     iterations: int
 
 
-def _objective_coeffs(levels: int) -> np.ndarray:
-    return np.arange(levels) + 0.5
+def _objective_coeffs(levels: int) -> list[float]:
+    return [n + 0.5 for n in range(levels)]
 
 
 def _check_reachable(mu: float, levels: int) -> float:
@@ -89,7 +92,7 @@ def _check_reachable(mu: float, levels: int) -> float:
     return mu
 
 
-def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
+def linear_ansatz_weights(mu: float, k: int) -> tuple[float, ...]:
     """Weights p_n = a - b n of the rank-k linear minimizer at purity mu.
 
     Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
@@ -104,22 +107,22 @@ def linear_ansatz_weights(mu: float, k: int) -> np.ndarray:
         raise PieceDomainError(f"purity {mu} below the rank-{k} floor 1/{k}")
     b = math.sqrt((mu - 1.0 / k) * 12.0 / (k * (k * k - 1.0)))
     a = 1.0 / k + b * (k - 1.0) / 2.0
-    p = a - b * np.arange(k)
+    p = [a - b * n for n in range(k)]
     if p[-1] < -_WEIGHT_TOL:
         raise PieceDomainError(
             f"rank-{k} linear minimizer has negative weight {p[-1]:.3e} at purity {mu}"
         )
-    return np.clip(p, 0.0, None)
+    return tuple(max(x, 0.0) for x in p)
 
 
-def _result(mu: float, weights: np.ndarray, method: str, iterations: int) -> MinimizationResult:
+def _result(mu: float, weights, method: str, iterations: int) -> MinimizationResult:
     """Package minimizer weights with their purity and variance product."""
-    value = math.fsum(_objective_coeffs(len(weights)) * weights)
+    value = math.fsum(map(operator.mul, _objective_coeffs(len(weights)), weights))
     return MinimizationResult(
         mu_target=mu,
-        achieved_mu=float(np.sum(weights**2)),
+        achieved_mu=math.fsum(x * x for x in weights),
         min_product=value * value,
-        optimal_weights=weights,
+        optimal_weights=tuple(weights),
         method=method,
         iterations=iterations,
     )
@@ -152,11 +155,13 @@ def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
         support = [i for i in support if q[i] >= 0.0]
     # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
     # minimizes -p.q: the face enumeration gives the exact projection.
-    return _face_minimizer(-np.array(p), mu, _all_supports(k)).tolist()
+    return _face_minimizer([-x for x in p], mu, _all_supports(k)).tolist()
 
 
 def _all_supports(n: int) -> np.ndarray:
     """Every nonempty support of n levels, as a (2^n - 1, n) boolean mask."""
+    import numpy as np
+
     return (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
 
 
@@ -179,6 +184,8 @@ def _face_minimizer(c: np.ndarray, mu: float, masks: np.ndarray) -> np.ndarray:
     so they do not depend on a row's place in the batch; ties go to the
     first support in mask order.
     """
+    import numpy as np
+
     c = np.asarray(c)
     n = c.shape[-1]
     size = masks.sum(axis=1)
@@ -209,7 +216,7 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
     rounded ``math.fsum``, so its bits depend on no BLAS kernel.
     """
     u = 1.0 / levels
-    c = _objective_coeffs(levels).tolist()
+    c = _objective_coeffs(levels)
     mean = math.fsum(c) / levels
     starts = [_project_plane_sphere([u - 0.1 * (x - mean) for x in c], mu)]
     total = math.fsum([u + 1.0] + [u] * (levels - 1))  # each vertex-biased start's sum
@@ -232,7 +239,7 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
                 step *= 0.5
         if f < best_f:
             best_p, best_f = p, f
-    return _result(mu, np.array(best_p), "projected-gradient", iterations)
+    return _result(mu, best_p, "projected-gradient", iterations)
 
 
 def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> MinimizationResult:
@@ -250,20 +257,21 @@ def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> Mi
             raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
         masks = _all_supports(levels)
         p = _face_minimizer(_objective_coeffs(levels), mu, masks)
-        return _result(mu, p, "grid-refine", len(masks))
+        return _result(mu, p.tolist(), "grid-refine", len(masks))
     if method == "projected-gradient":
         return _projected_gradient(mu, levels)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
     k = min(_rank(mu), levels)
-    full = np.zeros(levels)
-    full[:k] = linear_ansatz_weights(mu, k)
-    return _result(mu, full, f"rank{k}-analytic", 0)
+    weights = linear_ansatz_weights(mu, k) + (0.0,) * (levels - k)
+    return _result(mu, weights, f"rank{k}-analytic", 0)
 
 
 def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:
     """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each rho; ops = (q, p, q^2, p^2, (qp+pq)/2)."""
+    import numpy as np
+
     mq, mp, eq2, ep2, eqp = np.einsum("bij,kji->kb", rho, ops).real
     return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
 
@@ -291,6 +299,10 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     if samples < 1 or samples > 10**6:
         raise ValueError("samples must be in [1, 10^6]")
     mu = _check_reachable(mu, dim)
+    import numpy as np
+
+    from .states import fock_moment_operators
+
     rng = np.random.default_rng(seed)
     psi = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
@@ -321,14 +333,14 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
 def phi_curve_certified(mu_grid, levels: int, method: str = "auto") -> list[PhiCurveRow]:
     """Tabulate the minimizer-certified Phi against the formulas on a grid."""
     rows = []
-    for mu in np.asarray(mu_grid, dtype=float):
-        res = min_product_fock_mixture(float(mu), levels, method=method)
+    for mu in map(float, mu_grid):
+        res = min_product_fock_mixture(mu, levels, method=method)
         phi_oracle = 2.0 * math.sqrt(res.min_product)
-        exact = phi_eval(float(min(mu, 1.0)), "exact").value
-        app = phi_eval(float(min(mu, 1.0)), "interpolation").value
+        exact = phi_eval(min(mu, 1.0), "exact").value
+        app = phi_eval(min(mu, 1.0), "interpolation").value
         rows.append(
             PhiCurveRow(
-                mu=float(mu),
+                mu=mu,
                 phi_oracle=phi_oracle,
                 phi_exact=exact,
                 phi_app=app,

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
 from .errors import check_positive
-from .states import FockDensityMatrix
+
+if TYPE_CHECKING:
+    from .states import FockDensityMatrix
 
 
 @dataclass(frozen=True)
@@ -39,12 +40,16 @@ class ThermalModel:
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
-    """``steps`` logarithmically spaced temperatures from t_min to t_max."""
+    """``steps`` logarithmically spaced temperatures from t_min to t_max, both
+    exact: the values of ``np.geomspace`` on its scalar (non-SIMD) path."""
     if not 0 < t_min < t_max < math.inf:
         raise ValueError(f"need 0 < t_min < t_max < inf, got {t_min!r}, {t_max!r}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    return list(map(float, np.geomspace(t_min, t_max, steps)))
+    lo, hi = math.log10(t_min), math.log10(t_max)
+    step = (hi - lo) / (steps - 1)
+    inner = [10.0 ** (i * step + lo) for i in range(1, steps - 1)]
+    return [float(t_min), *inner, float(t_max)]
 
 
 def log_partition_function(model: ThermalModel, T: float) -> float:
@@ -83,6 +88,10 @@ def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
 
 def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMatrix:
     """Thermal state truncated (and renormalized) to ``dim`` levels."""
+    import numpy as np
+
+    from .states import FockDensityMatrix
+
     check_positive("temperature", T)
     if dim < 2:
         raise ValueError(f"Fock dimension must be >= 2, got {dim}")

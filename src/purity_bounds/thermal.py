@@ -8,8 +8,8 @@ state follows from the partition function alone,
 
 which for the oscillator equals tanh(hbar omega / (2 T)) at every
 temperature (an algebraic identity of the closed-form Z, not only a
-small-T approximation).  All evaluations go through log Z so that very low
-temperatures neither overflow sinh nor lose the identity.
+small-T approximation); the purity is evaluated as that tanh.  Z goes
+through log Z, so that very low temperatures do not overflow sinh.
 """
 
 from __future__ import annotations
@@ -66,11 +66,8 @@ def partition_function(model: ThermalModel, T: float) -> float:
 
 
 def thermal_purity(model: ThermalModel, T: float) -> float:
-    """Purity mu(T) = Z(T/2) / Z(T)^2, evaluated in the log domain."""
-    check_positive("temperature", T)
-    return math.exp(
-        log_partition_function(model, T / 2.0) - 2.0 * log_partition_function(model, T)
-    )
+    """Purity mu(T) = Z(T/2) / Z(T)^2 = tanh(hbar omega / 2T)."""
+    return math.tanh(model.hbar * model.omega / (2.0 * check_positive("temperature", T)))
 
 
 def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:

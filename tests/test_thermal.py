@@ -226,13 +226,17 @@ class TestHighTemperaturePrecision:
 
     @pytest.mark.parametrize("hbar, omega", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.3)])
     def test_purity_matches_tanh(self, hbar, omega):
-        # The log-domain ratio Z(T/2) / Z(T)^2 carries the rounding of log Z
-        # itself, about eps * |log Z| (1.5e-14 at T = 1e14); allow 4x that.
+        # independent oracle: tanh of the same double x = hbar omega / 2T in
+        # 40-digit decimals, (1 - e^(-2x)) / (1 + e^(-2x)); the cancellation
+        # at x = 5e-16 leaves about 25 digits, far below the 2 eps allowed.
         model = ThermalModel(hbar=hbar, omega=omega)
-        eps = np.finfo(float).eps
+        eps = Decimal(sys.float_info.epsilon)
         for T in map(float, self.TEMPERATURES):
-            err = abs(thermal_purity(model, T) / math.tanh(hbar * omega / (2.0 * T)) - 1.0)
-            assert err <= 4.0 * eps * max(1.0, abs(log_partition_function(model, T))), T
+            with localcontext() as ctx:
+                ctx.prec = 40
+                e = (-2 * Decimal(hbar * omega / (2.0 * T))).exp()
+                err = abs(Decimal(thermal_purity(model, T)) / ((1 - e) / (1 + e)) - 1)
+            assert err <= 2 * eps, T
 
     def test_partition_function_matches_sinh(self, oscillator):
         # Z = 1 / (2 sinh x), x = 1 / (2T); sinh is accurate at every x here.

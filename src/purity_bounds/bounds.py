@@ -171,9 +171,12 @@ def bound_report(
     check_positive("hbar", hbar)
     check_correlation(r)
     pv = phi_eval(mu, phi_mode)
-    quarter = hbar**2 / 4.0
+    # Halved before squaring, (hbar / 2)^2 and (hbar Phi / 2)^2 overflow
+    # only where the bound itself does.
+    half = hbar / 2.0
+    quarter = half * half
     one_minus_r2 = 1.0 - r * r
-    purity_bound = quarter * (pv.value * pv.value) / one_minus_r2
+    purity_bound = (half * pv.value) * (half * pv.value) / one_minus_r2
     checked = dict(zip(BOUND_NAMES,
                        ((product, quarter), (sr_lhs, quarter), (product, purity_bound))))
     return BoundReport(

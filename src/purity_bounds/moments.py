@@ -59,10 +59,10 @@ class SecondMoments:
         mu: float,
     ) -> "SecondMoments":
         # Written so that NaN fails each guard.
-        if not (sigma_qq > 0 and sigma_pp > 0 and sigma_qq * sigma_pp > 0):
-            raise InvalidStateError(f"variances {sigma_qq!r}, {sigma_pp!r} and their product "
-                                    "must be positive")
-        r = sigma_qp / math.sqrt(sigma_qq * sigma_pp)
+        if not (sigma_qq > 0 and sigma_pp > 0):
+            raise InvalidStateError(f"variances {sigma_qq!r}, {sigma_pp!r} must be positive")
+        # Each variance under its own root: the product could underflow or overflow.
+        r = sigma_qp / (math.sqrt(sigma_qq) * math.sqrt(sigma_pp))
         if not abs(r) < 1.0 - DEGENERATE_R_TOL:
             raise DegenerateCorrelationError(
                 f"|r| = {abs(r):.17g} is degenerate (>= 1 - {DEGENERATE_R_TOL})"

@@ -128,7 +128,7 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     violations = _finite_violations([("sigma_qq*sigma_pp - sigma_qp^2", det)])
     if violations:
         return violations
-    floor = state.hbar**2 / 4.0
+    floor = (state.hbar / 2.0) * (state.hbar / 2.0)  # hbar**2 would overflow first
     if det < floor * (1.0 - STATE_TOL):
         violations.append(
             InvariantViolation(

@@ -78,8 +78,9 @@ def _cases() -> dict[str, list[str]]:
     cases["check-fock-purity-band"] = ["check", f("fock_purity_band")]
     cases["check-small-hbar"] = ["check", f("gaussian_small_hbar")]
     cases["check-large-hbar"] = ["check", f("gaussian_large_hbar")]
-    # Phi^2 and sigma_qq sigma_pp leave the float range: input errors.
+    # Phi^2, hbar^2 or sigma_qq sigma_pp leave the float range, the bounds do not.
     cases["check-phi-overflow"] = ["check", f("gaussian_phi_overflow")]
+    cases["check-hbar-square-overflow"] = ["check", f("gaussian_hbar_square_overflow")]
     cases["check-tiny-hbar"] = ["check", f("fock_mixed"), "--hbar", "1e-300"]
     cases["thermal-hot"] = ["thermal", "--t-min", "1e8", "--t-max", "1e14", "--steps", "7"]
     cases["phi-curve"] = ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"]
@@ -187,7 +188,7 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
     """The closed-form commands give the recorded bytes with numpy unimportable:
     they run the same code as every other case, not a numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 26
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 27
     _assert_recorded(results)
 
 

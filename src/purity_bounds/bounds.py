@@ -171,8 +171,7 @@ def bound_report(
     check_positive("hbar", hbar)
     check_correlation(r)
     pv = phi_eval(mu, phi_mode)
-    # Halved before squaring, (hbar / 2)^2 and (hbar Phi / 2)^2 overflow
-    # only where the bound itself does.
+    # Halved before squaring: (hbar / 2)^2 and (hbar Phi / 2)^2 overflow only with the bound.
     half = hbar / 2.0
     quarter = half * half
     one_minus_r2 = 1.0 - r * r

@@ -14,9 +14,8 @@ Phi that is too large fails it, and it must find no state below the bound.
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
 2 sqrt(min_product).  All stochastic paths take an explicit seed and are
-reproducible bit for bit for a fixed seed.  The rank-k weights and the
-descent are plain floats; only the face enumeration and the falsifier
-load numpy.
+reproducible bit for bit; numpy loads only for the face enumeration and
+the falsifier, the rest runs on Python floats.
 """
 
 from __future__ import annotations
@@ -268,14 +267,6 @@ def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> Mi
     return _result(mu, weights, f"rank{k}-analytic", 0)
 
 
-def _moments(rho: np.ndarray, ops: np.ndarray) -> tuple[np.ndarray, ...]:
-    """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each rho; ops = (q, p, q^2, p^2, (qp+pq)/2)."""
-    import numpy as np
-
-    mq, mp, eq2, ep2, eqp = np.einsum("bij,kji->kb", rho, ops).real
-    return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
-
-
 def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> FalsificationReport:
     """Probe the purity bound from ``samples`` random starts, each stepped onto it.
 
@@ -307,8 +298,14 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     psi = rng.standard_normal((samples, dim)) + 1j * rng.standard_normal((samples, dim))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
 
-    ops = np.array(fock_moment_operators(dim))
-    mq, mp, sqq, spp, sqp = _moments(np.einsum("bi,bj->bij", psi, psi.conj()), ops)
+    ops = np.array(fock_moment_operators(dim))  # q, p, q^2, p^2, (qp+pq)/2
+
+    def moments(rho):
+        """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each rho."""
+        mq, mp, eq2, ep2, eqp = np.einsum("bij,kji->kb", rho, ops).real
+        return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
+
+    mq, mp, sqq, spp, sqp = moments(np.einsum("bi,bj->bij", psi, psi.conj()))
     # G as coefficients of the five operators (q, p, q^2, p^2, (qp+pq)/2).
     coeffs = np.stack(
         [2.0 * (sqp * mp - spp * mq), 2.0 * (sqp * mq - sqq * mp), spp, sqq, -2.0 * sqp]
@@ -316,7 +313,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     cost, vectors = np.linalg.eigh(np.einsum("kb,kij->bij", coeffs, ops))
     weights = _face_minimizer(cost, mu, np.tri(dim, dtype=bool))
     rho = (vectors * weights[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
-    _, _, sqq, spp, sqp = _moments(rho, ops)
+    _, _, sqq, spp, sqp = moments(rho)
 
     bound = (phi(mu, "exact") / 2.0) ** 2
     return FalsificationReport(

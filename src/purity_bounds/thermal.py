@@ -15,7 +15,7 @@ through log Z, so that very low temperatures do not overflow sinh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
@@ -87,7 +87,7 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     """Thermal state truncated (and renormalized) to ``dim`` levels."""
     import numpy as np
 
-    from .states import FockDensityMatrix
+    from .states import diagonal_mixture
 
     check_positive("temperature", T)
     if dim < 2:
@@ -95,8 +95,7 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     # The ground-state weight is 1 before normalisation, so nothing overflows.
     w = np.exp(-np.arange(dim) * model.hbar * model.omega / T)
     w /= w.sum()
-    return FockDensityMatrix(dim=dim, entries=np.diag(w).astype(complex),
-                             hbar=model.hbar, mass=model.mass, omega=model.omega)
+    return replace(diagonal_mixture(w), hbar=model.hbar, mass=model.mass, omega=model.omega)
 
 
 def thermal_bound_report(
@@ -111,8 +110,14 @@ def thermal_bound_report(
     return bound_report(product, product, model.hbar, r, thermal_purity(model, T), phi_mode)
 
 
-def thermal_sweep(model: ThermalModel, t_min: float, t_max: float, steps: int,
-                  r: float = 0.0, phi_mode: str = "exact") -> dict[str, list]:
+def thermal_sweep(
+    model: ThermalModel,
+    t_min: float,
+    t_max: float,
+    steps: int,
+    r: float = 0.0,
+    phi_mode: str = "exact",
+) -> dict[str, list]:
     """Logarithmic temperature sweep of (Z, mu, Phi, hbar_eff) as a thermal table."""
     temperatures = temperature_grid(t_min, t_max, steps)
     check_correlation(r)

@@ -140,6 +140,37 @@ def test_criterion_7_invariance_laws():
               "interpolated Phi; mu^-1 ln D constant within 1e-12 in asymptote mode")
 
 
+# Rectangular barrier with action S = width sqrt(2 m (v0 - E)) = 1, hbar = 1.
+LAW_BARRIER = RectangularBarrier(v0=1.0, width=1.0, mass=1.0)
+
+
+def test_criterion_7_purity_law_with_exact_phi():
+    # mu^-1 ln D = -2 S / (hbar mu Phi(mu)) -> -9 S / (4 hbar) as mu -> 0; the
+    # departure is -9 mu^2 / 64 for Phi_app (VERIFICATION.md), 0.1453 mu^2 at
+    # most for the exact Phi.
+    mus = list(map(float, np.geomspace(1e-6, 0.3, 2001)))
+    products = transparency_vs_purity(LAW_BARRIER, 0.5, 1.0, 0.0, mus,
+                                      phi_mode="exact")["invariant_product"]
+    for mu, product in zip(mus, products):
+        assert abs(product / -2.25 - 1.0) <= 0.15 * mu * mu, mu
+    report(7, "mu^-1 ln D with the exact Phi within 0.15 mu^2 of its limit -9S/4 "
+              "on 2001 purities in [1e-6, 0.3]")
+
+
+def test_criterion_7_thermal_law_with_exact_phi():
+    # T ln D -> -9 S / (8 hbar) at high T for the unit oscillator; the departure
+    # is -(1/12 + 9/256) / T^2 (VERIFICATION.md).  Past T ~ 1e7 only rounding
+    # is left, and 4 eps holds it only with the purity as a correctly rounded tanh.
+    eps = np.finfo(float).eps
+    temperatures = list(map(float, np.geomspace(10.0, 1e12, 2001)))
+    products = transparency_vs_temperature(LAW_BARRIER, 0.5, ThermalModel(), temperatures,
+                                           phi_mode="exact")["invariant_product"]
+    for T, product in zip(temperatures, products):
+        assert abs(product / -1.125 - 1.0) <= 0.12 / (T * T) + 4.0 * eps, T
+    report(7, "T ln D with the exact Phi and mu = tanh(1/2T) within 0.12/T^2 + 4 eps "
+              "of its limit -9S/8 on 2001 temperatures in [10, 1e12]")
+
+
 def test_criterion_8_reduction_chain():
     rng = np.random.default_rng(101)
     for _ in range(10_000):

@@ -149,9 +149,12 @@ def _is_gaussian_check(argv: list[str]) -> bool:
     return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == "gaussian"
 
 
-# Cases whose commands run on the closed forms alone.
+# Cases whose commands build no matrix.  projected-gradient at mu 0.5 never
+# falls back to the face enumeration.
 NUMPY_FREE = sorted(name for name in CASES if name.startswith(
-    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-")) or _is_gaussian_check(CASES[name]))
+    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-", "thermal-", "oracle-auto",
+     "oracle-rank2", "oracle-sweep", "oracle-projected-gradient"))
+    or _is_gaussian_check(CASES[name]))
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -185,10 +188,12 @@ def _assert_recorded(results: dict[str, list]) -> None:
 
 
 def test_numpy_free_cases_match_recorded_bytes_without_numpy():
-    """The closed-form commands give the recorded bytes with numpy unimportable:
-    they run the same code as every other case, not a numpy-free copy of it."""
+    """The commands without matrices give the recorded bytes with numpy
+    unimportable: they run the same code as every other case, not a
+    numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 27
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 39
+    assert "thermal-hot" in results and "oracle-sweep" in results
     _assert_recorded(results)
 
 

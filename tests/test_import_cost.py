@@ -1,10 +1,13 @@
 """Import cost of the package and of each command.
 
 ``import purity_bounds`` loads no submodule and no numpy: the public names
-resolve on first access.  The closed-form commands (``phi``, ``phi-curve``,
-``tunnel`` through a rectangular or parabolic barrier and ``check`` on a
-Gaussian state) run without numpy.  The other commands load numpy alone: no scipy module and no
-``numpy.polynomial`` (which costs milliseconds on every cold call).
+resolve on first access.  The commands that build no matrix (``phi``,
+``phi-curve``, ``tunnel`` through a rectangular or parabolic barrier,
+``check`` on a Gaussian state, ``thermal`` and ``oracle`` without
+``--falsify`` or ``grid-refine``) run without numpy, and only the commands
+that take a barrier load ``purity_bounds.tunneling``.  The other commands
+load numpy alone: no scipy module and no ``numpy.polynomial`` (which costs
+milliseconds on every cold call).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -37,8 +40,9 @@ with contextlib.redirect_stdout(io.StringIO()):
 loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+package = sorted(m for m in sys.modules if m.startswith("purity_bounds."))
 print(json.dumps({"codes": codes, "loaded": loaded, "numpy": numpy,
-                  "package_only": package_only}))
+                  "package_only": package_only, "package": package}))
 """
 
 
@@ -92,6 +96,30 @@ def test_gaussian_check_loads_no_numpy():
     result = _run(["check", str(INPUTS / "gaussian.json")],
                   ["check", str(INPUTS / "sub_heisenberg.json")])
     assert result["codes"] == [0, 2] and result["numpy"] == []
+
+
+def test_thermal_and_oracle_without_matrices_load_no_numpy():
+    result = _run(
+        ["thermal", "--t-min", "0.5", "--t-max", "50", "--steps", "20"],
+        ["thermal", "--t-min", "50", "--t-max", "500", "--steps", "4",
+         "--barrier", str(INPUTS / "rectangular.json"), "--energy", "0.5"],
+        ["oracle", "--mu", "0.7", "--levels", "2"],
+        ["oracle", "--mu-from", "0.39", "--mu-to", "0.55", "--steps", "12", "--levels", "3"],
+        ["oracle", "--mu", "0.5", "--levels", "3", "--method", "projected-gradient"],
+    )
+    assert result["codes"] == [0] * 5 and result["numpy"] == []
+
+
+def test_commands_without_a_barrier_load_no_tunneling():
+    result = _run(
+        ["phi", "--mu", "0.5"],
+        ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"],
+        ["check", str(INPUTS / "gaussian.json")],
+        ["oracle", "--mu", "0.7", "--levels", "2"],
+    )
+    assert result["codes"] == [0] * 4
+    assert "purity_bounds.tunneling" not in result["package"]
+    assert "purity_bounds.oracle" in result["package"]
 
 
 def test_every_public_name_is_its_home_module_attribute():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 import sys
 from decimal import Decimal, localcontext
 
@@ -18,6 +19,7 @@ from purity_bounds import (
     thermal_state_fock,
     thermal_sweep,
 )
+from purity_bounds.thermal import temperature_grid
 
 
 @pytest.fixture
@@ -219,6 +221,32 @@ class TestThermalSweep:
             thermal_sweep(oscillator, 5.0, 1.0, steps=4)
         with pytest.raises(ValueError):
             thermal_sweep(oscillator, 1.0, 5.0, steps=1)
+
+
+class TestTemperatureGrid:
+    @staticmethod
+    def formula(t_min, t_max, steps):
+        lo, hi = math.log10(t_min), math.log10(t_max)
+        step = (hi - lo) / (steps - 1)
+        return [t_min] + [10.0 ** (i * step + lo) for i in range(1, steps - 1)] + [t_max]
+
+    def test_grid_is_the_formula_bit_for_bit(self):
+        # Seeded grids: wide ones, spans of 1e-6 relative, two-point grids and
+        # [1e-3, 1e15]; every value compared by float.hex, endpoints exact.
+        rng = random.Random(2024)
+        grids = [(1e-3, 1e15, n) for n in (2, 3, 19, 361)]
+        for kind in range(3000):
+            t_min = 10.0 ** rng.uniform(-12.0, 12.0)
+            if kind % 3 == 0:
+                t_max = t_min * 10.0 ** rng.uniform(1e-3, 12.0)
+            else:
+                t_max = t_min * (1.0 + 1e-6 * rng.uniform(1.0, 10.0))
+            grids.append((t_min, t_max, 2 if kind % 3 == 2 else rng.randint(2, 200)))
+        for t_min, t_max, steps in grids:
+            grid = temperature_grid(t_min, t_max, steps)
+            expected = self.formula(t_min, t_max, steps)
+            assert list(map(float.hex, grid)) == list(map(float.hex, expected))
+            assert len(grid) == steps and grid[0] == t_min and grid[-1] == t_max
 
 
 class TestHighTemperaturePrecision:

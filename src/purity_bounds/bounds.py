@@ -166,7 +166,8 @@ def bound_report(
     form hbar^2 / (4 (1 - r^2)) but checked in its determinant form, sr_lhs
     against hbar^2 / 4.  A flag passes when the deficit is at most
     ``PASS_ROUNDING_TOL`` of the bound, so a state that saturates a bound
-    (the vacuum) is not failed by rounding.
+    (the vacuum) is not failed by rounding.  hbar^2/4 below the smallest normal
+    float is a ValueError: bounds that round to 0 would pass failing states.
     """
     check_positive("hbar", hbar)
     check_correlation(r)
@@ -174,6 +175,8 @@ def bound_report(
     # Halved before squaring: (hbar / 2)^2 and (hbar Phi / 2)^2 overflow only with the bound.
     half = hbar / 2.0
     quarter = half * half
+    if quarter < sys.float_info.min:
+        raise ValueError(f"hbar {hbar!r} is too small: hbar^2/4 = {quarter!r} underflows")
     one_minus_r2 = 1.0 - r * r
     purity_bound = (half * pv.value) * (half * pv.value) / one_minus_r2
     checked = dict(zip(BOUND_NAMES,

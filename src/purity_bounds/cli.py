@@ -191,20 +191,17 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("state", help="state JSON file")
     p.add_argument("--hbar", type=float, default=None, help="override the file's hbar")
     _add_phi_mode(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("phi", help="evaluate the bound multiplier at one purity")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--mode", choices=PHI_MODES, default="exact")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("phi-curve", help="tabulate all forms of the multiplier on a grid")
     p.add_argument("--mu-from", type=float, required=True)
     p.add_argument("--mu-to", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_phi_curve)
 
     p = sub.add_parser("oracle", help="certify the multiplier by constrained minimization")
@@ -220,7 +217,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--dim", type=int, default=None, help="matrix dimension for --falsify")
     p.add_argument("--samples", type=int, default=None, help="sample count for --falsify")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (required for --falsify)")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("thermal", help="temperature sweep (optionally through a barrier)")
@@ -233,7 +229,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--barrier", default=None, help="barrier JSON file")
     p.add_argument("--energy", type=float, default=None)
     _add_phi_mode(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_thermal)
 
     p = sub.add_parser("tunnel", help="barrier transparency along a purity grid")
@@ -246,7 +241,6 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--mu-to", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
     _add_phi_mode(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tunnel)
 
     p = sub.add_parser("decohere", help="dephasing trajectory with transparency tracking")
@@ -257,9 +251,10 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--barrier", required=True, help="barrier JSON file")
     p.add_argument("--energy", type=float, required=True)
     _add_phi_mode(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decohere)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -45,9 +45,7 @@ def format_number(value: Any) -> str:
 
 
 def render_csv(header: list[str], rows: list[list[Any]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(format_number, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 

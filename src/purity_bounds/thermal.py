@@ -15,7 +15,7 @@ through log Z, so that very low temperatures do not overflow sinh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
@@ -48,8 +48,7 @@ def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
         raise ValueError("steps must be >= 2")
     lo, hi = math.log10(t_min), math.log10(t_max)
     step = (hi - lo) / (steps - 1)
-    inner = [10.0 ** (i * step + lo) for i in range(1, steps - 1)]
-    return [float(t_min), *inner, float(t_max)]
+    return [float(t_min), *(10.0 ** (i * step + lo) for i in range(1, steps - 1)), float(t_max)]
 
 
 def log_partition_function(model: ThermalModel, T: float) -> float:
@@ -87,7 +86,7 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     """Thermal state truncated (and renormalized) to ``dim`` levels."""
     import numpy as np
 
-    from .states import diagonal_mixture
+    from .states import FockDensityMatrix
 
     check_positive("temperature", T)
     if dim < 2:
@@ -95,7 +94,7 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     # The ground-state weight is 1 before normalisation, so nothing overflows.
     w = np.exp(-np.arange(dim) * model.hbar * model.omega / T)
     w /= w.sum()
-    return replace(diagonal_mixture(w), hbar=model.hbar, mass=model.mass, omega=model.omega)
+    return FockDensityMatrix(dim, np.diag(w).astype(complex), model.hbar, model.mass, model.omega)
 
 
 def thermal_bound_report(

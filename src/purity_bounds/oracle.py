@@ -286,7 +286,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     The moments are exact: they use the shared operators of
     ``states.fock_moment_operators``.  Returns the minimum of
     sigma_qq sigma_pp (1 - r^2) - Phi^2(mu) / 4  found, in units of hbar^2.
-    Memory is 16 dim bytes per start (drawn whole: every real part comes
+    Memory is 16*dim bytes per start (drawn whole: every real part comes
     before any imaginary part) plus one chunk's working set: the starts are
     stepped in chunks of ``_CHUNK_ELEMENTS`` matrix elements, and a chunk size
     changes no bit, since every row is reduced in the same order.

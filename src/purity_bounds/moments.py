@@ -1,17 +1,22 @@
 """First/second quadrature moments, correlation coefficient and purity.
 
-For a Fock-basis state the moments are evaluated exactly with the shared
-operators of ``states.fock_moment_operators``: they are built two levels
-larger than the state, so the products q^2, p^2 and (qp+pq)/2 carry no
-truncation artifact for any state supported on the stored basis.  A
-``TruncationWarning`` is still emitted when the top two levels are
-populated, because the stored matrix is then itself a suspect truncation
-of the intended state.
+A Fock-basis state is read through three diagonals: with the ladder sums
+z = sum sqrt(n+1) rho[n+1,n], w = sum sqrt((n+1)(n+2)) rho[n+2,n] and
+N = sum (2n+1) rho[n,n], s_q^2 = hbar/(2 m omega) and s_p^2 = hbar m omega/2,
 
-``purity`` computes every purity, ``compute_moments``' too.  A valid state
-can come out above 1 by an excess within ``STATE_TOL``, which reads as 1:
-no later purity gate rejects a state that passed validation.  Only the
-Fock path loads numpy.
+    <q> = 2 s_q Re z    <q^2> = s_q^2 (N + 2 Re w)    <(qp+pq)/2> = hbar Im w
+    <p> = 2 s_p Im z    <p^2> = s_p^2 (N - 2 Re w)
+
+exactly, for any state on the stored levels.  The sums are ``math.fsum``s,
+so no BLAS kernel changes a bit.  A ``TruncationWarning`` is still emitted
+when the top two levels are populated: the stored matrix is then itself a
+suspect truncation of the intended state.
+
+``purity`` computes every purity, ``compute_moments``' too; a density
+matrix's is sum |rho_ij|^2, summed diagonal by diagonal.  A valid state can
+come out above 1 by an excess within ``STATE_TOL``, which reads as 1: no
+later purity gate rejects a state that passed validation.  Only the Fock
+path loads numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .states import (
     FockDensityMatrix,
     GaussianState,
     QuantumState,
-    fock_moment_operators,
     validate_state,
 )
 
@@ -69,16 +73,7 @@ class SecondMoments:
             )
         if not 0.0 < mu <= 1.0 + STATE_TOL:
             raise InvalidStateError(f"purity {mu!r} outside (0, 1]")
-        return cls(
-            mean_q=float(mean_q),
-            mean_p=float(mean_p),
-            sigma_qq=float(sigma_qq),
-            sigma_pp=float(sigma_pp),
-            sigma_qp=float(sigma_qp),
-            r=float(r),
-            mu=float(mu),
-            linear_entropy=float(1.0 - mu),
-        )
+        return cls(*map(float, (mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp, r, mu, 1.0 - mu)))
 
 
 def _require_valid(state: QuantumState) -> None:
@@ -100,17 +95,33 @@ def _warn_if_truncated(state: FockDensityMatrix) -> None:
         )
 
 
-def _fock_moments(state: FockDensityMatrix, mu: float) -> SecondMoments:
-    _warn_if_truncated(state)
-    q, p, q2, p2, qp_sym = fock_moment_operators(state.dim, state.hbar, state.mass, state.omega)
-    rho = state.entries
-    expect = lambda op: float((rho @ op).trace().real)
-    mean_q = expect(q)
-    mean_p = expect(p)
-    sigma_qq = expect(q2) - mean_q**2
-    sigma_pp = expect(p2) - mean_p**2
-    sigma_qp = expect(qp_sym) - mean_q * mean_p
-    return SecondMoments.from_covariance(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp, mu)
+def _ladder_moments(z, w, n_sum, hbar=1.0, mass=1.0, omega=1.0):
+    """(mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp) from z, w, N: Python numbers or arrays."""
+    s_qq, s_pp = hbar / (2.0 * mass * omega), hbar * mass * omega / 2.0
+    x, y = z.real, z.imag  # <q>^2 = 4 s_qq x^2 and <q><p> = 2 hbar x y go inside each sum
+    return (2.0 * math.sqrt(s_qq) * x, 2.0 * math.sqrt(s_pp) * y,
+            s_qq * (n_sum + 2.0 * w.real - 4.0 * x * x),
+            s_pp * (n_sum - 2.0 * w.real - 4.0 * y * y),
+            hbar * (w.imag - 2.0 * x * y))
+
+
+def _fock_sums(rho) -> tuple[complex, complex, float]:
+    """z, w and N of a density matrix (see module docstring)."""
+    import numpy as np
+
+    n = np.arange(1.0, len(rho))
+    fsum = lambda terms: complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return (fsum(np.sqrt(n) * rho.diagonal(-1)), fsum(np.sqrt(n[:-1] * n[1:]) * rho.diagonal(-2)),
+            math.fsum((2.0 * np.arange(len(rho)) + 1.0) * rho.diagonal().real))
+
+
+def _diagonal_weights(rho) -> list[float]:
+    """S_d, the sum of |rho_ij|^2 over the diagonals i - j = +-d, for d = 0 .. dim-1."""
+    import numpy as np
+
+    n = np.arange(len(rho))
+    gap = abs(n[:, None] - n[None, :])
+    return [math.fsum(np.square(rho[gap == d].view(float))) for d in n]
 
 
 def _gaussian_purity(state: GaussianState) -> float:
@@ -123,29 +134,26 @@ def _gaussian_purity(state: GaussianState) -> float:
 def compute_moments(state: QuantumState) -> SecondMoments:
     """Extract ``SecondMoments`` from either state representation.
 
-    Gaussian states have their moments copied; Fock states get exact
-    operator traces (see module docstring).  The purity is ``purity``'s.
+    Gaussian states have their moments copied; Fock states are read through
+    their diagonals (see module docstring).  The purity is ``purity``'s.
     """
     mu = purity(state)
     if isinstance(state, GaussianState):
         return SecondMoments.from_covariance(
             state.mean_q, state.mean_p, state.sigma_qq, state.sigma_pp, state.sigma_qp, mu
         )
-    return _fock_moments(state, mu)
+    _warn_if_truncated(state)
+    moments = _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
+    return SecondMoments.from_covariance(*moments, mu)
 
 
 def purity(state: QuantumState) -> float:
     """Purity of a valid state, in (0, 1].
 
-    hbar / (2 sqrt(det sigma)) for a Gaussian state, the sum of squared
-    eigenvalues for a density matrix; a value above 1 reads as 1 (see
-    module docstring).
+    hbar / (2 sqrt(det sigma)) for a Gaussian state, the sum of |rho_ij|^2
+    for a density matrix; a value above 1 reads as 1 (see module docstring).
     """
     _require_valid(state)
     if isinstance(state, GaussianState):
         return min(_gaussian_purity(state), 1.0)
-    import numpy as np
-
-    # validate_state rejects an eigenvalue below -STATE_TOL: only rounding is clipped.
-    eigs = np.linalg.eigvalsh(0.5 * (state.entries + state.entries.conj().T))
-    return min(float(np.sum(np.clip(eigs, 0.0, None) ** 2)), 1.0)
+    return min(math.fsum(_diagonal_weights(state.entries)), 1.0)

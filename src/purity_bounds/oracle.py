@@ -10,6 +10,7 @@ guards the diagonal-mixture ansatz itself (the extremum is taken over
 diagonal weights, which a dense state could in principle beat): it steps
 random pure states onto the bound, one eigen-step on det Sigma each, so a
 Phi that is too large fails it, and it must find no state below the bound.
+It reads every state's moments through the ladder sums of ``moments``.
 
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
@@ -283,8 +284,9 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     whose spectrum w minimizes the ascending eigenvalues of G on the purity
     sphere (``_face_minimizer`` over the prefix supports) is therefore the
     image of a rank-k minimizer of Phi, and its slack lies at the bound.
-    The moments are exact: they use the shared operators of
-    ``states.fock_moment_operators``.  Returns the minimum of
+    G is banded (its diagonal and two on each side), and the moments of each
+    start and of each V diag(w) V^dagger are the ladder sums of ``moments``,
+    summed on the last axis: no density matrix is formed.  Returns the minimum of
     sigma_qq sigma_pp (1 - r^2) - Phi^2(mu) / 4  found, in units of hbar^2.
     Memory is 16*dim bytes per start (drawn whole: every real part comes
     before any imaginary part) plus one chunk's working set: the starts are
@@ -298,7 +300,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     mu = _check_reachable(mu, dim)
     import numpy as np
 
-    from .states import fock_moment_operators
+    from .moments import _ladder_moments
 
     rng = np.random.default_rng(seed)
     size = max(1, _CHUNK_ELEMENTS // dim**2)
@@ -307,27 +309,30 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     for part in (psi.real, psi.imag):
         for rows in chunks:
             part[rows] = rng.standard_normal(part[rows].shape)
-    ops = np.array(fock_moment_operators(dim))  # q, p, q^2, p^2, (qp+pq)/2
-    # tr(rho op) flat: row-major over (i, j) at any batch size, a batch of one too.
-    flat_ops = ops.transpose(0, 2, 1).reshape(len(ops), -1)
+    n = np.arange(dim)
+    ladder = (2.0 * n + 1.0, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))  # weights of N, z, w
 
-    def moments(rho):
-        """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each rho."""
-        mq, mp, eq2, ep2, eqp = np.einsum("bx,kx->kb", rho.reshape(len(rho), -1), flat_ops).real
-        return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
+    def moments(vectors, weights):
+        """<q>, <p>, sigma_qq, sigma_pp, sigma_qp of each sum_k weights_k |v_k><v_k|."""
+        conj = weights[:, None] * vectors.conj()
+        n_sum, z, w = ((c * (vectors[:, d:] * conj[:, :dim - d]).sum(-1)).sum(-1)
+                       for d, c in enumerate(ladder))
+        return _ladder_moments(z, w, n_sum.real)
 
     bound = (phi(mu, "exact") / 2.0) ** 2
     min_slack = np.inf
     for rows in chunks:
         start = psi[rows] / np.linalg.norm(psi[rows], axis=1, keepdims=True)
-        mq, mp, sqq, spp, sqp = moments(np.einsum("bi,bj->bij", start, start.conj()))
-        # G as coefficients of the five operators (q, p, q^2, p^2, (qp+pq)/2).
-        coeffs = np.stack([2.0 * (sqp * mp - spp * mq), 2.0 * (sqp * mq - sqq * mp),
-                           spp, sqq, -2.0 * sqp])
-        cost, vectors = np.linalg.eigh(np.einsum("kb,kij->bij", coeffs, ops))
+        mq, mp, sqq, spp, sqp = moments(start[:, :, None], np.ones((len(start), 1)))
+        # G on its three diagonals; eigh reads the lower triangle.
+        g = np.zeros((len(start), dim, dim), complex)
+        g[:, n, n] = (sqq + spp)[:, None] * (n + 0.5)
+        g[:, n[1:], n[:-1]] = np.sqrt(n[1:] / 2.0) * (2.0 * (sqp * mp - spp * mq)
+                                                      + 2j * (sqp * mq - sqq * mp))[:, None]
+        g[:, n[2:], n[:-2]] = 0.5 * ladder[2] * (spp - sqq - 2j * sqp)[:, None]
+        cost, vectors = np.linalg.eigh(g)
         weights = _face_minimizer(cost, mu, np.tri(dim, dtype=bool))
-        rho = (vectors * weights[:, None, :]) @ vectors.conj().transpose(0, 2, 1)
-        _, _, sqq, spp, sqp = moments(rho)
+        _, _, sqq, spp, sqp = moments(vectors, weights)
         min_slack = np.min(sqq * spp - sqp**2 - bound, initial=min_slack)
 
     return FalsificationReport(mu=mu, dim=dim, samples=samples, used=samples, skipped=0,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from purity_bounds import (
+    FockDensityMatrix,
     RectangularBarrier,
+    compute_moments,
     dephase_step,
     diagonal_mixture,
     fock_projector,
@@ -55,8 +57,6 @@ class TestDephaseStep:
         assert np.max(np.abs(split.entries - once.entries)) < 1e-12
 
     def test_state_invariants_preserved(self):
-        from purity_bounds import FockDensityMatrix
-
         rng = np.random.default_rng(13)
         z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         rho = z @ z.conj().T
@@ -122,11 +122,30 @@ class TestTrajectory:
         np.testing.assert_allclose(traj.times, [0.0, 1.0, 2.0, 3.0], atol=1e-15)
         assert traj.records["t"] == pytest.approx([0.0, 1.0, 2.0, 3.0])
 
-    def test_states_stay_valid_along_the_way(self, plus_state, rect):
-        traj = run_trajectory(plus_state, gamma=0.5, t_max=2.0, steps=5,
-                              barrier=rect, energy=0.5)
-        for state in traj.states:
-            assert validate_state(state) == []
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_match_the_moments_of_the_dephased_state(self, seed, rect):
+        """The closed form in t gives, within 4 ulp, the mu and r that
+        ``compute_moments`` reads off the matrix ``dephase_step`` builds.
+
+        r is sigma_qp / sqrt(sigma_qq sigma_pp) with sigma_qp = <(qp+pq)/2> - <q><p>;
+        its ulp is taken at sqrt(<q^2><p^2> / (sigma_qq sigma_pp)) >= |r|, the
+        scale of those terms.  Dephasing drives r to 0 by cancelling them, and
+        there neither path is within a few ulp of r itself.
+        """
+        rng = np.random.default_rng(seed)
+        dim = int(rng.integers(3, 13))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        a[:, dim - 2:] = a[dim - 2:] = 0.0  # the top two levels stay empty
+        rho = a @ a.conj().T
+        state = FockDensityMatrix(dim=dim, entries=rho / np.trace(rho).real, hbar=0.7,
+                                  mass=1.9, omega=0.45)
+        gamma = 10.0 ** rng.uniform(-2.0, 0.5)
+        traj = run_trajectory(state, gamma, t_max=3.0, steps=9, barrier=rect, energy=0.5)
+        for t, mu, r in zip(traj.times, traj.records["mu"], traj.records["r"]):
+            m = compute_moments(state if t == 0.0 else dephase_step(state, gamma, float(t)))
+            assert abs(mu - m.mu) <= 4 * math.ulp(m.mu), (t, mu, m.mu)
+            scale = math.sqrt((1.0 + m.mean_q**2 / m.sigma_qq) * (1.0 + m.mean_p**2 / m.sigma_pp))
+            assert abs(r - m.r) <= 4 * math.ulp(scale), (t, r, m.r)
 
     def test_invariant_product_column(self, plus_state, rect):
         traj = run_trajectory(plus_state, gamma=1.0, t_max=2.0, steps=3,

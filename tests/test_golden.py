@@ -145,8 +145,9 @@ def test_sweep_values_match_recorded_full_precision(name):
     assert out.decode("utf-8") == _full_precision()[name]
 
 
-def _is_gaussian_check(argv: list[str]) -> bool:
-    return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == "gaussian"
+def _checks_a(kind: str, argv: list[str]) -> bool:
+    """True for a check of a state file of the given type."""
+    return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == kind
 
 
 # Cases whose commands build no matrix.  projected-gradient at mu 0.5 never
@@ -154,37 +155,51 @@ def _is_gaussian_check(argv: list[str]) -> bool:
 NUMPY_FREE = sorted(name for name in CASES if name.startswith(
     ("phi-", "tunnel-rectangular-", "tunnel-parabolic-", "thermal-", "oracle-auto",
      "oracle-rank2", "oracle-sweep", "oracle-projected-gradient"))
-    or _is_gaussian_check(CASES[name]))
+    or _checks_a("gaussian", CASES[name]))
 
 _CHILD = """
 import contextlib, io, json, sys
 if sys.argv[2] == "without-numpy":
     sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import purity_bounds.io as pio
 from purity_bounds.cli import main
 
-results = {}
-for name, argv in json.loads(sys.argv[1]).items():
+def run(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer):
         code = main(argv)
-    results[name] = [code, buffer.getvalue()]
+    return [code, buffer.getvalue()]
+
+format_number = pio.format_number
+results = {}
+for name, (argv, sweep) in json.loads(sys.argv[1]).items():
+    results[name] = run(argv)
+    if sweep:  # numpy floats are floats too
+        pio.format_number = lambda v: repr(float(v)) if isinstance(v, float) else format_number(v)
+        results[name].append(run(argv)[1])
+        pio.format_number = format_number
 print(json.dumps(results))
 """
 
 
 def _run_in_child(names: list[str], mode: str = "", **env: str) -> dict[str, list]:
-    """Run the named cases in a fresh interpreter; returns {name: [exit code, stdout]}."""
+    """Run the named cases in a fresh interpreter.
+
+    Returns {name: [exit code, stdout]}, with the full-precision stdout
+    appended for a sweep.
+    """
     env = dict(os.environ, PYTHONPATH=str(GOLDEN.parent.parent / "src"), **env)
-    cases = {name: CASES[name] for name in names}
+    cases = {name: [CASES[name], name in SWEEPS] for name in names}
     proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases), mode],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
 
 def _assert_recorded(results: dict[str, list]) -> None:
-    for name, (code, out) in results.items():
+    for name, (code, out, *full) in results.items():
         assert out.encode("utf-8") == (GOLDEN / f"{name}.txt").read_bytes(), name
         assert code == _exit_codes()[name], name
+        assert full == ([_full_precision()[name]] if name in SWEEPS else []), name
 
 
 def test_numpy_free_cases_match_recorded_bytes_without_numpy():
@@ -208,18 +223,21 @@ def _openblas_dynamic_arch_on_x86() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-# The minimizer cases; the falsifier's eigensolver is LAPACK's and is not covered.
-ORACLE_MINIMIZERS = sorted(name for name in CASES
-                           if name.startswith("oracle-") and "falsify" not in name)
+# The minimizer, Fock check and decohere cases; the falsifier's eigensolver is
+# LAPACK's and is not covered.
+KERNEL_FREE = sorted(name for name in CASES
+                     if (name.startswith(("oracle-", "decohere-")) and "falsify" not in name)
+                     or _checks_a("fock", CASES[name]))
 
 
 @pytest.mark.skipif(not _openblas_dynamic_arch_on_x86(),
                     reason="needs OpenBLAS built with DYNAMIC_ARCH on x86-64")
-def test_oracle_bytes_do_not_depend_on_the_blas_kernel():
-    """The oracle's sums are its own, correctly rounded: OpenBLAS's SSE kernel
-    (safe on any x86-64) gives the recorded bytes too."""
-    assert len(ORACLE_MINIMIZERS) == 7
-    _assert_recorded(_run_in_child(ORACLE_MINIMIZERS, OPENBLAS_CORETYPE="Prescott"))
+def test_oracle_and_fock_bytes_do_not_depend_on_the_blas_kernel():
+    """The oracle's and the Fock moments' sums are their own, correctly rounded:
+    OpenBLAS's SSE kernel (safe on any x86-64) gives the recorded bytes and
+    full-precision rows too."""
+    assert len(KERNEL_FREE) == 7 + 7 + 3  # oracle, check, decohere
+    _assert_recorded(_run_in_child(KERNEL_FREE, OPENBLAS_CORETYPE="Prescott"))
 
 
 def regenerate() -> list[str]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from purity_bounds import (
     diagonal_mixture,
     evaluate_bounds,
     fock_projector,
+    fock_quadrature_operators,
     pure_state_density,
     purity,
     thermal_state_fock,
@@ -47,7 +49,7 @@ class TestFockMoments:
         assert m.mu == pytest.approx(1.0, abs=1e-12)
 
     def test_moments_are_exact_at_minimal_dimension(self):
-        # |1><1| stored with dim=2: the enlarged operators keep <q^2> exact.
+        # |1><1| stored with dim=2: the ladder sums keep <q^2> exact.
         with pytest.warns(TruncationWarning):
             m = compute_moments(fock_projector(1, dim=2))
         assert m.sigma_qq == pytest.approx(1.5, abs=1e-12)
@@ -66,6 +68,50 @@ class TestFockMoments:
     def test_linear_entropy_complement(self):
         m = compute_moments(diagonal_mixture([0.5, 0.5], dim=4))
         assert m.linear_entropy == pytest.approx(1.0 - m.mu, abs=0.0)
+
+
+def operator_moments(state):
+    """<q>, <p>, sigma_qq, sigma_pp, sigma_qp as tr(rho op), independently of the
+    ladder sums: the operators are built two levels larger and their products
+    sliced back, so no truncation artifact enters."""
+    q, p = fock_quadrature_operators(state.dim + 2, state.hbar, state.mass, state.omega)
+    ops = (q, p, q @ q, p @ p, 0.5 * (q @ p + p @ q))
+    mq, mp, eq2, ep2, eqp = (float(np.trace(state.entries @ op[:state.dim, :state.dim]).real)
+                             for op in ops)
+    return mq, mp, eq2 - mq * mq, ep2 - mp * mp, eqp - mq * mp
+
+
+def dense_states(seed, count):
+    """Seeded full-rank density matrices of dim 2..32 in random oscillator units."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        dim = int(rng.integers(2, 33))
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        rho = a @ a.conj().T
+        hbar, mass, omega = 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        yield FockDensityMatrix(dim=dim, entries=rho / np.trace(rho).real, hbar=hbar, mass=mass,
+                                omega=omega)
+
+
+class TestLadderSums:
+    def test_moments_match_the_operator_traces(self):
+        """The ladder sums agree with tr(rho op) to 1e-14 of each moment's scale."""
+        for state in dense_states(31, 300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", TruncationWarning)
+                m = compute_moments(state)
+            mq, mp, sqq, spp, sqp = operator_moments(state)
+            scale = math.sqrt(m.sigma_qq * m.sigma_pp)
+            assert abs(m.mean_q - mq) <= 1e-14 * math.sqrt(m.sigma_qq), state.dim
+            assert abs(m.mean_p - mp) <= 1e-14 * math.sqrt(m.sigma_pp), state.dim
+            assert abs(m.sigma_qq - sqq) <= 1e-14 * m.sigma_qq, state.dim
+            assert abs(m.sigma_pp - spp) <= 1e-14 * m.sigma_pp, state.dim
+            assert abs(m.sigma_qp - sqp) <= 1e-14 * scale, state.dim
+
+    def test_purity_matches_the_squared_spectrum(self):
+        for state in dense_states(37, 300):
+            eigs = np.linalg.eigvalsh(state.entries)
+            assert abs(purity(state) - float(np.sum(eigs**2))) <= 1e-15, state.dim
 
 
 class TestGaussianMoments:

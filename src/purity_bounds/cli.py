@@ -37,20 +37,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _linear_grid(lo: float, hi: float, steps: int, what: str) -> list[float]:
-    """``steps`` evenly spaced points from lo to hi, the values of np.linspace."""
-    if steps < 1:
-        raise ValueError(f"{what}: steps must be >= 1")
-    if steps == 1:
-        if lo != hi:
-            raise ValueError(f"{what}: a single step needs equal endpoints")
-        return [lo]
-    if not -float("inf") < lo < hi < float("inf"):
-        raise ValueError(f"{what}: need finite lower < upper, got {lo!r}, {hi!r}")
-    step = (hi - lo) / (steps - 1)
-    return [lo + i * step for i in range(steps - 1)] + [hi]
-
-
 def _cmd_check(args) -> int:
     from .moments import compute_moments
     from .states import validate_state
@@ -81,7 +67,7 @@ def _cmd_phi(args) -> int:
 def _cmd_phi_curve(args) -> int:
     if not 0.0 < args.mu_from <= 1.0 or not 0.0 < args.mu_to <= 1.0:
         raise ValueError("purity endpoints must lie in (0, 1]")
-    mu = _linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
+    mu = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
     table = {"mu": mu}
     for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
                          ("phi_asymptote", "asymptote")):
@@ -103,7 +89,7 @@ def _cmd_oracle(args) -> int:
     if args.mu is not None:
         grid = [args.mu]
     elif args.mu_from is not None and args.mu_to is not None and args.steps is not None:
-        grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "oracle")
+        grid = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "oracle")
     else:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
     rows = [astuple(row) for row in phi_curve_certified(grid, args.levels, method=args.method)]
@@ -148,7 +134,7 @@ def _cmd_tunnel(args) -> int:
         if not mu_grid:
             raise ValueError("--mu list is empty")
     elif args.mu_from is not None and args.mu_to is not None and args.steps is not None:
-        mu_grid = _linear_grid(args.mu_from, args.mu_to, args.steps, "tunnel")
+        mu_grid = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "tunnel")
     else:
         mu_grid = [1.0]
     table = transparency_vs_purity(

@@ -10,9 +10,10 @@ exponential action (no integrator needed) and an exact semigroup property.
 fixed barrier.  It validates the initial state once (dephasing keeps it
 valid); at time t the ladder sums z and w of ``moments`` scale by
 exp(-gamma t) and exp(-4 gamma t), and diagonal d of weight S_d adds
-S_d exp(-2 gamma t d^2) to the purity.  The transparency at each instant
-is a quasi-static estimate: it is computed from the instantaneous (r, mu)
-pair as if the state were frozen during traversal.
+S_d exp(-2 gamma t d^2) to the purity, in Python floats on the CLI's time
+grid (``io.linear_grid``).  The transparency at each instant is a
+quasi-static estimate: it is computed from the instantaneous (r, mu) pair as
+if the state were frozen during traversal.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import check_positive
+from .io import linear_grid
 from .moments import SecondMoments, _diagonal_weights, _fock_sums, _ladder_moments, compute_moments
 from .states import FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
@@ -30,7 +30,7 @@ from .tunneling import BarrierSpec, transparency, wkb_columns
 
 @dataclass(frozen=True)
 class DephasingTrajectory:
-    times: np.ndarray
+    times: list[float]
     records: dict[str, list]
 
 
@@ -44,9 +44,9 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma {gamma!r} must be nonnegative and finite")
     check_positive("dt", dt)
-    n = np.arange(rho.dim)
-    kernel = np.exp(-gamma * dt * (n[:, None] - n[None, :]) ** 2)
-    return replace(rho, entries=rho.entries * kernel)
+    entries = [[x * math.exp(-gamma * dt * (n - m) ** 2) for m, x in enumerate(row)]
+               for n, row in enumerate(rho.entries)]
+    return replace(rho, entries=entries)
 
 
 def run_trajectory(
@@ -71,14 +71,14 @@ def run_trajectory(
     if steps < 2:
         raise ValueError("steps must be >= 2")
 
-    times = np.linspace(0.0, t_max, steps)
+    times = linear_grid(0.0, t_max, steps, "decohere")
     action = transparency(barrier, energy, rho0.hbar).action_integral
 
     compute_moments(rho0)  # validates rho0 and warns if it is truncated
     z, w, n_sum = _fock_sums(rho0.entries)
     weights = _diagonal_weights(rho0.entries)
     mu, r = [], []
-    for t in map(float, times):
+    for t in times:
         purity = math.fsum(s * math.exp(-2.0 * gamma * t * (d * d)) for d, s in enumerate(weights))
         moments = _ladder_moments(z * math.exp(-gamma * t), w * math.exp(-4.0 * gamma * t), n_sum,
                                   rho0.hbar, rho0.mass, rho0.omega)
@@ -88,6 +88,6 @@ def run_trajectory(
 
     # SecondMoments guarantees |r| < 1.
     wkb = wkb_columns(mu, r, action, rho0.hbar, phi_mode)
-    records = {"t": list(map(float, times)), "mu": mu, "r": r, **wkb,
+    records = {"t": times, "mu": mu, "r": r, **wkb,
                "inv_mu_ln_D": [ln_d / m for ln_d, m in zip(wkb["ln_D"], mu)]}
     return DephasingTrajectory(times=times, records=records)

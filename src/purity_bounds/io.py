@@ -1,4 +1,4 @@
-"""State/barrier file parsing and deterministic CSV/JSON report emission.
+"""State/barrier file parsing, sweep grids and deterministic CSV/JSON report emission.
 
 File schemas are strict: every documented field must be present and no
 other field is accepted, so a typo in a key fails loudly instead of being
@@ -44,6 +44,20 @@ def format_number(value: Any) -> str:
     return f"{v:.9g}"
 
 
+def linear_grid(lo: float, hi: float, steps: int, what: str) -> list[float]:
+    """``steps`` evenly spaced points from lo to hi, the values of np.linspace."""
+    if steps < 1:
+        raise ValueError(f"{what}: steps must be >= 1")
+    if steps == 1:
+        if lo != hi:
+            raise ValueError(f"{what}: a single step needs equal endpoints")
+        return [lo]
+    if not -float("inf") < lo < hi < float("inf"):
+        raise ValueError(f"{what}: need finite lower < upper, got {lo!r}, {hi!r}")
+    step = (hi - lo) / (steps - 1)
+    return [lo + i * step for i in range(steps - 1)] + [hi]
+
+
 def render_csv(header: list[str], rows: list[list[Any]]) -> str:
     lines = [",".join(header)] + [",".join(map(format_number, row)) for row in rows]
     return "\n".join(lines) + "\n"
@@ -74,6 +88,19 @@ def _as_real(value, field: str) -> float:
     return float(value)
 
 
+def _as_reals(values, field: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ValueError(f"field '{field}' must be a list of numbers")
+    return [_as_real(value, f"{field}[{i}]") for i, value in enumerate(values)]
+
+
+def _as_matrix(rows, field: str, dim: int) -> list[list[float]]:
+    if not (isinstance(rows, list) and len(rows) == dim
+            and all(isinstance(row, list) and len(row) == dim for row in rows)):
+        raise ValueError(f"field '{field}' must be a {dim}x{dim} matrix")
+    return [_as_reals(row, f"{field}[{i}]") for i, row in enumerate(rows)]
+
+
 def state_from_dict(data: dict) -> QuantumState:
     from .states import FockDensityMatrix, GaussianState
 
@@ -102,15 +129,10 @@ def state_from_dict(data: dict) -> QuantumState:
         dim = data["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise ValueError(f"field 'dim' must be an integer, got {dim!r}")
-        import numpy as np
-
-        re = np.asarray(data["re"], dtype=float)
-        im = np.asarray(data["im"], dtype=float)
-        if re.shape != (dim, dim) or im.shape != (dim, dim):
-            raise ValueError(f"'re' and 'im' must both be {dim}x{dim} matrices")
+        re, im = _as_matrix(data["re"], "re", dim), _as_matrix(data["im"], "im", dim)
         return FockDensityMatrix(
             dim=dim,
-            entries=re + 1j * im,
+            entries=[[complex(a, b) for a, b in zip(*rows)] for rows in zip(re, im)],
             hbar=_as_real(data["hbar"], "hbar"),
             mass=_as_real(data["mass"], "mass"),
             omega=_as_real(data["omega"], "omega"),
@@ -157,7 +179,8 @@ def barrier_from_dict(data: dict) -> BarrierSpec:
         )
     if shape == "sampled":
         _require_fields(data, {"shape", "x", "v", "mass"}, "sampled barrier")
-        return SampledBarrier(x=data["x"], v=data["v"], mass=_as_real(data["mass"], "mass"))
+        return SampledBarrier(x=_as_reals(data["x"], "x"), v=_as_reals(data["v"], "v"),
+                              mass=_as_real(data["mass"], "mass"))
     raise ValueError(f"unknown barrier shape {shape!r}")
 
 

@@ -7,16 +7,16 @@ N = sum (2n+1) rho[n,n], s_q^2 = hbar/(2 m omega) and s_p^2 = hbar m omega/2,
     <q> = 2 s_q Re z    <q^2> = s_q^2 (N + 2 Re w)    <(qp+pq)/2> = hbar Im w
     <p> = 2 s_p Im z    <p^2> = s_p^2 (N - 2 Re w)
 
-exactly, for any state on the stored levels.  The sums are ``math.fsum``s,
-so no BLAS kernel changes a bit.  A ``TruncationWarning`` is still emitted
-when the top two levels are populated: the stored matrix is then itself a
-suspect truncation of the intended state.
+exactly, for any state on the stored levels.  The sums are ``math.fsum``s
+over Python complex numbers, so no BLAS kernel changes a bit.  A
+``TruncationWarning`` is still emitted when the top two levels are
+populated: the stored matrix is then itself a suspect truncation of the
+intended state.
 
 ``purity`` computes every purity, ``compute_moments``' too; a density
 matrix's is sum |rho_ij|^2, summed diagonal by diagonal.  A valid state can
 come out above 1 by an excess within ``STATE_TOL``, which reads as 1: no
-later purity gate rejects a state that passed validation.  Only the Fock
-path loads numpy.
+later purity gate rejects a state that passed validation.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _require_valid(state: QuantumState) -> None:
 
 
 def _warn_if_truncated(state: FockDensityMatrix) -> None:
-    top = state.populations()[-2:].max()
+    top = max(state.populations()[-2:])
     if top >= TRUNCATION_POPULATION_TOL:
         warnings.warn(
             f"top two basis levels carry population {top:.3e}; "
@@ -107,21 +107,19 @@ def _ladder_moments(z, w, n_sum, hbar=1.0, mass=1.0, omega=1.0):
 
 def _fock_sums(rho) -> tuple[complex, complex, float]:
     """z, w and N of a density matrix (see module docstring)."""
-    import numpy as np
-
-    n = np.arange(1.0, len(rho))
-    fsum = lambda terms: complex(math.fsum(terms.real), math.fsum(terms.imag))
-    return (fsum(np.sqrt(n) * rho.diagonal(-1)), fsum(np.sqrt(n[:-1] * n[1:]) * rho.diagonal(-2)),
-            math.fsum((2.0 * np.arange(len(rho)) + 1.0) * rho.diagonal().real))
+    z = [math.sqrt(n) * rho[n][n - 1] for n in range(1, len(rho))]
+    w = [math.sqrt(n * (n + 1.0)) * rho[n + 1][n - 1] for n in range(1, len(rho) - 1)]
+    fsum = lambda t: complex(math.fsum(c.real for c in t), math.fsum(c.imag for c in t))
+    return fsum(z), fsum(w), math.fsum((2.0 * n + 1.0) * r[n].real for n, r in enumerate(rho))
 
 
 def _diagonal_weights(rho) -> list[float]:
     """S_d, the sum of |rho_ij|^2 over the diagonals i - j = +-d, for d = 0 .. dim-1."""
-    import numpy as np
-
-    n = np.arange(len(rho))
-    gap = abs(n[:, None] - n[None, :])
-    return [math.fsum(np.square(rho[gap == d].view(float))) for d in n]
+    squares = [[] for _ in rho]
+    for i, row in enumerate(rho):
+        for j, x in enumerate(row):
+            squares[abs(i - j)] += (x.real * x.real, x.imag * x.imag)
+    return [math.fsum(s) for s in squares]
 
 
 def _gaussian_purity(state: GaussianState) -> float:

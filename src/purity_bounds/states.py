@@ -7,12 +7,17 @@ these two types (or their union, ``QuantumState``).
 
 One tolerance, ``STATE_TOL``, judges every invariant: the hermiticity,
 trace and eigenvalues of a density matrix absolutely, the Gaussian
-determinant relative to hbar^2/4.  Only density-matrix code loads numpy.
+determinant relative to hbar^2/4.  A density matrix is a tuple of rows of
+``complex``; its eigenvalues pass iff its Hermitian part plus ``STATE_TOL`` I
+has a Cholesky factorization with positive pivots (Higham, *Accuracy and
+Stability of Numerical Algorithms*, ch. 10).  Only matrix builders load numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -51,24 +56,19 @@ class FockDensityMatrix:
     """
 
     dim: int
-    entries: np.ndarray
+    entries: tuple[tuple[complex, ...], ...]  # built from any nested sequence, an ndarray too
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
 
     def __post_init__(self):
-        import numpy as np
-
-        entries = np.array(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape != (self.dim, self.dim):
-            raise InvalidStateError(
-                f"entries must be a {self.dim}x{self.dim} matrix, got shape {entries.shape}"
-            )
-        entries.setflags(write=False)
+        entries = tuple(tuple(map(complex, row)) for row in self.entries)
+        if len(entries) != self.dim or any(len(row) != self.dim for row in entries):
+            raise InvalidStateError(f"entries must be a {self.dim}x{self.dim} matrix")
         object.__setattr__(self, "entries", entries)
 
-    def populations(self) -> np.ndarray:
-        return self.entries.diagonal().real.copy()
+    def populations(self) -> tuple[float, ...]:
+        return tuple(row[n].real for n, row in enumerate(self.entries))
 
 
 QuantumState = GaussianState | FockDensityMatrix
@@ -143,9 +143,22 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     return violations
 
 
-def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
-    import numpy as np
+def _positive_definite(h, shift: float) -> bool:
+    """Whether every pivot of the Cholesky factorization of h + shift I is positive."""
+    conj_rows = []  # row k of L conjugated, up to its real diagonal entry
+    for j, row in enumerate(h):
+        lj = []
+        for k, lk in enumerate(conj_rows):
+            lj.append((row[k] - sum(map(operator.mul, lj, lk))) / lk[k])
+        conj = [a.conjugate() for a in lj]
+        pivot = row[j].real + shift - sum(map(operator.mul, lj, conj)).real
+        if not pivot > 0:
+            return False
+        conj_rows.append(conj + [math.sqrt(pivot)])
+    return True
 
+
+def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
     params = [("hbar", state.hbar), ("mass", state.mass), ("omega", state.omega)]
     violations = _finite_violations(params) or _positivity_violations(params)
     if state.dim < 2:
@@ -158,17 +171,18 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
         )
         return violations
     rho = state.entries
-    bad = int(np.count_nonzero(~np.isfinite(rho)))
+    adjoint = [[x.conjugate() for x in column] for column in zip(*rho)]
+    bad = sum(not cmath.isfinite(x) for row in rho for x in row)
     if bad:
         violations.append(
             InvariantViolation(
                 name="finite",
                 magnitude=None,
-                detail=f"{bad} of the {rho.size} entries are not finite",
+                detail=f"{bad} of the {state.dim ** 2} entries are not finite",
             )
         )
         return violations
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    herm = max(abs(x - y) for row, adj in zip(rho, adjoint) for x, y in zip(row, adj))
     if herm > STATE_TOL:
         violations.append(
             InvariantViolation(
@@ -177,7 +191,7 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
                 detail=f"max |rho - rho^dagger| = {herm:.3e}",
             )
         )
-    trace_err = float(abs(np.trace(rho) - 1.0))
+    trace_err = abs(sum(row[n] for n, row in enumerate(rho)) - 1.0)
     if trace_err > STATE_TOL:
         violations.append(
             InvariantViolation(
@@ -187,13 +201,17 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
             )
         )
     if herm <= STATE_TOL:
-        eigmin = float(np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))))
-        if eigmin < -STATE_TOL:
+        h = [[0.5 * (x + y) for x, y in zip(row, adj)] for row, adj in zip(rho, adjoint)]
+        if not _positive_definite(h, STATE_TOL):
+            # -eigmin, the least shift making h definite, is below twice its row-sum norm.
+            lo, hi = STATE_TOL, 2.0 * max(sum(map(abs, row)) for row in h)
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                lo, hi = (lo, mid) if _positive_definite(h, mid) else (mid, hi)
             violations.append(
                 InvariantViolation(
                     name="positive-semidefinite",
-                    magnitude=float(-eigmin),
-                    detail=f"min eigenvalue = {eigmin:.3e}",
+                    magnitude=hi,
+                    detail=f"min eigenvalue = {-hi:.3e}",
                 )
             )
     return violations

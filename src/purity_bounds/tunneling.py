@@ -13,17 +13,21 @@ denominator, so ln D * hbar_eff = -2 * action identically.
 Rectangular and parabolic barriers use closed-form actions and turning
 points.  Sampled barriers are interpolated with monotone cubics (PCHIP), so
 V - E changes sign only on a segment whose end nodes straddle E, and the
-turning point is that segment cubic's root.  The action is a fixed
-Gauss-Legendre rule on each segment under the cosine map x = (a+b)/2 -
-(b-a)/2 cos(theta), which turns the square-root zero at a turning point into
-a smooth factor.  Only single-hump barriers are supported: a sampled
-potential that exceeds E on more than one interval raises ValueError.
+turning point is that segment cubic's root, found by bisection.  The action
+is a fixed Gauss-Legendre rule on each segment under the cosine map x =
+(a+b)/2 - (b-a)/2 cos(theta), which turns the square-root zero at a turning
+point into a smooth factor; its terms are summed by ``math.fsum`` (no numpy).
+Only single-hump barriers are supported: a sampled potential that exceeds E
+on more than one interval raises ValueError.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -31,8 +35,6 @@ from .bounds import check_correlation, phi_eval, scale_hbar
 from .errors import ResolutionError, check_positive
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .thermal import ThermalModel
 
 # A sampled barrier must put at least this many grid nodes strictly above
@@ -68,32 +70,28 @@ class ParabolicBarrier:
 
 @dataclass(frozen=True)
 class SampledBarrier:
-    """Potential given on a strictly increasing grid; zero outside the grid."""
+    """Potential given on a strictly increasing grid; zero outside the grid.
+    ``x`` and ``v`` are kept as read-only float buffers (``memoryview``)."""
 
-    x: np.ndarray
-    v: np.ndarray
+    x: memoryview
+    v: memoryview
     mass: float = 1.0
     shape = "sampled"
 
     def __post_init__(self):
-        import numpy as np
-
-        # Copies: the caller's arrays stay writable and cannot change the barrier.
-        x = np.array(self.x, dtype=float)
-        v = np.array(self.v, dtype=float)
-        if x.ndim != 1 or v.ndim != 1 or len(x) != len(v):
+        # Copies: the caller's sequences stay writable and cannot change the barrier.
+        x, v = array("d", self.x), array("d", self.v)  # TypeError unless numbers
+        if len(x) != len(v):
             raise ValueError("x and v must be equal-length 1-d grids")
         if len(x) < 8:
             raise ValueError("sampled barrier needs at least 8 grid points")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+        if not all(map(math.isfinite, x + v)):
             raise ValueError("x and v must be finite")
-        if np.any(np.diff(x) <= 0):
+        if any(b <= a for a, b in zip(x, x[1:])):
             raise ValueError("x grid must be strictly increasing")
         check_positive("mass", self.mass)
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "x", memoryview(x).toreadonly())
+        object.__setattr__(self, "v", memoryview(v).toreadonly())
 
 
 BarrierSpec = RectangularBarrier | ParabolicBarrier | SampledBarrier
@@ -109,17 +107,30 @@ class TransparencyResult:
 
 
 @functools.cache
-def _cosine_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule (Golub-Welsch) on theta in [0, pi]: cos(theta) and
-    weight * sin(theta), so integral f dx over [a, b] is (b-a)/2 times
-    sum(weights * f((a+b)/2 - (b-a)/2 cos(theta)))."""
-    import numpy as np
-
-    k = np.arange(1.0, order)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    nodes, vectors = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    return np.cos(theta), np.pi * vectors[0] ** 2 * np.sin(theta)
+def _cosine_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre rule on theta in [0, pi]: cos(theta) and weight *
+    sin(theta), so integral f dx over [a, b] is (b-a)/2 times
+    sum(weights * f((a+b)/2 - (b-a)/2 cos(theta))).  Each Legendre node u <= 0
+    (theta = pi (u + 1) / 2) is Newton's method on P_order from
+    -cos(pi (i + 3/4) / (order + 1/2)) until the step stops shrinking, with
+    weight 2 / ((1 - u^2) P_order'(u)^2); the nodes u > 0 mirror them."""
+    half = []
+    for i in range((order + 1) // 2):
+        u, step = -math.cos(math.pi * (i + 0.75) / (order + 0.5)), math.inf
+        while True:
+            p, q = u, 1.0  # P_k(u), P_k-1(u)
+            for k in range(1, order):
+                p, q = ((2 * k + 1) * u * p - k * q) / (k + 1), p
+            slope = order * (u * p - q) / ((u - 1.0) * (u + 1.0))
+            if not abs(p / slope) < step:
+                break
+            step = abs(p / slope)
+            u -= p / slope
+        theta = 0.5 * math.pi * (u + 1.0)
+        weight = 2.0 / ((1.0 - u) * (1.0 + u) * slope * slope)
+        half.append((math.cos(theta), 0.5 * math.pi * weight * math.sin(theta)))
+    nodes, weights = zip(*half, *((-c, w) for c, w in reversed(half[:order // 2])))
+    return nodes, weights
 
 
 # Nodes of the rule ``action_integral`` uses, built on first use.  16 and 32
@@ -130,81 +141,83 @@ _RULE_NODES = 16
 def action_integral(v, energy: float, mass: float, x1, x2) -> float:
     """Integrate sqrt(2 m (V - E)) over [x1, x2] with the cosine-mapped rule.
 
-    ``v`` maps an array of positions to potentials.  ``x1`` and ``x2`` may
-    also be arrays of interval ends; the integrals over the intervals are
-    summed, and an interval with x2 < x1 adds 0.
+    ``v`` maps a position to the potential.  ``x1`` and ``x2`` may also be
+    sequences of interval ends; the integrals over the intervals are summed
+    (one ``math.fsum`` of every term), and an interval with x2 < x1 adds 0.
     """
-    import numpy as np
-
     cos_theta, weights = _cosine_rule(_RULE_NODES)
-    half = 0.5 * np.maximum(np.subtract(x2, x1), 0.0)[..., None]
-    points = 0.5 * np.add(x1, x2)[..., None] - half * cos_theta
-    f = np.sqrt(2.0 * mass * np.maximum(v(points) - energy, 0.0))
-    return float(np.sum(half * weights * f))
+    ends = [(x1, x2)] if isinstance(x1, numbers.Real) else zip(x1, x2)
+    terms = []
+    for a, b in ends:
+        half, mid = 0.5 * max(b - a, 0.0), 0.5 * (a + b)
+        terms += (half * w * math.sqrt(2.0 * mass * max(v(mid - half * c) - energy, 0.0))
+                  for c, w in zip(cos_theta, weights))
+    return math.fsum(terms)
 
 
-def _pchip_slopes(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _pchip_slopes(x, v) -> list[float]:
     """Node slopes of the monotone cubic interpolant (Fritsch-Butland): inside,
     the weighted harmonic mean of the adjacent secants (0 where they differ in
     sign or one is 0); at each end, the one-sided three-point rule, clamped to
     keep the end secant's sign and to 3 times it where the secants change sign.
     """
-    import numpy as np
+    sign = lambda s: (s > 0) - (s < 0)
+    def end(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if sign(d) != sign(m0):
+            return 0.0
+        return 3.0 * m0 if sign(m0) != sign(m1) and abs(d) > 3.0 * abs(m0) else d
 
-    h = np.diff(x)
-    m = np.diff(v) / h
-    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
-    ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    overshoot = (np.sign(m0) != np.sign(m1)) & (np.abs(ends) > 3.0 * np.abs(m0))
-    ends = np.where(np.sign(ends) != np.sign(m0), 0.0, np.where(overshoot, 3.0 * m0, ends))
-    return np.concatenate(([ends[0]], inner, [ends[1]]))
+    h = [b - a for a, b in zip(x, x[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(v, v[1:], h)]
+    slopes = [end(h[0], h[1], m[0], m[1])]
+    for h0, h1, m0, m1 in zip(h, h[1:], m, m[1:]):
+        w1, w2 = 2 * h1 + h0, h1 + 2 * h0
+        flat = sign(m0) != sign(m1) or m0 == 0 or m1 == 0
+        slopes.append(0.0 if flat else 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2)))
+    return slopes + [end(h[-1], h[-2], m[-1], m[-2])]
 
 
 def _sampled_action(barrier: SampledBarrier, energy: float):
     """Turning points and action of the one interval where V exceeds E."""
-    import numpy as np
-
-    x, v = barrier.x, barrier.v
-    inside = np.flatnonzero(v > energy)
+    x, v = barrier.x.tolist(), barrier.v.tolist()
+    inside = [k for k, vk in enumerate(v) if vk > energy]
     if len(inside) < _MIN_NODES_ABOVE:
         raise ResolutionError(
             f"only {len(inside)} grid nodes lie above E = {energy}; "
             "the grid is too coarse to resolve the barrier"
         )
-    humps = 1 + int(np.count_nonzero(np.diff(inside) > 1))
+    humps = 1 + sum(b - a > 1 for a, b in zip(inside, inside[1:]))
     if humps > 1:
         raise ValueError(f"V > E on {humps} separate intervals; "
                          "only single-hump barriers are supported")
-    # Rows a, b, c, e of the cubic a t^3 + b t^2 + c t + e on each segment,
+    # (a, b, c, e) of the cubic a t^3 + b t^2 + c t + e on each segment,
     # with t = (x - x_k) / (x_k+1 - x_k) in [0, 1].
-    h, dv, slopes = np.diff(x), np.diff(v), _pchip_slopes(x, v)
-    d0, d1 = h * slopes[:-1], h * slopes[1:]
-    cubics = np.stack([d0 + d1 - 2.0 * dv, 3.0 * dv - 2.0 * d0 - d1, d0, v[:-1]])
+    slopes, cubics = _pchip_slopes(x, v), []
+    for k in range(len(x) - 1):
+        h, dv = x[k + 1] - x[k], v[k + 1] - v[k]
+        d0, d1 = h * slopes[k], h * slopes[k + 1]
+        cubics.append((d0 + d1 - 2.0 * dv, 3.0 * dv - 2.0 * d0 - d1, d0, v[k]))
 
-    def turning_point(k):
-        # Segment k is monotone and its end nodes straddle E: take the root
-        # of its cubic minus E nearest to t in [0, 1].
-        roots = np.roots(cubics[:, k] - [0.0, 0.0, 0.0, energy])
-        t = np.clip(roots.real, 0.0, 1.0)
-        return float(x[k] + t[np.argmin(np.abs(roots - t))] * h[k])
-
-    def interpolant(points):
-        k = np.clip(np.searchsorted(x, points) - 1, 0, len(x) - 2)
-        t = (points - x[k]) / h[k]
-        a, b, c, e = cubics[:, k]
+    def interpolant(point):
+        k = bisect.bisect_left(x, point, 1, len(x) - 1) - 1  # clamped to a segment
+        a, b, c, e = cubics[k]
+        t = (point - x[k]) / (x[k + 1] - x[k])
         return ((a * t + b) * t + c) * t + e
 
-    first, last = int(inside[0]), int(inside[-1])
+    def turning_point(k):
+        # Segment k is monotone and its end nodes straddle E: bisect to adjacent floats.
+        rising, lo, hi = v[k] <= energy, x[k], x[k + 1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (lo, mid) if (interpolant(mid) > energy) == rising else (mid, hi)
+        return lo
+
+    first, last = inside[0], inside[-1]
     # The potential is zero outside the grid, so a hump that reaches a grid
     # end turns there; the repeated node then adds an empty interval.
-    x1 = float(x[0]) if first == 0 else turning_point(first - 1)
-    x2 = float(x[-1]) if last == len(x) - 1 else turning_point(last)
-    edges = np.concatenate(([x1], x[first:last + 1], [x2]))
+    x1 = x[0] if first == 0 else turning_point(first - 1)
+    x2 = x[-1] if last == len(x) - 1 else turning_point(last)
+    edges = [x1, *x[first:last + 1], x2]
     return (x1, x2), action_integral(interpolant, energy, barrier.mass, edges[:-1], edges[1:])
 
 
@@ -217,7 +230,7 @@ def transparency(barrier: BarrierSpec, energy: float, hbar_eff: float) -> Transp
     check_positive("energy", energy)
     check_positive("hbar_eff", hbar_eff)
 
-    top = float(barrier.v.max()) if isinstance(barrier, SampledBarrier) else barrier.v0
+    top = max(barrier.v) if isinstance(barrier, SampledBarrier) else barrier.v0
     if energy >= top:
         return TransparencyResult(D=1.0, ln_D=0.0, action_integral=0.0,
                                   turning_points=None, hbar_eff_used=hbar_eff)

@@ -209,7 +209,7 @@ def test_criterion_9_decoherence_thesis():
     split = rho0
     for _ in range(4):
         split = dephase_step(split, gamma=1.0, dt=0.25)
-    assert np.max(np.abs(once.entries - split.entries)) < 1e-12
+    assert np.max(np.abs(np.subtract(once.entries, split.entries))) < 1e-12
     report(9, f"purity falls 1 -> 0.5 strictly and D rises {d_start:.7f} -> "
               f"{d_end:.7f} strictly (endpoints within 1e-6); semigroup "
               "composition holds within 1e-12")

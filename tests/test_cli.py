@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from purity_bounds.cli import _linear_grid, main
+from purity_bounds.cli import main
+from purity_bounds.io import linear_grid
 
 VACUUM = {
     "type": "gaussian",
@@ -142,6 +143,17 @@ class TestCheck:
         assert [v["name"] for v in doc["violations"]] == ["finite"]
         assert doc["violations"][0]["magnitude"] is None
         assert field in doc["violations"][0]["detail"]
+
+    @pytest.mark.parametrize("re, field", [
+        ([["0.5", 0.5, 0, 0]] + PLUS_STATE["re"][1:], "re[0][0]"),
+        (PLUS_STATE["re"][:3] + [[0, 0, 0, True]], "re[3][3]"),
+        ([[0.5, 0.5, 0]] + PLUS_STATE["re"][1:], "re"),
+    ])
+    def test_string_bool_or_ragged_entries_exit_1(self, files, capsys, re, field):
+        path = files["dir"] / "bad_entries.json"
+        path.write_text(json.dumps({**PLUS_STATE, "re": re}))
+        assert main(["check", str(path)]) == 1
+        assert f"field '{field}' must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("qp", (0.0, 5e199))
     def test_overflowing_determinant_exits_2_with_a_finite_violation(self, files, capsys, qp):
@@ -331,6 +343,18 @@ class TestTunnelCommand:
         invariants = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(invariants) - min(invariants) < 1e-12
 
+    @pytest.mark.parametrize("grid, field", [
+        ({"x": [str(k) for k in range(8)]}, "x[0]"),
+        ({"v": [0, 1, 1, True, 1, 1, 1, 0]}, "v[3]"),
+        ({"x": [[k] for k in range(8)]}, "x[0]"),
+    ])
+    def test_string_bool_or_nested_grid_entries_exit_1(self, files, capsys, grid, field):
+        path = files["dir"] / "bad_grid.json"
+        path.write_text(json.dumps({"shape": "sampled", "x": list(range(8)),
+                                    "v": [0, 1, 1, 1, 1, 1, 1, 0], "mass": 1.0, **grid}))
+        assert main(["tunnel", "--barrier", str(path), "--energy", "0.5"]) == 1
+        assert f"field '{field}' must be a number" in capsys.readouterr().err
+
     def test_spike_barrier_exits_3(self, files, capsys):
         spike = {"shape": "sampled", "x": list(np.linspace(0.0, 1.0, 8)),
                  "v": [0, 0, 0, 0, 1.0, 0, 0, 0], "mass": 1.0}
@@ -440,7 +464,7 @@ def test_linear_grid_matches_linspace_bit_for_bit():
         grids.append((lo, lo + span, int(rng.integers(2, 200))))
     for lo, hi, steps in grids:
         expected = list(map(float.hex, np.linspace(lo, hi, steps)))
-        assert list(map(float.hex, _linear_grid(lo, hi, steps, "grid"))) == expected
+        assert list(map(float.hex, linear_grid(lo, hi, steps, "grid"))) == expected
 
 
 class TestDeterminismAndUsage:

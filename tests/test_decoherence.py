@@ -37,13 +37,13 @@ class TestDephaseStep:
     def test_full_dephasing_of_equal_superposition(self, plus_state):
         stepped = dephase_step(plus_state, gamma=1.0, dt=500.0)
         assert purity(stepped) == pytest.approx(0.5, abs=1e-12)
-        assert abs(stepped.entries[0, 1]) < 1e-200
+        assert abs(stepped.entries[0][1]) < 1e-200
 
     def test_partial_dephasing_purity(self, plus_state):
         """mu = 1/2 + 2 |rho_01|^2 with rho_01 = e^(-1)/2 after gamma dt = 1."""
         stepped = dephase_step(plus_state, gamma=1.0, dt=1.0)
         off = 0.5 * math.exp(-1.0)
-        assert stepped.entries[0, 1].real == pytest.approx(off, abs=1e-15)
+        assert stepped.entries[0][1].real == pytest.approx(off, abs=1e-15)
         direct_sum = float(np.sum(np.abs(stepped.entries) ** 2))
         assert direct_sum == pytest.approx(0.5 + 2.0 * off**2, abs=1e-15)
         assert purity(stepped) == pytest.approx(direct_sum, abs=1e-12)
@@ -54,7 +54,7 @@ class TestDephaseStep:
         split = plus_state
         for _ in range(3):
             split = dephase_step(split, gamma=0.7, dt=0.3)
-        assert np.max(np.abs(split.entries - once.entries)) < 1e-12
+        assert np.max(np.abs(np.subtract(split.entries, once.entries))) < 1e-12
 
     def test_state_invariants_preserved(self):
         rng = np.random.default_rng(13)

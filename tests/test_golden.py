@@ -150,12 +150,11 @@ def _checks_a(kind: str, argv: list[str]) -> bool:
     return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == kind
 
 
-# Cases whose commands build no matrix.  projected-gradient at mu 0.5 never
-# falls back to the face enumeration.
-NUMPY_FREE = sorted(name for name in CASES if name.startswith(
-    ("phi-", "tunnel-rectangular-", "tunnel-parabolic-", "thermal-", "oracle-auto",
-     "oracle-rank2", "oracle-sweep", "oracle-projected-gradient"))
-    or _checks_a("gaussian", CASES[name]))
+# Every case but the falsifier and the grid-refine face enumeration, the two
+# that load numpy.  projected-gradient at mu 0.5 never falls back to the face
+# enumeration.
+NUMPY_FREE = sorted(name for name in CASES
+                    if not name.startswith(("oracle-falsify-", "oracle-grid-refine")))
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -203,12 +202,14 @@ def _assert_recorded(results: dict[str, list]) -> None:
 
 
 def test_numpy_free_cases_match_recorded_bytes_without_numpy():
-    """The commands without matrices give the recorded bytes with numpy
-    unimportable: they run the same code as every other case, not a
+    """Every command but the falsifier and the face enumeration gives the
+    recorded bytes with numpy unimportable: Fock states, dephasing and
+    sampled barriers included.  They run the same code as with numpy, not a
     numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 39
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 52
     assert "thermal-hot" in results and "oracle-sweep" in results
+    assert {"check-fock_mixed-exact", "decohere-exact", "tunnel-sampled-exact"} <= set(results)
     _assert_recorded(results)
 
 
@@ -223,20 +224,21 @@ def _openblas_dynamic_arch_on_x86() -> bool:
     return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-# The minimizer, Fock check and decohere cases; the falsifier's eigensolver is
-# LAPACK's and is not covered.
+# The minimizer, Fock check, decohere and sampled-barrier cases; the
+# falsifier's eigensolver is LAPACK's and is not covered.
 KERNEL_FREE = sorted(name for name in CASES
-                     if (name.startswith(("oracle-", "decohere-")) and "falsify" not in name)
+                     if (name.startswith(("oracle-", "decohere-", "tunnel-sampled-"))
+                         and "falsify" not in name)
                      or _checks_a("fock", CASES[name]))
 
 
 @pytest.mark.skipif(not _openblas_dynamic_arch_on_x86(),
                     reason="needs OpenBLAS built with DYNAMIC_ARCH on x86-64")
 def test_oracle_and_fock_bytes_do_not_depend_on_the_blas_kernel():
-    """The oracle's and the Fock moments' sums are their own, correctly rounded:
-    OpenBLAS's SSE kernel (safe on any x86-64) gives the recorded bytes and
-    full-precision rows too."""
-    assert len(KERNEL_FREE) == 7 + 7 + 3  # oracle, check, decohere
+    """The oracle's, the Fock moments' and the sampled action's sums are their
+    own, correctly rounded: OpenBLAS's SSE kernel (safe on any x86-64) gives
+    the recorded bytes and full-precision rows too."""
+    assert len(KERNEL_FREE) == 7 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
     _assert_recorded(_run_in_child(KERNEL_FREE, OPENBLAS_CORETYPE="Prescott"))
 
 

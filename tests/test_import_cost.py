@@ -1,13 +1,14 @@
 """Import cost of the package and of each command.
 
 ``import purity_bounds`` loads no submodule and no numpy: the public names
-resolve on first access.  The commands that build no matrix (``phi``,
-``phi-curve``, ``tunnel`` through a rectangular or parabolic barrier,
-``check`` on a Gaussian state, ``thermal`` and ``oracle`` without
-``--falsify`` or ``grid-refine``) run without numpy, and only the commands
-that take a barrier load ``purity_bounds.tunneling``.  The other commands
-load numpy alone: no scipy module and no ``numpy.polynomial`` (which costs
-milliseconds on every cold call).
+resolve on first access.  Every command runs without numpy (``check`` on
+either state type, ``decohere``, ``tunnel`` through any barrier, ``thermal``,
+``phi`` and ``phi-curve``) except two that still load it: ``oracle
+--falsify`` and the ``grid-refine`` face enumeration (``--method
+grid-refine``, or a projected-gradient run that falls back to it).  Only
+the commands that take a barrier load ``purity_bounds.tunneling``.  Those
+two commands load numpy alone: no scipy module and no ``numpy.polynomial``
+(which costs milliseconds on every cold call).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -96,6 +97,18 @@ def test_gaussian_check_loads_no_numpy():
     result = _run(["check", str(INPUTS / "gaussian.json")],
                   ["check", str(INPUTS / "sub_heisenberg.json")])
     assert result["codes"] == [0, 2] and result["numpy"] == []
+
+
+def test_fock_check_decohere_and_sampled_tunnel_load_no_numpy():
+    sampled = str(INPUTS / "sampled.json")
+    result = _run(
+        ["check", str(INPUTS / "fock_mixed.json")],
+        ["check", str(INPUTS / "fock_rank5_minimizer.json")],
+        ["decohere", "--state", str(INPUTS / "superposition.json"), "--gamma", "1",
+         "--t-max", "12", "--steps", "25", "--barrier", sampled, "--energy", "0.5"],
+        ["tunnel", "--barrier", sampled, "--energy", "0.5", "--mu", "1,0.6"],
+    )
+    assert result["codes"] == [0] * 4 and result["numpy"] == []
 
 
 def test_thermal_and_oracle_without_matrices_load_no_numpy():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,21 @@ class TestStateFiles:
         with pytest.raises(ValueError, match="3x3"):
             state_from_dict(doc)
 
+    @pytest.mark.parametrize("field, rows, where", [
+        ("re", [["0.5", 0], [0, "0.5"]], "re[0][0]"),
+        ("im", [[0, 0], [0, True]], "im[1][1]"),
+        ("re", [[0.5, 0.5], [0.5]], "re"),
+        ("im", [[0, 0], 0], "im"),
+        ("re", [[0.5, 0.5]], "re"),
+    ])
+    def test_matrix_entries_are_numbers_in_square_rows(self, field, rows, where):
+        with pytest.raises(ValueError, match=re.escape(f"field '{where}' must be")):
+            state_from_dict(dict(FOCK_DOC, **{field: rows}))
+
+    def test_matrix_entries_become_complex_rows(self):
+        state = state_from_dict(dict(FOCK_DOC, im=[[0, -0.25], [0.25, 0]]))
+        assert state.entries == ((0.5 + 0j, 0.5 - 0.25j), (0.5 + 0.25j, 0.5 + 0j))
+
     def test_unknown_type(self):
         with pytest.raises(ValueError, match="unknown state type"):
             state_from_dict({"type": "wigner"})
@@ -154,6 +170,16 @@ class TestBarrierFiles:
             {"shape": "sampled", "x": list(np.linspace(0, 1, 16)), "v": [1.0] * 16, "mass": 1.0}
         )
         assert isinstance(barrier, SampledBarrier)
+
+    @pytest.mark.parametrize("field, values, where", [
+        ("x", [str(k) for k in range(16)], "x[0]"),
+        ("v", [1.0] * 15 + [False], "v[15]"),
+        ("x", "0123456789abcdef", "x"),
+    ])
+    def test_grid_entries_are_numbers(self, field, values, where):
+        doc = {"shape": "sampled", "x": list(range(16)), "v": [1.0] * 16, "mass": 1.0}
+        with pytest.raises(ValueError, match=re.escape(f"field '{where}' must be")):
+            barrier_from_dict({**doc, field: values})
 
     def test_unknown_shape(self):
         with pytest.raises(ValueError, match="unknown barrier shape"):

@@ -13,6 +13,7 @@ from purity_bounds import (
     pure_state_density,
     validate_state,
 )
+from purity_bounds.states import STATE_TOL
 
 
 def names(violations):
@@ -78,6 +79,29 @@ class TestFockValidation:
         state = FockDensityMatrix(dim=2, entries=[[1.2, 0.0], [0.0, -0.2]])
         assert "positive-semidefinite" in names(validate_state(state))
 
+    def test_psd_rule_and_magnitude_match_the_smallest_eigenvalue(self):
+        """Seeded dense states of dim 2-32 whose smallest eigenvalue sits at 0,
+        +-0.5, +-0.999, +-1.001 and +-2 STATE_TOL or at -0.3: the Cholesky rule
+        rejects exactly those with eigmin < -STATE_TOL (numpy's ``eigvalsh`` is
+        the reference, in this test only), and reports -eigmin to 1e-15."""
+        rng = np.random.default_rng(2026)
+        eigmins = [c * STATE_TOL for c in (0.0, 0.5, -0.5, 0.999, -0.999, 1.001, -1.001, 2.0, -2.0)]
+        eigmins.append(-0.3)
+        for trial in range(16 * len(eigmins)):
+            dim = 2 + 2 * (trial % 16)
+            u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+            spectrum = rng.uniform(1.0, 2.0, dim)
+            spectrum[0] = eigmins[trial % len(eigmins)]
+            spectrum[1:] *= (1.0 - spectrum[0]) / spectrum[1:].sum()
+            rho = (u * spectrum) @ u.conj().T
+            eigmin = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0]
+            report = validate_state(FockDensityMatrix(dim=dim, entries=rho))
+            if eigmin >= -STATE_TOL:
+                assert report == [], (dim, eigmin)
+            else:
+                assert names(report) == ["positive-semidefinite"], (dim, eigmin)
+                assert abs(report[0].magnitude + eigmin) <= 1e-15, (dim, eigmin)
+
     def test_non_finite_entries_rejected(self):
         for bad in (math.nan, math.inf):
             state = FockDensityMatrix(dim=2, entries=[[1.0, bad], [0.0, 0.0]])
@@ -95,8 +119,9 @@ class TestFockValidation:
 
     def test_entries_are_frozen(self):
         state = fock_projector(0, 4)
-        with pytest.raises(ValueError):
-            state.entries[0, 0] = 0.0
+        with pytest.raises(TypeError):
+            state.entries[0][0] = 0.0
+        assert all(type(x) is complex for row in state.entries for x in row)
 
     def test_random_projector_mixtures_are_valid(self):
         rng = np.random.default_rng(7)
@@ -107,11 +132,11 @@ class TestFockValidation:
 
     def test_validation_is_idempotent_and_pure(self):
         state = FockDensityMatrix(dim=2, entries=[[0.6, 0.0], [0.0, 0.6]])
-        before = state.entries.copy()
+        before = state.entries
         first = validate_state(state)
         second = validate_state(state)
         assert first == second
-        np.testing.assert_array_equal(state.entries, before)
+        assert state.entries == before
 
 
 class TestQuadratureOperators:
@@ -164,7 +189,7 @@ class TestQuadratureOperators:
 def test_pure_state_density_normalizes():
     state = pure_state_density([3.0, 4.0], dim=4)
     assert np.trace(state.entries).real == pytest.approx(1.0, abs=1e-15)
-    assert state.entries[0, 0].real == pytest.approx(9.0 / 25.0, abs=1e-15)
+    assert state.entries[0][0].real == pytest.approx(9.0 / 25.0, abs=1e-15)
 
 
 def test_validate_rejects_non_state():

@@ -135,7 +135,7 @@ class TestThermalState:
         model = ThermalModel(hbar=hbar, omega=omega)
         n = np.arange(dim)
         for T in map(float, np.geomspace(1e-3, 1e6, 91)):
-            w = thermal_state_fock(model, T, dim).populations()
+            w = np.array(thermal_state_fock(model, T, dim).populations())
             with localcontext() as ctx:
                 ctx.prec = 50
                 q = (-Decimal(hbar) * Decimal(omega) / Decimal(T)).exp()

@@ -57,6 +57,13 @@ class PhiValue:
     piece: str  # rank-k | interpolation | asymptote
 
 
+def check_purity(mu: float) -> float:
+    """mu as a purity in (0, 1]: up to ``_MU_DOMAIN_TOL`` above 1 is rounding and reads as 1."""
+    if not 0.0 < mu <= 1.0 + _MU_DOMAIN_TOL:
+        raise ValueError(f"purity {mu!r} outside (0, 1]")
+    return min(float(mu), 1.0)
+
+
 def _rank(mu: float) -> int | float:
     """Rank k of the exact piece at mu: mu_{k+1} <= mu < mu_k, or k = 2 on [5/9, 1].
 
@@ -84,9 +91,7 @@ def phi_eval(mu: float, mode: str = "exact") -> PhiValue:
       interpolation  Phi_app(mu) = (4 + sqrt(16 + 9 mu^2)) / (9 mu)
       asymptote      8 / (9 mu), valid only for mu << 1
     """
-    if not mu > 0.0 or mu > 1.0 + _MU_DOMAIN_TOL:
-        raise ValueError(f"purity {mu!r} outside (0, 1]")
-    mu = min(float(mu), 1.0)
+    mu = check_purity(mu)
     if mode == "exact":
         k = _rank(mu)
         if k == math.inf:  # Phi exceeds 1.2e308 there

@@ -65,8 +65,6 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_phi_curve(args) -> int:
-    if not 0.0 < args.mu_from <= 1.0 or not 0.0 < args.mu_to <= 1.0:
-        raise ValueError("purity endpoints must lie in (0, 1]")
     mu = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
     table = {"mu": mu}
     for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),

@@ -85,7 +85,10 @@ def _require_fields(data: dict, required: set[str], what: str) -> None:
 def _as_real(value, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field '{field}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"field '{field}' is outside the float range") from None
 
 
 def _as_reals(values, field: str) -> list[float]:

@@ -2,15 +2,15 @@
 
 The variance product of a mixture of number states with weights p is
 (sum_n p_n (n + 1/2))^2 hbar^2, so minimizing that product at fixed purity
-sum_n p_n^2 = mu gives a candidate quantum limit.  The rank-k analytic
-minimizer (weights linear in the level index) reproduces the rank-k piece
-of Phi; an exact enumeration of the simplex faces and a projected-gradient
-solver provide formula-independent cross-checks.  The falsification sweep
-guards the diagonal-mixture ansatz itself (the extremum is taken over
-diagonal weights, which a dense state could in principle beat): it steps
-random pure states onto the bound, one eigen-step on det Sigma each, so a
-Phi that is too large fails it, and it must find no state below the bound.
-It reads every state's moments through the ladder sums of ``moments``.
+sum_n p_n^2 = mu gives the quantum limit; no dense state does better
+(VERIFICATION.md, "Dense states").  The rank-k analytic minimizer (weights
+linear in the level index) reproduces the rank-k piece of Phi; an exact
+enumeration of the simplex faces and a projected-gradient solver provide
+formula-independent cross-checks.  The falsification sweep checks the whole
+chain end to end: it steps random pure states onto the bound, one eigen-step
+on det Sigma each, so a Phi that is too large fails it, and a fault in the
+Fock moments shows as a state below the bound.  It reads every state's
+moments through the ladder sums of ``moments``.
 
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .bounds import _MU_DOMAIN_TOL, METHODS, _rank, phi, phi_eval
+from .bounds import METHODS, _rank, check_purity, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
 
 if TYPE_CHECKING:
@@ -34,9 +34,11 @@ if TYPE_CHECKING:
 
 _WEIGHT_TOL = 1e-12
 
-# The hard-assertion region of the bound tolerates at most this much
-# negative slack in the falsification sweep.
+# No state lies below the bound (VERIFICATION.md, "Dense states"), so a
+# falsifier slack below minus this, in units of hbar^2, is a failure, not rounding.
 FALSIFICATION_SLACK_TOL = 1e-8
+# The most levels of the face enumeration and of the falsifier's truncation.
+MAX_LEVELS = 32
 # Matrix elements per chunk of the falsification sweep: 1820 starts at dim 6, 64 at dim 32.
 _CHUNK_ELEMENTS = 2**16
 
@@ -84,9 +86,7 @@ def _objective_coeffs(levels: int) -> list[float]:
 def _check_reachable(mu: float, levels: int) -> float:
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if not 0.0 < mu <= 1.0 + _MU_DOMAIN_TOL:
-        raise ValueError(f"purity {mu!r} outside (0, 1]")
-    mu = min(float(mu), 1.0)
+    mu = check_purity(mu)
     if mu <= 1.0 / levels:
         raise InfeasibleTargetError(
             f"purity {mu} unreachable with {levels} levels (minimum is 1/{levels})"
@@ -99,9 +99,9 @@ def linear_ansatz_weights(mu: float, k: int) -> tuple[float, ...]:
 
     Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
     weight is nonnegative, i.e. up to the top mu_k of the rank-k window of
-    Phi; above it a ``PieceDomainError`` is raised.  On its window the rank-k
-    weights win the face enumeration of ``_face_minimizer`` over all supports
-    and give the piece Phi_k of ``bounds.phi``.
+    Phi; above it a ``PieceDomainError`` is raised.  They are the candidate
+    of the k-level prefix in ``_face_minimizer``; on their window they win
+    the face enumeration and give the piece Phi_k of ``bounds.phi``.
     """
     if k < 2:
         raise ValueError("rank must be >= 2")
@@ -156,52 +156,45 @@ def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
             return [max(q.get(i, 0.0), 0.0) for i in range(k)]
         support = [i for i in support if q[i] >= 0.0]
     # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
-    # minimizes -p.q: the face enumeration gives the exact projection.
-    return _face_minimizer([-x for x in p], mu, _all_supports(k)).tolist()
+    # minimizes -p.q: the face enumeration of -p, sorted, gives it exactly.
+    order = sorted(range(k), key=lambda i: -p[i])
+    q = dict(zip(order, _face_minimizer([-p[i] for i in order], mu).tolist()))
+    return [q[i] for i in range(k)]
 
 
-def _all_supports(n: int) -> np.ndarray:
-    """Every nonempty support of n levels, as a (2^n - 1, n) boolean mask."""
-    import numpy as np
+def _face_minimizer(c: np.ndarray, mu: float) -> np.ndarray:
+    """Minimum of c.p on {sum p = 1, sum p^2 = mu, p >= 0} for ascending c, by its faces.
 
-    return (np.arange(1, 2**n)[:, None] >> np.arange(n) & 1).astype(bool)
-
-
-def _face_minimizer(c: np.ndarray, mu: float, masks: np.ndarray) -> np.ndarray:
-    """Minimum of c.p on {sum p = 1, sum p^2 = mu, p >= 0}, by enumerating faces.
-
-    The minimum lies inside the face of the simplex given by some support S
-    of s levels (one row of ``masks``).  There the Lagrange conditions make
-    p_S - 1/s parallel to c_S - mean(c_S), so the only local minimum on the
-    face's purity sphere is
+    By the rearrangement inequality some minimizer has descending weights,
+    so its support S is a prefix of s levels, and the Lagrange conditions
+    there leave one local minimum on the face's purity sphere,
 
         p_S = 1/s - sqrt(mu - 1/s) (c_S - mean c_S) / |c_S - mean c_S|
 
-    (for s = 2, the cheaper of a mirror pair that is feasible together).
-    Where c is constant on S every point costs the same, and the level
-    index stands in for c.  The minimum is the cheapest candidate with
-    nonnegative weights among the given supports: all of them
-    (``_all_supports``) for an arbitrary c, the prefixes for an ascending
-    one.  ``c`` may carry leading batch axes.  Costs are summed row by row,
-    so they do not depend on a row's place in the batch; ties go to the
-    first support in mask order.
+    (for s = 2, the cheaper of a mirror pair that is feasible together;
+    where c is flat on S every point costs the same, and the level index
+    stands in for c).  The minimum is the cheapest of the n candidates with
+    nonnegative weights (VERIFICATION.md, "Face enumeration").  ``c`` may
+    carry leading batch axes; costs are summed row by row, so they do not
+    depend on a row's place in the batch, and ties go to the shortest prefix.
     """
     import numpy as np
 
     c = np.asarray(c)
     n = c.shape[-1]
-    size = masks.sum(axis=1)
-    # c is flat on S iff it equals its value at the first level of S.
-    flat = ~(masks & (c[..., None, :] != c[..., masks.argmax(axis=1), None])).any(axis=-1)
+    prefix = np.tri(n, dtype=bool)
+    size = prefix.sum(axis=1)
+    # An ascending c is flat on a prefix iff its last cost equals its first.
+    flat = c == c[..., :1]
     c = c[..., None, :]
-    d = np.where(masks, np.where(flat[..., None], np.arange(n), c), 0.0)
-    d = np.where(masks, d - (d.sum(axis=-1) / size)[..., None], 0.0)
+    d = np.where(prefix, np.where(flat[..., None], np.arange(n), c), 0.0)
+    d = np.where(prefix, d - (d.sum(axis=-1) / size)[..., None], 0.0)
     norm = np.sqrt((d * d).sum(axis=-1))
     center = 1.0 / size
     reachable = mu >= center
     radius = np.sqrt(np.where(reachable, mu - center, 0.0))
     scale = np.divide(radius, norm, out=np.zeros(norm.shape), where=norm > 0.0)
-    p = np.where(masks, center[:, None] - scale[..., None] * d, 0.0)
+    p = np.where(prefix, center[:, None] - scale[..., None] * d, 0.0)
     feasible = reachable & (p >= -_WEIGHT_TOL).all(axis=-1)
     cost = np.where(feasible, (p * c).sum(axis=-1), np.inf)
     best = np.argmin(cost, axis=-1)[..., None, None]
@@ -250,16 +243,15 @@ def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> Mi
     ``method`` is one of "auto", "grid-refine", "projected-gradient".
     "auto" is the rank-k analytic minimizer of the exact Phi piece at mu,
     capped at ``levels`` levels, and names itself "rank{k}-analytic".
-    "grid-refine" enumerates the faces of the simplex exactly (the name is
-    historical); its ``iterations`` is the number of supports, 2^levels - 1.
+    "grid-refine" enumerates the prefix faces of 2..``MAX_LEVELS`` levels
+    exactly (the name is historical); ``iterations`` counts them, ``levels``.
     """
     mu = _check_reachable(mu, levels)
     if method == "grid-refine":
-        if levels > 8:
-            raise ValueError(f"grid-refine supports 2..8 levels, got {levels}")
-        masks = _all_supports(levels)
-        p = _face_minimizer(_objective_coeffs(levels), mu, masks)
-        return _result(mu, p.tolist(), "grid-refine", len(masks))
+        if levels > MAX_LEVELS:
+            raise ValueError(f"grid-refine supports 2..{MAX_LEVELS} levels, got {levels}")
+        p = _face_minimizer(_objective_coeffs(levels), mu)
+        return _result(mu, p.tolist(), "grid-refine", levels)
     if method == "projected-gradient":
         return _projected_gradient(mu, levels)
     if method != "auto":
@@ -282,8 +274,9 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     are Gaussian-unitary images of number states, and a Gaussian unitary
     changes neither det Sigma nor the purity.  The state V diag(w) V^dagger
     whose spectrum w minimizes the ascending eigenvalues of G on the purity
-    sphere (``_face_minimizer`` over the prefix supports) is therefore the
-    image of a rank-k minimizer of Phi, and its slack lies at the bound.
+    sphere (``_face_minimizer``) is therefore the image of a rank-k
+    minimizer of Phi, and its slack lies at the bound, below which no state
+    lies: a negative slack is a Phi too large or a fault in the moments.
     G is banded (its diagonal and two on each side), and the moments of each
     start and of each V diag(w) V^dagger are the ladder sums of ``moments``,
     summed on the last axis: no density matrix is formed.  Returns the minimum of
@@ -293,8 +286,8 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     stepped in chunks of ``_CHUNK_ELEMENTS`` matrix elements, and a chunk size
     changes no bit, since every row is reduced in the same order.
     """
-    if dim > 32:
-        raise ValueError("falsification sweep supports dim <= 32")
+    if dim > MAX_LEVELS:
+        raise ValueError(f"falsification sweep supports dim <= {MAX_LEVELS}")
     if samples < 1 or samples > 10**6:
         raise ValueError("samples must be in [1, 10^6]")
     mu = _check_reachable(mu, dim)
@@ -331,7 +324,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
                                                       + 2j * (sqp * mq - sqq * mp))[:, None]
         g[:, n[2:], n[:-2]] = 0.5 * ladder[2] * (spp - sqq - 2j * sqp)[:, None]
         cost, vectors = np.linalg.eigh(g)
-        weights = _face_minimizer(cost, mu, np.tri(dim, dtype=bool))
+        weights = _face_minimizer(cost, mu)  # eigh's eigenvalues ascend
         _, _, sqq, spp, sqp = moments(vectors, weights)
         min_slack = np.min(sqq * spp - sqp**2 - bound, initial=min_slack)
 
@@ -345,8 +338,8 @@ def phi_curve_certified(mu_grid, levels: int, method: str = "auto") -> list[PhiC
     for mu in map(float, mu_grid):
         res = min_product_fock_mixture(mu, levels, method=method)
         phi_oracle = 2.0 * math.sqrt(res.min_product)
-        exact = phi_eval(min(mu, 1.0), "exact").value
-        app = phi_eval(min(mu, 1.0), "interpolation").value
+        exact = phi_eval(mu, "exact").value
+        app = phi_eval(mu, "interpolation").value
         rows.append(
             PhiCurveRow(
                 mu=mu,

@@ -113,6 +113,14 @@ class TestCheck:
         code, _ = run(capsys, ["check", str(path)])
         assert code == 1
 
+    def test_integer_past_the_float_range_is_input_error(self, files, capsys):
+        path = files["dir"] / "huge.json"
+        path.write_text(json.dumps({**VACUUM, "cov": {**VACUUM["cov"], "qp": 10**400}}))
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: {path}: field 'cov.qp' is outside the float range\n"
+
     def test_hbar_override(self, files, capsys):
         code, out = run(capsys, ["check", files["vacuum"], "--hbar", "2.0"])
         assert code == 2  # vacuum at hbar=1 violates the hbar=2 bound
@@ -221,6 +229,14 @@ class TestPhiCommands:
         row = out.strip().split("\n")[1].split(",")
         assert float(row[1]) == 1.0
         assert float(row[3]) == pytest.approx(8.0 / 9.0, abs=1e-9)
+        # The endpoints follow the purity rule of ``phi``: 1 + 1e-13 is rounding of 1.
+        code, out = run(capsys, ["phi-curve", "--mu-from", "0.5", "--mu-to", "1.0000000000001",
+                                 "--steps", "2"])
+        assert code == 0
+        assert float(out.strip().split("\n")[2].split(",")[1]) == 1.0
+        for lo, hi in (("0", "1"), ("0.5", "1.5")):
+            code, out = run(capsys, ["phi-curve", "--mu-from", lo, "--mu-to", hi, "--steps", "2"])
+            assert (code, out) == (1, "")
 
     def test_zero_steps_is_usage_error(self, capsys):
         code, _ = run(capsys, ["phi-curve", "--mu-from", "0.5", "--mu-to", "1.0", "--steps", "0"])

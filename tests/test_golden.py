@@ -91,6 +91,8 @@ def _cases() -> dict[str, list[str]]:
         cases[f"oracle-{method}"] = ["oracle", "--mu", "0.5", "--levels", "3", "--method", method]
     cases["oracle-grid-refine-levels8"] = ["oracle", "--mu", "0.58", "--levels", "8",
                                            "--method", "grid-refine"]
+    cases["oracle-grid-refine-levels32"] = ["oracle", "--mu", "0.05", "--levels", "32",
+                                            "--method", "grid-refine"]
     cases["oracle-auto-low-purity"] = ["oracle", "--mu", "0.3", "--levels", "5"]
     for dim, seed in ((6, 42), (8, 7)):
         cases[f"oracle-falsify-dim{dim}"] = [
@@ -238,7 +240,7 @@ def test_oracle_and_fock_bytes_do_not_depend_on_the_blas_kernel():
     """The oracle's, the Fock moments' and the sampled action's sums are their
     own, correctly rounded: OpenBLAS's SSE kernel (safe on any x86-64) gives
     the recorded bytes and full-precision rows too."""
-    assert len(KERNEL_FREE) == 7 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
+    assert len(KERNEL_FREE) == 8 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
     _assert_recorded(_run_in_child(KERNEL_FREE, OPENBLAS_CORETYPE="Prescott"))
 
 

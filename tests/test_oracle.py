@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from purity_bounds import (
+    FockDensityMatrix,
     InfeasibleTargetError,
     PieceDomainError,
     falsification_sweep,
@@ -13,10 +14,11 @@ from purity_bounds import (
     min_product_fock_mixture,
     phi,
     phi_curve_certified,
+    purity,
 )
 from purity_bounds import oracle
 from purity_bounds.bounds import _rank
-from purity_bounds.oracle import _all_supports, _face_minimizer, _project_plane_sphere
+from purity_bounds.oracle import MAX_LEVELS, _face_minimizer, _project_plane_sphere
 
 # The purities of acceptance criterion 4.
 CRITERION_4_MUS = (0.45, 0.55, 0.7, 0.9, 1.0)
@@ -44,6 +46,31 @@ SPOT_MUS = {
 
 def phi_from(result):
     return 2.0 * math.sqrt(result.min_product)
+
+
+def every_support_cost(c, mu):
+    """Least c.p over the Lagrange points of all 2^n - 1 supports, for c in any order.
+
+    The face enumeration before the rearrangement step: each support's
+    candidate of ``_face_minimizer``, with the level index standing in for c
+    where c is flat on the support.
+    """
+    n = c.shape[-1]
+    best = np.full(c.shape[:-1], np.inf)
+    for bits in range(1, 2**n):
+        support = [i for i in range(n) if bits >> i & 1]
+        s = len(support)
+        if mu < 1.0 / s:
+            continue
+        cs = c[..., support]
+        flat = (cs == cs[..., :1]).all(axis=-1, keepdims=True)
+        d = np.where(flat, np.arange(s, dtype=float), cs)
+        d = d - d.mean(axis=-1, keepdims=True)
+        norm = np.linalg.norm(d, axis=-1, keepdims=True)
+        p = 1.0 / s - math.sqrt(mu - 1.0 / s) * np.divide(d, norm, out=np.zeros_like(d),
+                                                            where=norm > 0.0)
+        best = np.minimum(best, np.where((p >= -1e-12).all(axis=-1), (p * cs).sum(axis=-1), np.inf))
+    return best
 
 
 class TestAnalyticMinimizers:
@@ -146,16 +173,16 @@ class TestNumericMethods:
     def test_eight_levels_find_the_rank2_minimum(self):
         res = min_product_fock_mixture(0.58, 8, "grid-refine")
         assert res.min_product == pytest.approx(0.64, rel=1e-15)
-        assert res.iterations == 2**8 - 1
+        assert res.iterations == 8  # one candidate per prefix support
 
-    @pytest.mark.parametrize("levels", sorted(SPOT_MUS))
+    @pytest.mark.parametrize("levels", range(2, MAX_LEVELS + 1))
     def test_grid_refine_matches_exact_phi(self, levels):
         """On [mu_{L+1}, 1] the minimum over L levels is the exact Phi; below
         mu_{L+1} (some spot purities) it is the rank-L linear minimizer."""
         k = levels + 1
         floor = 1.0 / k + (k + 1) / (3.0 * k * (k - 1))
         sweep = [mu for mu in np.round(np.arange(0.01, 1.005, 0.01), 2) if mu >= floor]
-        for mu in map(float, sweep + list(SPOT_MUS[levels])):
+        for mu in map(float, sweep + list(SPOT_MUS.get(levels, ()))):
             res = min_product_fock_mixture(mu, levels, "grid-refine")
             if mu >= floor:
                 expected = phi(mu, "exact")
@@ -172,40 +199,72 @@ class TestNumericMethods:
             levels = int(rng.integers(2, 9))
             x = rng.normal(size=levels)
             mu = float(rng.uniform(1.0 / levels, 1.0))
-            q = _face_minimizer(-x, mu, _all_supports(levels))
+            order = np.argsort(-x, kind="stable")
+            q = np.empty(levels)
+            q[order] = _face_minimizer(-x[order], mu)
             assert q.min() >= 0.0
             assert abs(q.sum() - 1.0) <= 1e-12 and abs(np.dot(q, q) - mu) <= 1e-12
             active_set = np.array(_project_plane_sphere(x.tolist(), mu))
             assert np.linalg.norm(q - x) <= np.linalg.norm(active_set - x) + 1e-12
         # c constant on every face: any point of a face's sphere is a minimum.
-        q = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35, _all_supports(3))
+        q = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35)
         assert q.min() >= 0.0 and abs(np.dot(q, q) - 0.35) <= 1e-12
 
     def test_prefix_supports_suffice_for_ascending_costs(self):
+        """The rearrangement step: no support beats the best prefix."""
         rng = np.random.default_rng(13)
         for levels in range(2, 9):
             # Rounded entries make ties, so some prefixes are flat.
             c = np.sort(np.round(rng.normal(size=(200, levels)), 1), axis=1)
             mu = float(rng.uniform(1.0 / levels, 1.0))
-            prefix = _face_minimizer(c, mu, np.tri(levels, dtype=bool))
-            every = _face_minimizer(c, mu, _all_supports(levels))
-            assert np.all(np.abs((prefix * c).sum(axis=1) - (every * c).sum(axis=1)) <= 1e-12)
+            prefix = _face_minimizer(c, mu)
+            assert np.all(np.abs((prefix * c).sum(axis=1) - every_support_cost(c, mu)) <= 1e-12)
             assert np.all(np.abs((prefix * prefix).sum(axis=1) - mu) <= 1e-12)
 
     def test_batched_rows_match_single_rows(self):
         rng = np.random.default_rng(17)
-        c = rng.normal(size=(40, 6))
-        batch = _face_minimizer(c, 0.4, _all_supports(6))
+        c = np.sort(rng.normal(size=(40, 6)), axis=1)
+        batch = _face_minimizer(c, 0.4)
         for row, p in zip(c, batch):
-            assert p.tobytes() == _face_minimizer(row, 0.4, _all_supports(6)).tobytes()
+            assert p.tobytes() == _face_minimizer(row, 0.4).tobytes()
 
     def test_grid_refine_level_cap(self):
-        with pytest.raises(ValueError):
-            min_product_fock_mixture(0.5, 9, "grid-refine")
+        assert MAX_LEVELS == 32
+        with pytest.raises(ValueError, match="2..32 levels"):
+            min_product_fock_mixture(0.5, 33, "grid-refine")
+
+    def test_face_enumeration_and_falsifier_share_the_level_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_LEVELS", 4)
+        with pytest.raises(ValueError, match="2..4 levels"):
+            min_product_fock_mixture(0.5, 5, "grid-refine")
+        with pytest.raises(ValueError, match="dim <= 4"):
+            falsification_sweep(0.5, 5, 10, seed=0)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             min_product_fock_mixture(0.7, 2, "simulated-annealing")
+
+
+class TestDenseStates:
+    """The float steps of the normal-form argument (VERIFICATION.md, "Dense states")."""
+
+    def test_populations_carry_no_more_than_the_purity(self):
+        """Step 3: sum_n rho_nn^2 <= sum_ij |rho_ij|^2 = mu on dense states."""
+        rng = np.random.default_rng(23)
+        for dim in range(2, MAX_LEVELS + 1):
+            for rank in (1, 2, dim):
+                a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+                rho = a @ a.conj().T
+                state = FockDensityMatrix(dim, rho / np.trace(rho).real)
+                assert math.fsum(x * x for x in state.populations()) <= purity(state)
+
+    def test_gaussian_normal_form_is_thermal(self):
+        """A Gaussian state's normal form is thermal, with nu = 1/(2 mu) >= Phi(mu)/2:
+        mu Phi(mu) <= 1, with equality only for the pure state."""
+        grid = [float(mu) for mu in np.logspace(-6.0, 0.0, 6001)]
+        products = [mu * phi(mu) for mu in grid]
+        assert grid[-1] == 1.0 and products[-1] == 1.0
+        assert max(products[:-1]) < 1.0
 
 
 class TestFalsification:
@@ -310,7 +369,7 @@ class TestFalsification:
         assert peak <= 12 * 2**20  # 85.8 MiB with all starts in one batch
 
     def test_dim_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dim <= 32"):
             falsification_sweep(0.5, 33, 10, seed=0)
 
     def test_sample_cap(self):

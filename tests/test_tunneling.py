@@ -166,7 +166,7 @@ GOLDEN_SAMPLED = Path(__file__).resolve().parent / "golden" / "inputs" / "sample
 
 
 class TestSampledKernel:
-    """The numpy PCHIP kernel against scipy's ``PchipInterpolator`` (tests only)."""
+    """The pure-Python PCHIP slopes against scipy's ``PchipInterpolator`` (tests only)."""
 
     def test_slopes_match_reference(self):
         rng = np.random.default_rng(20261018)

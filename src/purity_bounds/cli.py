@@ -74,9 +74,20 @@ def _cmd_phi_curve(args) -> int:
     return 0
 
 
+def _purity_grid(args, command: str, parse_mu):
+    """Purities from --mu (read by ``parse_mu``) or all of --mu-from/--mu-to/--steps, else None."""
+    flags = (args.mu_from, args.mu_to, args.steps)
+    if flags == (None, None, None):
+        return None if args.mu is None else parse_mu(args.mu)
+    if None in flags or args.mu is not None:
+        raise ValueError(f"{command} takes --mu or all of --mu-from/--mu-to/--steps, not a mix")
+    return _io.linear_grid(*flags, command)
+
+
 def _cmd_oracle(args) -> int:
     from .oracle import FALSIFICATION_SLACK_TOL, falsification_sweep, phi_curve_certified
 
+    grid = _purity_grid(args, "oracle", lambda mu: [mu])
     if args.falsify:
         for name in ("mu", "dim", "samples", "seed"):
             if getattr(args, name) is None:
@@ -84,11 +95,7 @@ def _cmd_oracle(args) -> int:
         report = falsification_sweep(args.mu, args.dim, args.samples, args.seed)
         _emit(_io.render_json(asdict(report)), args.out)
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
-    if args.mu is not None:
-        grid = [args.mu]
-    elif args.mu_from is not None and args.mu_to is not None and args.steps is not None:
-        grid = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "oracle")
-    else:
+    if grid is None:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
     rows = [astuple(row) for row in phi_curve_certified(grid, args.levels, method=args.method)]
     _emit(_io.render_csv(_io.ORACLE_COLUMNS, rows), args.out)
@@ -118,23 +125,19 @@ def _cmd_thermal(args) -> int:
 
 def _parse_mu_list(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        mu = [float(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise ValueError(f"bad --mu list {text!r}") from exc
+    if not mu:
+        raise ValueError("--mu list is empty")
+    return mu
 
 
 def _cmd_tunnel(args) -> int:
     from .tunneling import transparency_vs_purity
 
     barrier = _io.load_barrier(args.barrier)
-    if args.mu is not None:
-        mu_grid = _parse_mu_list(args.mu)
-        if not mu_grid:
-            raise ValueError("--mu list is empty")
-    elif args.mu_from is not None and args.mu_to is not None and args.steps is not None:
-        mu_grid = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "tunnel")
-    else:
-        mu_grid = [1.0]
+    mu_grid = _purity_grid(args, "tunnel", _parse_mu_list) or [1.0]
     table = transparency_vs_purity(
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )

@@ -15,8 +15,8 @@ moments through the ladder sums of ``moments``.
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
 2 sqrt(min_product).  All stochastic paths take an explicit seed and are
-reproducible bit for bit; numpy loads only for the face enumeration and
-the falsifier, the rest runs on Python floats.
+reproducible bit for bit.  numpy loads only for the face enumeration and
+the falsifier; ``projected-gradient`` runs on Python floats only.
 """
 
 from __future__ import annotations
@@ -131,14 +131,12 @@ def _result(mu: float, weights, method: str, iterations: int) -> MinimizationRes
 
 
 def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
-    """Project onto {sum p = 1, sum p^2 = mu, p >= 0} (active-set on the support)."""
+    """Active-set projection onto {sum p = 1, sum p^2 = mu, p >= 0} (VERIFICATION.md)."""
     k = len(p)
     support = range(k)
     q = p
-    for _ in range(k + 1):
+    while True:  # returns: each pass drops a level, and mu >= 1/n on the n kept (Cauchy-Schwarz)
         n_act = len(support)
-        if n_act == 0 or mu < 1.0 / n_act - 1e-15:
-            break  # cannot satisfy the sphere on this support; fall through
         sub = [q[i] for i in support]
         shift = (1.0 - math.fsum(sub)) / n_act
         center = 1.0 / n_act
@@ -155,11 +153,6 @@ def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
         if min(sub) >= -_WEIGHT_TOL:
             return [max(q.get(i, 0.0), 0.0) for i in range(k)]
         support = [i for i in support if q[i] >= 0.0]
-    # On the feasible set |q|^2 = mu is fixed, so the nearest feasible q
-    # minimizes -p.q: the face enumeration of -p, sorted, gives it exactly.
-    order = sorted(range(k), key=lambda i: -p[i])
-    q = dict(zip(order, _face_minimizer([-p[i] for i in order], mu).tolist()))
-    return [q[i] for i in range(k)]
 
 
 def _face_minimizer(c: np.ndarray, mu: float) -> np.ndarray:

@@ -56,7 +56,7 @@ def log_partition_function(model: ThermalModel, T: float) -> float:
     x = model.hbar * model.omega / (2.0 * check_positive("temperature", T))
     # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x)); expm1 keeps 1 - e^(-2x)
     # accurate when x is tiny (high temperature).
-    return -x - math.log(-math.expm1(-2.0 * x)) if x < 350 else -x
+    return -x - math.log(-math.expm1(-2.0 * x))
 
 
 def partition_function(model: ThermalModel, T: float) -> float:

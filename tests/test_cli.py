@@ -277,6 +277,21 @@ class TestOracleCommand:
         code, _ = run(capsys, ["oracle"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--mu", "0.5", "--mu-from", "0.1", "--mu-to", "0.2", "--steps", "3"],
+        ["--mu", "0.5", "--steps", "3"],
+        ["--mu-from", "0.4", "--mu-to", "0.5"],
+        ["--steps", "3"],
+        ["--falsify", "--mu", "0.5", "--dim", "4", "--samples", "50", "--seed", "1",
+         "--mu-to", "0.6"],
+    ])
+    def test_partial_or_mixed_grid_flags_exit_1(self, capsys, flags):
+        assert main(["oracle", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: oracle takes --mu or all of "
+                                "--mu-from/--mu-to/--steps, not a mix\n")
+
     @pytest.mark.parametrize("method", ["rank2-analytic", "rank3-analytic"])
     def test_forced_rank_methods_are_gone(self, capsys, method):
         code, _ = run(capsys, ["oracle", "--mu", "0.7", "--levels", "2", "--method", method])
@@ -358,6 +373,23 @@ class TestTunnelCommand:
         lines = out.strip().split("\n")
         invariants = [float(line.split(",")[-1]) for line in lines[1:]]
         assert max(invariants) - min(invariants) < 1e-12
+
+    @pytest.mark.parametrize("flags", [
+        ["--mu-from", "0.1", "--steps", "3"],
+        ["--mu", "0.5", "--mu-from", "0.1", "--mu-to", "0.2", "--steps", "3"],
+        ["--mu", "1", "--mu-to", "0.2"],
+    ])
+    def test_partial_or_mixed_grid_flags_exit_1(self, files, capsys, flags):
+        assert main(["tunnel", "--barrier", files["rect"], "--energy", "0.5", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: tunnel takes --mu or all of "
+                                "--mu-from/--mu-to/--steps, not a mix\n")
+
+    def test_empty_mu_list_exits_1(self, files, capsys):
+        assert main(["tunnel", "--barrier", files["rect"], "--energy", "0.5", "--mu", ","]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --mu list is empty\n")
 
     @pytest.mark.parametrize("grid, field", [
         ({"x": [str(k) for k in range(8)]}, "x[0]"),

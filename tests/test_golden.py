@@ -153,8 +153,7 @@ def _checks_a(kind: str, argv: list[str]) -> bool:
 
 
 # Every case but the falsifier and the grid-refine face enumeration, the two
-# that load numpy.  projected-gradient at mu 0.5 never falls back to the face
-# enumeration.
+# that load numpy.
 NUMPY_FREE = sorted(name for name in CASES
                     if not name.startswith(("oracle-falsify-", "oracle-grid-refine")))
 

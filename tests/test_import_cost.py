@@ -3,13 +3,13 @@
 ``import purity_bounds`` loads no submodule and no numpy: the public names
 resolve on first access.  Every command runs without numpy (``check`` on
 either state type, ``decohere``, ``tunnel`` through any barrier, ``thermal``,
-``phi`` and ``phi-curve``) except two that still load it: ``oracle
+``phi``, ``phi-curve`` and ``oracle`` with the ``auto`` or
+``projected-gradient`` method) except two that still load it: ``oracle
 --falsify`` and the ``grid-refine`` face enumeration (``--method
-grid-refine``, 2 to 32 levels; projected-gradient's fallback to it was
-taken in 0 of 660 runs and 33 000 random projections).  Only
-the commands that take a barrier load ``purity_bounds.tunneling``.  Those
-two commands load numpy alone: no scipy module and no ``numpy.polynomial``
-(which costs milliseconds on every cold call).
+grid-refine``, 2 to 32 levels).  Only the commands that take a barrier load
+``purity_bounds.tunneling``.  Those two commands load numpy alone: no scipy
+module and no ``numpy.polynomial`` (which costs milliseconds on every cold
+call).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -113,15 +113,26 @@ def test_fock_check_decohere_and_sampled_tunnel_load_no_numpy():
 
 
 def test_thermal_and_oracle_without_matrices_load_no_numpy():
+    gradient = ["--method", "projected-gradient"]
+    # projected-gradient at 6 purities from just above 1/levels to 1, for 2..12
+    # levels, and at every reachable (purity, levels) point of the benchmark's
+    # certify workload (purities 0.25..0.95, 4..8 levels).
+    sweeps = [["oracle", "--mu-from", repr(1.0 / levels + 0.01), "--mu-to", "1", "--steps", "6",
+               "--levels", str(levels), *gradient] for levels in range(2, 13)]
+    certify = [["oracle", "--mu", repr(mu), "--levels", str(levels), *gradient]
+               for mu in (round(0.25 + 0.05 * k, 2) for k in range(15))
+               for levels in range(4, 9) if mu > 1.0 / levels]
     result = _run(
         ["thermal", "--t-min", "0.5", "--t-max", "50", "--steps", "20"],
         ["thermal", "--t-min", "50", "--t-max", "500", "--steps", "4",
          "--barrier", str(INPUTS / "rectangular.json"), "--energy", "0.5"],
         ["oracle", "--mu", "0.7", "--levels", "2"],
         ["oracle", "--mu-from", "0.39", "--mu-to", "0.55", "--steps", "12", "--levels", "3"],
-        ["oracle", "--mu", "0.5", "--levels", "3", "--method", "projected-gradient"],
+        ["oracle", "--mu", "0.5", "--levels", "3", *gradient],
+        *sweeps, *certify,
     )
-    assert result["codes"] == [0] * 5 and result["numpy"] == []
+    assert len(certify) == 74
+    assert result["codes"] == [0] * (5 + 11 + 74) and result["numpy"] == []
 
 
 def test_commands_without_a_barrier_load_no_tunneling():

@@ -1,10 +1,10 @@
 """The benchmark under ``perfbench/`` reaches into the package by name.
 
-``perfbench/tracing.py`` wraps the functions listed in ``SPANS`` and
-``perfbench/workloads.py`` calls package attributes directly; renaming or
-deleting one of them, or removing or moving a parameter such a call uses,
-breaks the benchmark without failing any other test.  These tests only
-read ``perfbench/``.
+``perfbench/tracing.py`` wraps the functions listed in ``SPANS``, and its
+counters read attributes of their results; ``perfbench/workloads.py`` calls
+package attributes directly.  Renaming or deleting one of them, or removing
+or moving a parameter such a call uses, breaks the benchmark without failing
+any other test.  These tests only read ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import typing
 from pathlib import Path
 
 import purity_bounds
@@ -37,6 +38,25 @@ def test_every_traced_span_resolves_to_a_function():
         if not callable(getattr(owner, attr, None)):
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_every_span_counter_reads_attributes_of_the_traced_return_type():
+    tracing = _load_tracing()
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    reads = {node.name: {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                         and isinstance(n.value, ast.Name) and n.value.id == "result"}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    checked, missing = set(), []
+    for module, attr, _name, counter in tracing.SPANS:
+        if counter is None:
+            continue
+        func = getattr(importlib.import_module(f"purity_bounds.{module}"), attr)
+        returns = typing.get_type_hints(func)["return"]
+        for read in reads[counter.__name__]:
+            checked.add(read)
+            if not (hasattr(returns, read) or read in typing.get_type_hints(returns)):
+                missing.append(f"{module}.{attr} -> {returns.__name__}.{read}")
+    assert checked and missing == []
 
 
 OWNERS = {"pb": purity_bounds, "pb_io": purity_bounds.io}

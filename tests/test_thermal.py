@@ -58,6 +58,16 @@ class TestPartitionFunction:
         assert lz == pytest.approx(-5000.0, rel=1e-12)
         assert math.isfinite(lz)
 
+    @pytest.mark.parametrize("x", [349.9, 350.0, 350.1, 700.0])
+    def test_log_domain_is_exactly_minus_x_at_low_temperature(self, oscillator, x):
+        # -expm1(-2x) rounds to 1 for x above ~18.4, so log Z is -x to the bit.
+        T = 1.0 / (2.0 * x)
+        assert log_partition_function(oscillator, T) == -1.0 / (2.0 * T)
+
+    def test_log_domain_at_overflowing_inverse_temperature(self, oscillator):
+        # 1 / (2 T) overflows to inf at the smallest subnormal T.
+        assert log_partition_function(oscillator, 5e-324) == -math.inf
+
     def test_temperature_domain(self, oscillator):
         with pytest.raises(ValueError):
             partition_function(oscillator, 0.0)

@@ -8,8 +8,8 @@ independent constrained minimization, and propagates hbar_eff into WKB
 barrier-transparency calculations (thermal states and dephasing
 trajectories included).
 
-The public names below load their home module on first access (PEP 562),
-so a caller that needs only the closed forms never imports numpy.
+The public names below load their home module on first access (PEP 562).
+No module imports numpy at load time; only ``falsification_sweep`` does.
 """
 
 import importlib
@@ -26,7 +26,7 @@ _EXPORTS = {
     "oracle": "FalsificationReport MinimizationResult PhiCurveRow falsification_sweep "
               "linear_ansatz_weights min_product_fock_mixture phi_curve_certified",
     "states": "FockDensityMatrix GaussianState InvariantViolation QuantumState diagonal_mixture "
-              "fock_projector fock_quadrature_operators pure_state_density validate_state",
+              "fock_projector pure_state_density validate_state",
     "thermal": "ThermalModel log_partition_function oscillator_mean_occupation "
                "partition_function thermal_bound_report thermal_purity "
                "thermal_state_fock thermal_sweep",

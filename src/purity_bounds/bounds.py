@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 PHI_MODES = ("exact", "interpolation", "asymptote")
 # The ``oracle`` minimizers; defined here so the CLI parser can list them
-# without loading numpy.
+# without importing ``oracle``.
 METHODS = ("auto", "grid-refine", "projected-gradient")
 # The keys of a ``BoundReport``'s bounds, slacks and flags, weakest bound first.
 BOUND_NAMES = ("heisenberg", "schrodinger_robertson", "purity")

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 input/usage error, 2 bound-violation finding,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import asdict, astuple, replace
 
@@ -37,8 +38,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_finite_phi(mu: list[float], phi_column: list[float]) -> None:
+    """Phi overflows by design at the smallest purities; say so, naming the purity."""
+    for m, value in zip(mu, phi_column):
+        if value == math.inf:
+            raise ValueError(f"Phi overflows at purity {m!r}")
+
+
 def _cmd_check(args) -> int:
-    from .moments import compute_moments
+    from .moments import _moments
     from .states import validate_state
 
     state = _io.load_state(args.state)
@@ -49,7 +57,7 @@ def _cmd_check(args) -> int:
         payload = {"valid": False, "violations": [asdict(v) for v in violations]}
         _emit(_io.render_json(payload), args.out)
         return 2
-    m = compute_moments(state)
+    m = _moments(state)
     report = evaluate_bounds(m, state.hbar, args.phi_mode)
     payload = {"valid": True, "hbar": state.hbar, "moments": asdict(m)}
     payload.update(_io.bound_report_dict(report))
@@ -59,6 +67,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_phi(args) -> int:
     pv = phi_eval(args.mu, args.mode)
+    _require_finite_phi([args.mu], [pv.value])
     payload = {"mu": args.mu, "mode": args.mode, "phi": pv.value, "piece": pv.piece}
     _emit(_io.render_json(payload), args.out)
     return 0
@@ -70,6 +79,7 @@ def _cmd_phi_curve(args) -> int:
     for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
                          ("phi_asymptote", "asymptote")):
         table[column] = [phi(m, mode) for m in mu]
+        _require_finite_phi(mu, table[column])
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -119,6 +129,7 @@ def _cmd_thermal(args) -> int:
     else:
         table = thermal_sweep(model, args.t_min, args.t_max, args.steps,
                               r=args.r, phi_mode=args.phi_mode)
+    _require_finite_phi(table["mu"], table["phi"])
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -141,6 +152,7 @@ def _cmd_tunnel(args) -> int:
     table = transparency_vs_purity(
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )
+    _require_finite_phi(table["mu"], table["phi"])
     _emit(_io.render_table(table), args.out)
     return 0
 

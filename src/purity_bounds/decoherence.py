@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 from .errors import check_positive
 from .io import linear_grid
-from .moments import SecondMoments, _diagonal_weights, _fock_sums, _ladder_moments, compute_moments
+from .moments import SecondMoments, _diagonal_weights, _fock_sums, _ladder_moments
+from .moments import _require_valid, _warn_if_truncated
 from .states import FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
 
@@ -74,7 +75,8 @@ def run_trajectory(
     times = linear_grid(0.0, t_max, steps, "decohere")
     action = transparency(barrier, energy, rho0.hbar).action_integral
 
-    compute_moments(rho0)  # validates rho0 and warns if it is truncated
+    _require_valid(rho0)
+    _warn_if_truncated(rho0)
     z, w, n_sum = _fock_sums(rho0.entries)
     weights = _diagonal_weights(rho0.entries)
     mu, r = [], []

@@ -13,10 +13,11 @@ over Python complex numbers, so no BLAS kernel changes a bit.  A
 populated: the stored matrix is then itself a suspect truncation of the
 intended state.
 
-``purity`` computes every purity, ``compute_moments``' too; a density
-matrix's is sum |rho_ij|^2, summed diagonal by diagonal.  A valid state can
-come out above 1 by an excess within ``STATE_TOL``, which reads as 1: no
-later purity gate rejects a state that passed validation.
+``purity`` and ``compute_moments`` validate the state; the CLI's ``check``,
+which has validated it already, reads its moments through ``_moments``.  A
+density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal.  A
+valid state can come out above 1 by an excess within ``STATE_TOL``, which
+reads as 1: no later purity gate rejects a state that passed validation.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _require_valid(state: QuantumState) -> None:
         raise InvalidStateError(f"state fails validation: {names}")
 
 
-def _warn_if_truncated(state: FockDensityMatrix) -> None:
+def _warn_if_truncated(state: FockDensityMatrix, stacklevel: int = 3) -> None:
+    """Warn, naming the frame ``stacklevel`` up, if the top two levels are populated."""
     top = max(state.populations()[-2:])
     if top >= TRUNCATION_POPULATION_TOL:
         warnings.warn(
@@ -91,7 +93,7 @@ def _warn_if_truncated(state: FockDensityMatrix) -> None:
             "moments describe the truncated matrix as stored, which may "
             "misrepresent the intended state",
             TruncationWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -135,12 +137,18 @@ def compute_moments(state: QuantumState) -> SecondMoments:
     Gaussian states have their moments copied; Fock states are read through
     their diagonals (see module docstring).  The purity is ``purity``'s.
     """
-    mu = purity(state)
+    _require_valid(state)
+    return _moments(state)
+
+
+def _moments(state: QuantumState) -> SecondMoments:
+    """``compute_moments`` of a state that has already passed ``validate_state``."""
+    mu = _purity(state)
     if isinstance(state, GaussianState):
         return SecondMoments.from_covariance(
             state.mean_q, state.mean_p, state.sigma_qq, state.sigma_pp, state.sigma_qp, mu
         )
-    _warn_if_truncated(state)
+    _warn_if_truncated(state, stacklevel=4)
     moments = _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
     return SecondMoments.from_covariance(*moments, mu)
 
@@ -152,6 +160,10 @@ def purity(state: QuantumState) -> float:
     for a density matrix; a value above 1 reads as 1 (see module docstring).
     """
     _require_valid(state)
+    return _purity(state)
+
+
+def _purity(state: QuantumState) -> float:
     if isinstance(state, GaussianState):
         return min(_gaussian_purity(state), 1.0)
     return min(math.fsum(_diagonal_weights(state.entries)), 1.0)

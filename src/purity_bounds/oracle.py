@@ -15,8 +15,8 @@ moments through the ladder sums of ``moments``.
 The oracle works in units of hbar (hbar = mass = omega = 1): a variance
 product such as ``min_product`` is in units of hbar^2, and Phi is
 2 sqrt(min_product).  All stochastic paths take an explicit seed and are
-reproducible bit for bit.  numpy loads only for the face enumeration and
-the falsifier; ``projected-gradient`` runs on Python floats only.
+reproducible bit for bit.  numpy loads only for the falsifier; the face
+enumeration and ``projected-gradient`` run on Python floats.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .bounds import METHODS, _rank, check_purity, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _WEIGHT_TOL = 1e-12
 
@@ -100,7 +96,7 @@ def linear_ansatz_weights(mu: float, k: int) -> tuple[float, ...]:
     Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
     weight is nonnegative, i.e. up to the top mu_k of the rank-k window of
     Phi; above it a ``PieceDomainError`` is raised.  They are the candidate
-    of the k-level prefix in ``_face_minimizer``; on their window they win
+    of the k-level prefix in ``_scan_faces``; on their window they win
     the face enumeration and give the piece Phi_k of ``bounds.phi``.
     """
     if k < 2:
@@ -155,43 +151,47 @@ def _project_plane_sphere(p: list[float], mu: float) -> list[float]:
         support = [i for i in support if q[i] >= 0.0]
 
 
-def _face_minimizer(c: np.ndarray, mu: float) -> np.ndarray:
-    """Minimum of c.p on {sum p = 1, sum p^2 = mu, p >= 0} for ascending c, by its faces.
+def _scan_faces(c, mu: float, where) -> list:
+    """Minimizer of c.p on {sum p = 1, sum p^2 = mu, p >= 0} for ascending c, by its faces.
 
-    By the rearrangement inequality some minimizer has descending weights,
-    so its support S is a prefix of s levels, and the Lagrange conditions
-    there leave one local minimum on the face's purity sphere,
-
-        p_S = 1/s - sqrt(mu - 1/s) (c_S - mean c_S) / |c_S - mean c_S|
-
-    (for s = 2, the cheaper of a mirror pair that is feasible together;
-    where c is flat on S every point costs the same, and the level index
-    stands in for c).  The minimum is the cheapest of the n candidates with
-    nonnegative weights (VERIFICATION.md, "Face enumeration").  ``c`` may
-    carry leading batch axes; costs are summed row by row, so they do not
-    depend on a row's place in the batch, and ties go to the shortest prefix.
+    Some minimizer lives on a prefix of s levels, where it is
+    p_n = 1/s - sqrt(mu - 1/s) (c_n - m_s) / norm_s and costs
+    m_s - sqrt(mu - 1/s) norm_s, m_s the prefix mean and norm_s^2 its sum of
+    squared deviations; on a flat prefix the level index stands in for c
+    (VERIFICATION.md, "Face enumeration").  One pass updates m_s and norm_s^2
+    (Welford) and keeps the cheapest prefix whose top, smallest, weight is
+    nonnegative; only a strictly cheaper one replaces it, so ties go to the
+    shortest.  It starts at s = 2: the one-level face, reached only at mu = 1,
+    is the two-level candidate's point.  A second pass builds the winner's
+    weights.  ``c`` is a sequence of L cost columns: floats with a conditional
+    as ``where``, or arrays of rows with ``np.where``; returns L weight columns.
     """
-    import numpy as np
-
-    c = np.asarray(c)
-    n = c.shape[-1]
-    prefix = np.tri(n, dtype=bool)
-    size = prefix.sum(axis=1)
-    # An ascending c is flat on a prefix iff its last cost equals its first.
-    flat = c == c[..., :1]
-    c = c[..., None, :]
-    d = np.where(prefix, np.where(flat[..., None], np.arange(n), c), 0.0)
-    d = np.where(prefix, d - (d.sum(axis=-1) / size)[..., None], 0.0)
-    norm = np.sqrt((d * d).sum(axis=-1))
-    center = 1.0 / size
-    reachable = mu >= center
-    radius = np.sqrt(np.where(reachable, mu - center, 0.0))
-    scale = np.divide(radius, norm, out=np.zeros(norm.shape), where=norm > 0.0)
-    p = np.where(prefix, center[:, None] - scale[..., None] * d, 0.0)
-    feasible = reachable & (p >= -_WEIGHT_TOL).all(axis=-1)
-    cost = np.where(feasible, (p * c).sum(axis=-1), np.inf)
-    best = np.argmin(cost, axis=-1)[..., None, None]
-    return np.clip(np.take_along_axis(p, best, axis=-2)[..., 0, :], 0.0, None)
+    best_cost, best_s, best_scale, best_mean, best_flat = math.inf, 0, 0.0, 0.0, False
+    mean, square = c[0], 0.0
+    for s in range(2, len(c) + 1):
+        delta = c[s - 1] - mean
+        mean = mean + delta / s
+        top = c[s - 1] - mean
+        square = square + delta * top
+        if mu < 1.0 / s:
+            continue
+        radius = math.sqrt(mu - 1.0 / s)
+        norm = square**0.5  # on floats and arrays alike
+        cost = mean - radius * norm  # a flat prefix has norm 0
+        flat = square == 0.0
+        scale = radius / where(flat, math.sqrt(s * (s * s - 1) / 12.0), norm)
+        top = where(flat, (s - 1) / 2.0, top)
+        better = (1.0 / s - scale * top >= -_WEIGHT_TOL) & (cost < best_cost)
+        best_cost = where(better, cost, best_cost)
+        best_s = where(better, s, best_s)
+        best_scale = where(better, scale, best_scale)
+        best_mean = where(better, where(flat, (s - 1) / 2.0, mean), best_mean)
+        best_flat = where(better, flat, best_flat)
+    weights = []
+    for n, x in enumerate(c):
+        p = 1.0 / best_s - best_scale * (where(best_flat, n, x) - best_mean)
+        weights.append(where((n < best_s) & (p > 0.0), p, 0.0))
+    return weights
 
 
 def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
@@ -243,8 +243,8 @@ def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> Mi
     if method == "grid-refine":
         if levels > MAX_LEVELS:
             raise ValueError(f"grid-refine supports 2..{MAX_LEVELS} levels, got {levels}")
-        p = _face_minimizer(_objective_coeffs(levels), mu)
-        return _result(mu, p.tolist(), "grid-refine", levels)
+        p = _scan_faces(_objective_coeffs(levels), mu, lambda flag, a, b: a if flag else b)
+        return _result(mu, p, "grid-refine", levels)
     if method == "projected-gradient":
         return _projected_gradient(mu, levels)
     if method != "auto":
@@ -267,7 +267,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     are Gaussian-unitary images of number states, and a Gaussian unitary
     changes neither det Sigma nor the purity.  The state V diag(w) V^dagger
     whose spectrum w minimizes the ascending eigenvalues of G on the purity
-    sphere (``_face_minimizer``) is therefore the image of a rank-k
+    sphere (``_scan_faces``) is therefore the image of a rank-k
     minimizer of Phi, and its slack lies at the bound, below which no state
     lies: a negative slack is a Phi too large or a fault in the moments.
     G is banded (its diagonal and two on each side), and the moments of each
@@ -317,7 +317,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
                                                       + 2j * (sqp * mq - sqq * mp))[:, None]
         g[:, n[2:], n[:-2]] = 0.5 * ladder[2] * (spp - sqq - 2j * sqp)[:, None]
         cost, vectors = np.linalg.eigh(g)
-        weights = _face_minimizer(cost, mu)  # eigh's eigenvalues ascend
+        weights = np.stack(_scan_faces(cost.T, mu, np.where), axis=1)  # eigh's eigenvalues ascend
         _, _, sqq, spp, sqp = moments(vectors, weights)
         min_slack = np.min(sqq * spp - sqp**2 - bound, initial=min_slack)
 

@@ -10,7 +10,7 @@ trace and eigenvalues of a density matrix absolutely, the Gaussian
 determinant relative to hbar^2/4.  A density matrix is a tuple of rows of
 ``complex``; its eigenvalues pass iff its Hermitian part plus ``STATE_TOL`` I
 has a Cholesky factorization with positive pivots (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 10).  Only matrix builders load numpy.
+Stability of Numerical Algorithms*, ch. 10).
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .errors import InvalidStateError, check_positive
-
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import InvalidStateError
 
 STATE_TOL = 1e-10
 # Populations of the top two basis levels above this emit a TruncationWarning
@@ -217,28 +213,6 @@ def _validate_fock(state: FockDensityMatrix) -> list[InvariantViolation]:
     return violations
 
 
-def fock_quadrature_operators(
-    dim: int, hbar: float = 1.0, mass: float = 1.0, omega: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum operators on the truncated number basis.
-
-    q = sqrt(hbar/(2 m omega)) (a + a^+),  p = i sqrt(hbar m omega / 2) (a^+ - a),
-    both returned as dense ``dim`` x ``dim`` Hermitian matrices.  Because of the
-    truncation, the commutator [q, p] equals i hbar only on the leading
-    (dim-1) x (dim-1) block.
-    """
-    import numpy as np
-
-    if dim < 2:
-        raise ValueError(f"operator dimension must be >= 2, got {dim}")
-    for name, value in (("hbar", hbar), ("mass", mass), ("omega", omega)):
-        check_positive(name, value)
-    ladder = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1)
-    q = np.sqrt(hbar / (2.0 * mass * omega)) * (ladder + ladder.T)
-    p = 1j * np.sqrt(hbar * mass * omega / 2.0) * (ladder.T - ladder)
-    return q, p
-
-
 def fock_projector(n: int, dim: int) -> FockDensityMatrix:
     """Projector |n><n| as a density matrix on ``dim`` levels."""
     if not 0 <= n < dim:
@@ -248,31 +222,25 @@ def fock_projector(n: int, dim: int) -> FockDensityMatrix:
 
 def diagonal_mixture(weights, dim: int | None = None) -> FockDensityMatrix:
     """Mixture of number states with the given probability weights."""
-    import numpy as np
-
-    w = np.asarray(weights, dtype=float)
+    w = [float(x) for x in weights]
     if dim is None:
         dim = max(len(w), 2)
     if len(w) > dim:
         raise ValueError("more weights than basis levels")
-    diag = np.zeros(dim)
-    diag[: len(w)] = w
-    return FockDensityMatrix(dim=dim, entries=np.diag(diag).astype(complex))
+    w += [0.0] * (dim - len(w))
+    return FockDensityMatrix(dim, [[x if i == j else 0.0 for j in range(dim)]
+                                   for i, x in enumerate(w)])
 
 
 def pure_state_density(amplitudes, dim: int | None = None) -> FockDensityMatrix:
     """Density matrix of the normalized pure state with the given amplitudes."""
-    import numpy as np
-
-    psi = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(psi)
+    psi = [complex(a) for a in amplitudes]
+    norm = math.hypot(*(x for a in psi for x in (a.real, a.imag)))
     if norm == 0:
         raise ValueError("amplitudes must not all vanish")
-    psi = psi / norm
     if dim is None:
         dim = max(len(psi), 2)
     if len(psi) > dim:
         raise ValueError("more amplitudes than basis levels")
-    full = np.zeros(dim, dtype=complex)
-    full[: len(psi)] = psi
-    return FockDensityMatrix(dim=dim, entries=np.outer(full, full.conj()))
+    psi = [a / norm for a in psi] + [0j] * (dim - len(psi))
+    return FockDensityMatrix(dim, [[a * b.conjugate() for b in psi] for a in psi])

@@ -15,7 +15,7 @@ through log Z, so that very low temperatures do not overflow sinh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
@@ -53,7 +53,7 @@ def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
 
 def log_partition_function(model: ThermalModel, T: float) -> float:
     """log Z(T); stable for arbitrarily small positive T."""
-    x = model.hbar * model.omega / (2.0 * check_positive("temperature", T))
+    x = 0.5 * (model.hbar * model.omega) / check_positive("temperature", T)
     # log[1 / (2 sinh x)] = -x - log(1 - e^(-2x)); expm1 keeps 1 - e^(-2x)
     # accurate when x is tiny (high temperature).
     return -x - math.log(-math.expm1(-2.0 * x))
@@ -66,7 +66,8 @@ def partition_function(model: ThermalModel, T: float) -> float:
 
 def thermal_purity(model: ThermalModel, T: float) -> float:
     """Purity mu(T) = Z(T/2) / Z(T)^2 = tanh(hbar omega / 2T)."""
-    return math.tanh(model.hbar * model.omega / (2.0 * check_positive("temperature", T)))
+    # Halved, not 2T: 2T overflows above T ~ 9e307.
+    return math.tanh(0.5 * (model.hbar * model.omega) / check_positive("temperature", T))
 
 
 def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
@@ -84,17 +85,16 @@ def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
 
 def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMatrix:
     """Thermal state truncated (and renormalized) to ``dim`` levels."""
-    import numpy as np
-
-    from .states import FockDensityMatrix
+    from .states import diagonal_mixture
 
     check_positive("temperature", T)
     if dim < 2:
         raise ValueError(f"Fock dimension must be >= 2, got {dim}")
     # The ground-state weight is 1 before normalisation, so nothing overflows.
-    w = np.exp(-np.arange(dim) * model.hbar * model.omega / T)
-    w /= w.sum()
-    return FockDensityMatrix(dim, np.diag(w).astype(complex), model.hbar, model.mass, model.omega)
+    w = [math.exp(-n * model.hbar * model.omega / T) for n in range(dim)]
+    total = math.fsum(w)
+    return replace(diagonal_mixture([x / total for x in w]),
+                   hbar=model.hbar, mass=model.mass, omega=model.omega)
 
 
 def thermal_bound_report(
@@ -129,7 +129,7 @@ def thermal_sweep(
         "T": temperatures,
         "Z": [partition_function(model, T) for T in temperatures],
         "mu": mu,
-        "mu_asymptote": [model.hbar * model.omega / (2.0 * T) for T in temperatures],
+        "mu_asymptote": [0.5 * (model.hbar * model.omega) / T for T in temperatures],
         "phi": [pv.value for pv in phis],
         "phi_mode": [pv.piece for pv in phis],
         "hbar_eff": [scale_hbar(model.hbar, pv.value, r) for pv in phis],

@@ -316,7 +316,7 @@ def transparency_vs_temperature(
     action = transparency(barrier, energy, model.hbar).action_integral
     temperatures = [float(T) for T in t_grid]
     if phi_mode == "asymptote":
-        mu = [model.hbar * model.omega / (2.0 * T) for T in temperatures]
+        mu = [0.5 * (model.hbar * model.omega) / T for T in temperatures]
     else:
         mu = [thermal_purity(model, T) for T in temperatures]
     return _tunnel_table("T", temperatures, mu, r, action, model.hbar, phi_mode,

@@ -26,7 +26,6 @@ from purity_bounds import (
     evaluate_bounds,
     falsification_sweep,
     fock_projector,
-    fock_quadrature_operators,
     log_partition_function,
     min_product_fock_mixture,
     oscillator_mean_occupation,
@@ -63,9 +62,6 @@ GUARDS = {
     "effective_hbar": ("hbar", lambda v: effective_hbar(v, 0.0, 0.5)),
     "bound_report": ("hbar", lambda v: bound_report(0.25, 0.25, v, 0.0, 1.0)),
     "evaluate_bounds": ("hbar", lambda v: evaluate_bounds(VACUUM, v)),
-    "fock_quadrature_operators-hbar": ("hbar", lambda v: fock_quadrature_operators(3, hbar=v)),
-    "fock_quadrature_operators-mass": ("mass", lambda v: fock_quadrature_operators(3, mass=v)),
-    "fock_quadrature_operators-omega": ("omega", lambda v: fock_quadrature_operators(3, omega=v)),
     "ThermalModel-hbar": ("hbar", lambda v: ThermalModel(hbar=v)),
     "ThermalModel-mass": ("mass", lambda v: ThermalModel(mass=v)),
     "ThermalModel-omega": ("omega", lambda v: ThermalModel(omega=v)),

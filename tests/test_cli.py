@@ -251,6 +251,22 @@ class TestPhiCommands:
         code, out = run(capsys, ["phi", "--mu", "5e-324"])
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("argv, mu", [
+        (["phi", "--mu", "1e-309"], "1e-309"),
+        (["phi", "--mu", "1e-309", "--mode", "interpolation"], "1e-309"),
+        (["phi-curve", "--mu-from", "1e-309", "--mu-to", "1", "--steps", "2"], "1e-309"),
+        (["tunnel", "--barrier", "RECT", "--energy", "0.5", "--mu", "1,1e-309"], "1e-309"),
+        # mu(8e307) = tanh(1 / 1.6e308) = 6.25e-309
+        (["thermal", "--t-min", "1", "--t-max", "8e307", "--steps", "3"], "6.25e-309"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_infinite_phi_is_an_error_naming_the_purity(self, files, capsys, argv, mu):
+        """Phi overflows below mu ~ 7.4e-309; every command says so with the
+        purity, before it renders anything."""
+        code = main([files["rect"] if arg == "RECT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: Phi overflows at purity {mu}\n"
+
 
 class TestOracleCommand:
     def test_single_point(self, capsys):
@@ -460,6 +476,26 @@ class TestTunnelCommand:
         code, _ = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
                                "--mu", "0.5,abc"])
         assert code == 1
+
+
+def test_check_and_decohere_validate_the_state_once(files, capsys, monkeypatch):
+    from purity_bounds import moments, states
+
+    validated = []
+
+    def counting(state):
+        validated.append(state)
+        return real(state)
+
+    real = states.validate_state
+    monkeypatch.setattr(states, "validate_state", counting)
+    monkeypatch.setattr(moments, "validate_state", counting)
+    for argv in (["check", files["plus"]], ["check", files["vacuum"]],
+                 ["decohere", "--state", files["plus"], "--gamma", "1.0", "--t-max", "12",
+                  "--steps", "5", "--barrier", files["rect"], "--energy", "0.5"]):
+        validated.clear()
+        assert main(argv) == 0 and len(validated) == 1, argv
+    capsys.readouterr()
 
 
 class TestDecohereCommand:

@@ -152,10 +152,8 @@ def _checks_a(kind: str, argv: list[str]) -> bool:
     return argv[0] == "check" and json.loads(Path(argv[1]).read_text())["type"] == kind
 
 
-# Every case but the falsifier and the grid-refine face enumeration, the two
-# that load numpy.
-NUMPY_FREE = sorted(name for name in CASES
-                    if not name.startswith(("oracle-falsify-", "oracle-grid-refine")))
+# Every case but the falsifier, the one command that loads numpy.
+NUMPY_FREE = sorted(name for name in CASES if not name.startswith("oracle-falsify-"))
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -203,13 +201,14 @@ def _assert_recorded(results: dict[str, list]) -> None:
 
 
 def test_numpy_free_cases_match_recorded_bytes_without_numpy():
-    """Every command but the falsifier and the face enumeration gives the
-    recorded bytes with numpy unimportable: Fock states, dephasing and
-    sampled barriers included.  They run the same code as with numpy, not a
+    """Every command but the falsifier gives the recorded bytes with numpy
+    unimportable: Fock states, dephasing, sampled barriers and the face
+    enumeration included.  They run the same code as with numpy, not a
     numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 52
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 55
     assert "thermal-hot" in results and "oracle-sweep" in results
+    assert "oracle-grid-refine-levels32" in results
     assert {"check-fock_mixed-exact", "decohere-exact", "tunnel-sampled-exact"} <= set(results)
     _assert_recorded(results)
 

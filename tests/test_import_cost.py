@@ -3,11 +3,12 @@
 ``import purity_bounds`` loads no submodule and no numpy: the public names
 resolve on first access.  Every command runs without numpy (``check`` on
 either state type, ``decohere``, ``tunnel`` through any barrier, ``thermal``,
-``phi``, ``phi-curve`` and ``oracle`` with the ``auto`` or
-``projected-gradient`` method) except two that still load it: ``oracle
---falsify`` and the ``grid-refine`` face enumeration (``--method
-grid-refine``, 2 to 32 levels).  Only the commands that take a barrier load
-``purity_bounds.tunneling``.  Those two commands load numpy alone: no scipy
+``phi``, ``phi-curve`` and ``oracle`` with any method, the ``grid-refine``
+face enumeration at 2 to 32 levels included) except ``oracle --falsify``,
+and so do the Fock state builders.  ``falsification_sweep`` is the one
+function in ``src/`` that imports numpy, which an AST check of the source
+enforces.  Only the commands that take a barrier load
+``purity_bounds.tunneling``.  The falsifier loads numpy alone: no scipy
 module and no ``numpy.polynomial`` (which costs milliseconds on every cold
 call).
 
@@ -17,6 +18,7 @@ process already holds whatever other tests imported.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -48,9 +50,9 @@ print(json.dumps({"codes": codes, "loaded": loaded, "numpy": numpy,
 """
 
 
-def _run(*argvs: list[str]) -> dict:
+def _run(*argvs: list[str], script: str = _SCRIPT) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -133,6 +135,50 @@ def test_thermal_and_oracle_without_matrices_load_no_numpy():
     )
     assert len(certify) == 74
     assert result["codes"] == [0] * (5 + 11 + 74) and result["numpy"] == []
+
+
+def test_grid_refine_loads_no_numpy():
+    grid = ["--method", "grid-refine"]
+    result = _run(
+        ["oracle", "--mu", "0.7", "--levels", "2", *grid],
+        ["oracle", "--mu-from", "0.2", "--mu-to", "1", "--steps", "9", "--levels", "8", *grid],
+        ["oracle", "--mu", "0.05", "--levels", "32", *grid],
+    )
+    assert result["codes"] == [0, 0, 0] and result["numpy"] == []
+
+
+def test_state_builders_load_no_numpy():
+    script = """
+import json, sys
+from purity_bounds import ThermalModel, diagonal_mixture, pure_state_density, thermal_state_fock
+diagonal_mixture([0.5, 0.5], 4)
+pure_state_density([1.0, 1j], 3)
+thermal_state_fock(ThermalModel(), 1.0, 8)
+print(json.dumps({"numpy": sorted(m for m in sys.modules if m.split(".")[0] == "numpy")}))
+"""
+    assert _run(script=script)["numpy"] == []
+
+
+def _numpy_imports(node: ast.AST, scope: str | None = None) -> list[str | None]:
+    """The enclosing function (None at module level) of each numpy import under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    modules = []
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    found = [scope for module in modules if module.split(".")[0] == "numpy"]
+    for child in ast.iter_child_nodes(node):
+        found += _numpy_imports(child, scope)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_falsifier():
+    imports = {path.relative_to(ROOT).as_posix(): _numpy_imports(ast.parse(path.read_text()))
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path: found for path, found in imports.items() if found} == {
+        "src/purity_bounds/oracle.py": ["falsification_sweep"]}
 
 
 def test_commands_without_a_barrier_load_no_tunneling():

@@ -17,13 +17,14 @@ from purity_bounds import (
     diagonal_mixture,
     evaluate_bounds,
     fock_projector,
-    fock_quadrature_operators,
     pure_state_density,
     purity,
     thermal_state_fock,
     validate_state,
 )
 from purity_bounds.moments import _gaussian_purity
+
+from fock_operators import fock_quadrature_operators
 
 NAN = float("nan")
 

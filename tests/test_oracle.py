@@ -9,7 +9,6 @@ from purity_bounds import (
     InfeasibleTargetError,
     PieceDomainError,
     falsification_sweep,
-    fock_quadrature_operators,
     linear_ansatz_weights,
     min_product_fock_mixture,
     phi,
@@ -18,7 +17,9 @@ from purity_bounds import (
 )
 from purity_bounds import oracle
 from purity_bounds.bounds import _rank
-from purity_bounds.oracle import MAX_LEVELS, _face_minimizer, _project_plane_sphere
+from purity_bounds.oracle import MAX_LEVELS, _project_plane_sphere, _scan_faces
+
+from fock_operators import fock_quadrature_operators
 
 # The purities of acceptance criterion 4.
 CRITERION_4_MUS = (0.45, 0.55, 0.7, 0.9, 1.0)
@@ -48,11 +49,21 @@ def phi_from(result):
     return 2.0 * math.sqrt(result.min_product)
 
 
+def scan_rows(c, mu):
+    """The face scan on each row of c, through its array path."""
+    return np.stack(_scan_faces(np.atleast_2d(c).T, mu, np.where), axis=1)
+
+
+def scan_floats(c, mu):
+    """The face scan on one row of c, through its float path."""
+    return np.array(_scan_faces([float(x) for x in c], mu, lambda flag, a, b: a if flag else b))
+
+
 def every_support_cost(c, mu):
     """Least c.p over the Lagrange points of all 2^n - 1 supports, for c in any order.
 
     The face enumeration before the rearrangement step: each support's
-    candidate of ``_face_minimizer``, with the level index standing in for c
+    candidate of ``_scan_faces``, with the level index standing in for c
     where c is flat on the support.
     """
     n = c.shape[-1]
@@ -189,11 +200,11 @@ class TestNumericMethods:
             else:
                 expected = 2.0 * float(np.dot(np.arange(levels) + 0.5,
                                               linear_ansatz_weights(mu, levels)))
-            assert phi_from(res) == pytest.approx(expected, rel=1e-14, abs=0.0)
+            assert phi_from(res) == pytest.approx(expected, rel=4e-16, abs=0.0)
             assert abs(math.fsum(res.optimal_weights) - 1.0) <= 1e-14
             assert abs(res.achieved_mu - mu) <= 1e-14
 
-    def test_face_minimizer_is_the_nearest_feasible_point(self):
+    def test_scan_is_the_nearest_feasible_point(self):
         rng = np.random.default_rng(11)
         for _ in range(500):
             levels = int(rng.integers(2, 9))
@@ -201,13 +212,13 @@ class TestNumericMethods:
             mu = float(rng.uniform(1.0 / levels, 1.0))
             order = np.argsort(-x, kind="stable")
             q = np.empty(levels)
-            q[order] = _face_minimizer(-x[order], mu)
+            q[order] = scan_floats(-x[order], mu)
             assert q.min() >= 0.0
             assert abs(q.sum() - 1.0) <= 1e-12 and abs(np.dot(q, q) - mu) <= 1e-12
             active_set = np.array(_project_plane_sphere(x.tolist(), mu))
             assert np.linalg.norm(q - x) <= np.linalg.norm(active_set - x) + 1e-12
         # c constant on every face: any point of a face's sphere is a minimum.
-        q = _face_minimizer(-np.full(3, 1.0 / 3.0), 0.35)
+        q = scan_floats(-np.full(3, 1.0 / 3.0), 0.35)
         assert q.min() >= 0.0 and abs(np.dot(q, q) - 0.35) <= 1e-12
 
     def test_prefix_supports_suffice_for_ascending_costs(self):
@@ -217,16 +228,30 @@ class TestNumericMethods:
             # Rounded entries make ties, so some prefixes are flat.
             c = np.sort(np.round(rng.normal(size=(200, levels)), 1), axis=1)
             mu = float(rng.uniform(1.0 / levels, 1.0))
-            prefix = _face_minimizer(c, mu)
+            prefix = scan_rows(c, mu)
             assert np.all(np.abs((prefix * c).sum(axis=1) - every_support_cost(c, mu)) <= 1e-12)
             assert np.all(np.abs((prefix * prefix).sum(axis=1) - mu) <= 1e-12)
 
     def test_batched_rows_match_single_rows(self):
         rng = np.random.default_rng(17)
         c = np.sort(rng.normal(size=(40, 6)), axis=1)
-        batch = _face_minimizer(c, 0.4)
+        batch = scan_rows(c, 0.4)
         for row, p in zip(c, batch):
-            assert p.tobytes() == _face_minimizer(row, 0.4).tobytes()
+            assert p.tobytes() == scan_rows(row, 0.4)[0].tobytes()
+
+    @pytest.mark.parametrize("levels", range(2, MAX_LEVELS + 1))
+    def test_float_and_array_paths_agree(self, levels):
+        """Both paths pick the same support, with weights within 1e-15, on
+        rows with ties (flat prefixes) and without."""
+        rng = np.random.default_rng(levels)
+        c = np.sort(rng.normal(size=(50, levels)), axis=1)
+        c[::2] = np.sort(np.round(c[::2], 1), axis=1)
+        mu = float(rng.uniform(1.0 / levels, 1.0))
+        batch = scan_rows(c, mu)
+        for row, p in zip(c, batch):
+            q = scan_floats(row, mu)
+            assert np.array_equal(p > 0.0, q > 0.0)
+            assert np.max(np.abs(p - q)) <= 1e-15
 
     def test_grid_refine_level_cap(self):
         assert MAX_LEVELS == 32

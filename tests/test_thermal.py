@@ -113,6 +113,13 @@ class TestThermalPurity:
         for T in (5.0, 10.0, 50.0, 200.0):
             assert abs(thermal_purity(oscillator, T) * 2.0 * T - 1.0) < 0.01
 
+    def test_temperature_past_the_overflow_of_2t(self, oscillator):
+        """2T overflows above T ~ 9e307; mu and log Z there are tanh(1/2T) and
+        log T, not the purity 0 and the math domain error of 1/inf."""
+        for T in (1e308, sys.float_info.max):
+            assert thermal_purity(oscillator, T) == 0.5 / T > 0.0
+            assert log_partition_function(oscillator, T) == pytest.approx(math.log(T), rel=1e-15)
+
     def test_low_temperature_approaches_pure(self, oscillator):
         assert thermal_purity(oscillator, 0.05) == pytest.approx(1.0, abs=5e-9)
 

@@ -38,11 +38,25 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _require_finite_phi(mu: list[float], phi_column: list[float]) -> None:
-    """Phi overflows by design at the smallest purities; say so, naming the purity."""
-    for m, value in zip(mu, phi_column):
-        if value == math.inf:
-            raise ValueError(f"Phi overflows at purity {m!r}")
+# The most points of a --steps grid; every grid is built whole.
+MAX_STEPS = 10**6
+# Phi overflows by design at the smallest purities.
+_PHI_OVERFLOWS = "Phi overflows at purity {!r}"
+
+
+def _require_finite(inputs: list, values: list, message: str) -> None:
+    """An overflow names its input: ``message`` formatted with the input of the first inf or NaN."""
+    for x, value in zip(inputs, values):
+        if not math.isfinite(value):
+            raise ValueError(message.format(x))
+
+
+def _require_finite_hbar(table: dict, hbar: float, inputs: list, name: str) -> None:
+    """hbar_eff scales with hbar and ln D with 1/hbar: past the ends of --hbar they overflow."""
+    for column in ("hbar_eff", "ln_D", "invariant_product"):
+        if column in table:
+            _require_finite(inputs, table[column],
+                            f"--hbar {hbar!r} is out of range: {column} overflows at {name} {{!r}}")
 
 
 def _cmd_check(args) -> int:
@@ -67,7 +81,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_phi(args) -> int:
     pv = phi_eval(args.mu, args.mode)
-    _require_finite_phi([args.mu], [pv.value])
+    _require_finite([args.mu], [pv.value], _PHI_OVERFLOWS)
     payload = {"mu": args.mu, "mode": args.mode, "phi": pv.value, "piece": pv.piece}
     _emit(_io.render_json(payload), args.out)
     return 0
@@ -79,7 +93,7 @@ def _cmd_phi_curve(args) -> int:
     for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
                          ("phi_asymptote", "asymptote")):
         table[column] = [phi(m, mode) for m in mu]
-        _require_finite_phi(mu, table[column])
+        _require_finite(mu, table[column], _PHI_OVERFLOWS)
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -129,7 +143,12 @@ def _cmd_thermal(args) -> int:
     else:
         table = thermal_sweep(model, args.t_min, args.t_max, args.steps,
                               r=args.r, phi_mode=args.phi_mode)
-    _require_finite_phi(table["mu"], table["phi"])
+    _require_finite(table["mu"], table["phi"], _PHI_OVERFLOWS)
+    if args.barrier is None:
+        _require_finite(table["T"], table["mu_asymptote"],
+                        "mu_asymptote = hbar omega / (2T) overflows at temperature {!r}")
+    _require_finite_hbar(table, args.hbar, table["T" if args.barrier is None else "param_value"],
+                         "temperature")
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -152,7 +171,8 @@ def _cmd_tunnel(args) -> int:
     table = transparency_vs_purity(
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )
-    _require_finite_phi(table["mu"], table["phi"])
+    _require_finite(table["mu"], table["phi"], _PHI_OVERFLOWS)
+    _require_finite_hbar(table, args.hbar, table["mu"], "purity")
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -264,6 +284,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
+        if getattr(args, "steps", None) is not None and args.steps > MAX_STEPS:
+            raise ValueError(f"--steps {args.steps} is above the cap of 10^6")
         return args.func(args)
     except ResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,8 +200,13 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
     The feasible set (purity sphere cut by the simplex) is nonconvex and can
     split into several arcs, so the descent is restarted from one start per
     vertex bias plus a start biased along the descent direction; the best
-    endpoint wins.  It runs on Python floats, and every sum is a correctly
-    rounded ``math.fsum``, so its bits depend on no BLAS kernel.
+    endpoint wins.  A trial is accepted when it lowers the cost by more than
+    1e-15; one that lowers it by less halves the step (down to 1e-13), and
+    one that does not lower it at all ends the start, the usual stop of a
+    monotone projected-gradient descent (VERIFICATION.md, "Active-set
+    projection").  ``iterations`` counts the trials of all starts.  It runs
+    on Python floats, and every sum is a correctly rounded ``math.fsum``, so
+    its bits depend on no BLAS kernel.
     """
     u = 1.0 / levels
     c = _objective_coeffs(levels)
@@ -223,6 +228,8 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
             ft = math.fsum(map(operator.mul, c, trial))
             if ft < f - 1e-15:
                 p, f = trial, ft
+            elif ft >= f:
+                break
             else:
                 step *= 0.5
         if f < best_f:

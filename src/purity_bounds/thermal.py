@@ -60,8 +60,12 @@ def log_partition_function(model: ThermalModel, T: float) -> float:
 
 
 def partition_function(model: ThermalModel, T: float) -> float:
-    """Z(T) = 1 / (2 sinh(hbar omega / 2T))."""
-    return math.exp(log_partition_function(model, T))
+    """Z(T) = 1 / (2 sinh(hbar omega / 2T)); inf past the float range, T above ~1.8e308 hbar omega."""
+    log_z = log_partition_function(model, T)
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        return math.inf
 
 
 def thermal_purity(model: ThermalModel, T: float) -> float:

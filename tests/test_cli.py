@@ -258,6 +258,9 @@ class TestPhiCommands:
         (["tunnel", "--barrier", "RECT", "--energy", "0.5", "--mu", "1,1e-309"], "1e-309"),
         # mu(8e307) = tanh(1 / 1.6e308) = 6.25e-309
         (["thermal", "--t-min", "1", "--t-max", "8e307", "--steps", "3"], "6.25e-309"),
+        # Z = T / (hbar omega) overflows first in the table, and only where Phi does.
+        (["thermal", "--t-min", "1", "--t-max", "1e308", "--steps", "3", "--omega", "0.5"],
+         "2.5e-309"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_infinite_phi_is_an_error_naming_the_purity(self, files, capsys, argv, mu):
         """Phi overflows below mu ~ 7.4e-309; every command says so with the
@@ -349,6 +352,26 @@ class TestThermalCommand:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "error: hbar * omega inf must be positive and finite\n"
+
+    def test_tiny_temperature_names_the_temperature(self, capsys):
+        """mu_asymptote = hbar omega / (2T) overflows below T ~ 2.8e-309; mu is 1 there."""
+        code = main(["thermal", "--t-min", "1e-320", "--t-max", "1", "--steps", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == ("error: mu_asymptote = hbar omega / (2T) overflows at "
+                                "temperature 1e-320\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--hbar", "1e308", "--r", "0.9999"], "--hbar 1e+308 is out of range: hbar_eff "
+                                               "overflows at temperature 1.0"),
+        (["--t-min", "1e-322", "--t-max", "1e-321", "--hbar", "1e-320", "--barrier", "RECT",
+          "--energy", "0.5"], "--hbar 1e-320 is out of range: ln_D overflows at temperature 1e-322"),
+    ], ids=["hbar_eff", "ln_D"])
+    def test_ends_of_hbar_name_the_flag(self, files, capsys, argv, err):
+        sweep = ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2"]
+        code = main(sweep + [files["rect"] if arg == "RECT" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {err}\n")
 
     def test_mass_is_not_an_option(self, capsys):
         # Nothing in a thermal sweep depends on the mass, only on hbar omega.
@@ -454,10 +477,22 @@ class TestTunnelCommand:
                      "--mu-from", "0.1", "--mu-to", "inf", "--steps", "3"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "got 0.1, inf" in captured.err
-        # Finite inputs whose result is not: ln D = -inf for a subnormal hbar.
-        code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
-                                 "--hbar", "1e-320"])
-        assert (code, out) == (1, "")
+
+    @pytest.mark.parametrize("hbar, mu, err", [
+        # ln D = -2 S / hbar_eff = -inf for a subnormal hbar.
+        ("1e-320", "0.5", "--hbar 1e-320 is out of range: ln_D overflows at purity 0.5"),
+        # hbar_eff = hbar Phi = inf.
+        ("1e308", "0.5", "--hbar 1e+308 is out of range: hbar_eff overflows at purity 0.5"),
+        # ln D = -2.2e304 is finite, mu^-1 ln D is not.
+        ("1e-308", "1e-4",
+         "--hbar 1e-308 is out of range: invariant_product overflows at purity 0.0001"),
+    ], ids=["ln_D", "hbar_eff", "invariant_product"])
+    def test_ends_of_hbar_name_the_flag(self, files, capsys, hbar, mu, err):
+        """Finite inputs whose result is not: one error line naming --hbar."""
+        code = main(["tunnel", "--barrier", files["rect"], "--energy", "0.5", "--mu", mu,
+                     "--hbar", hbar])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {err}\n")
 
     def test_nan_correlation_exits_1(self, files, capsys):
         code, out = run(capsys, ["tunnel", "--barrier", files["rect"], "--energy", "0.5",
@@ -549,6 +584,50 @@ def test_linear_grid_matches_linspace_bit_for_bit():
     for lo, hi, steps in grids:
         expected = list(map(float.hex, np.linspace(lo, hi, steps)))
         assert list(map(float.hex, linear_grid(lo, hi, steps, "grid"))) == expected
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was built")
+
+
+STEPS_COMMANDS = {
+    "phi-curve": ["phi-curve", "--mu-from", "0.5", "--mu-to", "1"],
+    "oracle": ["oracle", "--mu-from", "0.5", "--mu-to", "1"],
+    "thermal": ["thermal", "--t-min", "1", "--t-max", "2"],
+    "tunnel": ["tunnel", "--barrier", "RECT", "--energy", "0.5", "--mu-from", "0.5",
+               "--mu-to", "1"],
+    "decohere": ["decohere", "--state", "PLUS", "--gamma", "1", "--t-max", "1",
+                 "--barrier", "RECT", "--energy", "0.5"],
+}
+
+
+class TestStepsCap:
+    """Every --steps grid is built whole, so the CLI caps the count at 10^6
+    before any grid is built, as the falsifier caps --samples."""
+
+    @pytest.fixture
+    def no_grid(self, monkeypatch):
+        import purity_bounds.decoherence
+        import purity_bounds.thermal
+
+        monkeypatch.setattr("purity_bounds.io.linear_grid", _no_grid)
+        monkeypatch.setattr(purity_bounds.thermal, "temperature_grid", _no_grid)
+        monkeypatch.setattr(purity_bounds.decoherence, "run_trajectory", _no_grid)
+
+    @pytest.mark.parametrize("command", sorted(STEPS_COMMANDS))
+    @pytest.mark.parametrize("steps", ["1000001", "100000000000"])
+    def test_steps_above_the_cap_exit_1_at_once(self, files, capsys, no_grid, command, steps):
+        argv = [files.get(arg.lower(), arg) for arg in STEPS_COMMANDS[command]]
+        code = main(argv + ["--steps", steps])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: --steps {steps} is above the cap of 10^6\n"
+
+    @pytest.mark.parametrize("command", sorted(STEPS_COMMANDS))
+    def test_the_cap_itself_is_accepted(self, files, capsys, no_grid, command):
+        argv = [files.get(arg.lower(), arg) for arg in STEPS_COMMANDS[command]]
+        with pytest.raises(AssertionError, match="a grid was built"):
+            main(argv + ["--steps", "1000000"])
 
 
 class TestDeterminismAndUsage:

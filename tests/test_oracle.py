@@ -1,5 +1,7 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from purity_bounds.bounds import _rank
 from purity_bounds.oracle import MAX_LEVELS, _project_plane_sphere, _scan_faces
 
 from fock_operators import fock_quadrature_operators
+from projected_gradient_reference import projected_gradient_halving
+from test_golden import CASES as GOLDEN_CASES
 
 # The purities of acceptance criterion 4.
 CRITERION_4_MUS = (0.45, 0.55, 0.7, 0.9, 1.0)
@@ -268,6 +272,62 @@ class TestNumericMethods:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             min_product_fock_mixture(0.7, 2, "simulated-annealing")
+
+
+def capped_phi(mu, levels):
+    """The least Phi over mixtures of the lowest ``levels`` number states, to 50 digits.
+
+    The minimum over the feasible prefix faces: the rank-s linear minimizer
+    is feasible for 1/s <= mu <= mu_s = 1/s + (s + 1) / (3 s (s - 1)), where
+    it gives Phi_s = s - sqrt(s (s^2 - 1) (mu - 1/s) / 3); the bounds and the
+    radicand are exact rationals.
+    """
+    m = Fraction(mu)
+    best = None
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for s in range(2, levels + 1):
+            if not Fraction(1, s) <= m <= Fraction(1, s) + Fraction(s + 1, 3 * s * (s - 1)):
+                continue
+            x = Fraction(s * (s * s - 1), 3) * (m - Fraction(1, s))
+            value = s - (Decimal(x.numerator) / Decimal(x.denominator)).sqrt()
+            best = value if best is None else min(best, value)
+    return best
+
+
+# The (mu, levels) pairs of the benchmark's certify round: the minimizer at
+# the cycled level count and the 8-level certified curve point, 30 in all.
+CERTIFY_PAIRS = [(round(0.25 + 0.05 * i, 2), levels)
+                 for i in range(15) for levels in ((8, 7, 6, 5, 4)[i % 5], 8)]
+GOLDEN_PAIRS = [(float(argv[argv.index("--mu") + 1]), int(argv[argv.index("--levels") + 1]))
+                for argv in GOLDEN_CASES.values() if "projected-gradient" in argv]
+
+
+class TestGradientStop:
+    """A start ends at the first trial that does not lower the cost; the
+    reference halves every rejected step down to the 1e-13 floor."""
+
+    @pytest.mark.parametrize("mu, levels", CERTIFY_PAIRS + GOLDEN_PAIRS)
+    def test_weights_match_the_halving_reference(self, mu, levels):
+        res = min_product_fock_mixture(mu, levels, "projected-gradient")
+        assert res.optimal_weights == projected_gradient_halving(mu, levels).optimal_weights
+
+    def test_golden_inputs_are_covered(self):
+        assert GOLDEN_PAIRS == [(0.5, 3)]
+
+    def test_certify_iterations_stay_short(self):
+        total = sum(min_product_fock_mixture(mu, levels, "projected-gradient").iterations
+                    for mu, levels in CERTIFY_PAIRS)
+        assert total <= 2000  # the halving reference takes 11255
+
+    @pytest.mark.parametrize("levels", range(2, 13))
+    def test_no_phi_is_farther_from_the_minimum_than_the_reference(self, levels):
+        """300 purities in (1/L, 1) per level count, 3300 cases in all."""
+        for mu in map(float, np.linspace(1.0 / levels, 1.0, 302)[1:-1]):
+            exact = capped_phi(mu, levels)
+            res = min_product_fock_mixture(mu, levels, "projected-gradient")
+            ref = projected_gradient_halving(mu, levels)
+            assert abs(Decimal(phi_from(res)) - exact) <= abs(Decimal(phi_from(ref)) - exact)
 
 
 class TestDenseStates:

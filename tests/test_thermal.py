@@ -68,6 +68,13 @@ class TestPartitionFunction:
         # 1 / (2 T) overflows to inf at the smallest subnormal T.
         assert log_partition_function(oscillator, 5e-324) == -math.inf
 
+    def test_partition_function_past_the_float_range_is_inf(self):
+        # Z ~ T / (hbar omega) = 2e308; log Z is finite, Z is not.
+        model = ThermalModel(omega=0.5)
+        assert math.isfinite(log_partition_function(model, 1e308))
+        assert partition_function(model, 1e308) == math.inf
+        assert partition_function(model, 5e307) == pytest.approx(1e308, rel=1e-12)
+
     def test_temperature_domain(self, oscillator):
         with pytest.raises(ValueError):
             partition_function(oscillator, 0.0)

@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateCorrelationError, check_positive
 
@@ -49,8 +48,7 @@ PASS_ROUNDING_TOL = 4.0 * sys.float_info.epsilon
 _MU_DOMAIN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PhiValue:
+class PhiValue(NamedTuple):
     """Resolved Phi evaluation: the value and the piece that produced it."""
 
     value: float
@@ -137,8 +135,7 @@ def effective_hbar(hbar: float, r: float, mu: float, phi_mode: str = "exact") ->
     return scale_hbar(hbar, phi(mu, phi_mode), r)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """The three bounds of one set of moments, in the layout ``check`` prints.
 
     ``bounds``, ``slacks`` and ``flags`` are keyed by ``BOUND_NAMES``: the

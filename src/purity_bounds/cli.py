@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict, astuple, replace
 
 from . import io as _io
 from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
@@ -51,12 +50,13 @@ def _require_finite(inputs: list, values: list, message: str) -> None:
             raise ValueError(message.format(x))
 
 
-def _require_finite_hbar(table: dict, hbar: float, inputs: list, name: str) -> None:
-    """hbar_eff scales with hbar and ln D with 1/hbar: past the ends of --hbar they overflow."""
-    for column in ("hbar_eff", "ln_D", "invariant_product"):
+def _require_finite_hbar(table: dict, hbar: str, inputs: list, name: str) -> None:
+    """hbar_eff scales with hbar and ln D with 1/hbar: past the ends of ``hbar`` (the
+    flag or file field and its value) they overflow."""
+    for column in ("hbar_eff", "ln_D", "invariant_product", "inv_mu_ln_D"):
         if column in table:
             _require_finite(inputs, table[column],
-                            f"--hbar {hbar!r} is out of range: {column} overflows at {name} {{!r}}")
+                            f"{hbar} is out of range: {column} overflows at {name} {{!r}}")
 
 
 def _cmd_check(args) -> int:
@@ -65,15 +65,15 @@ def _cmd_check(args) -> int:
 
     state = _io.load_state(args.state)
     if args.hbar is not None:
-        state = replace(state, hbar=check_positive("--hbar", args.hbar))
+        state = state._replace(hbar=check_positive("--hbar", args.hbar))
     violations = validate_state(state)
     if violations:
-        payload = {"valid": False, "violations": [asdict(v) for v in violations]}
+        payload = {"valid": False, "violations": [v._asdict() for v in violations]}
         _emit(_io.render_json(payload), args.out)
         return 2
     m = _moments(state)
     report = evaluate_bounds(m, state.hbar, args.phi_mode)
-    payload = {"valid": True, "hbar": state.hbar, "moments": asdict(m)}
+    payload = {"valid": True, "hbar": state.hbar, "moments": m._asdict()}
     payload.update(_io.bound_report_dict(report))
     _emit(_io.render_json(payload), args.out)
     return 0 if all(report.flags.values()) else 2
@@ -117,11 +117,11 @@ def _cmd_oracle(args) -> int:
             if getattr(args, name) is None:
                 raise ValueError(f"--falsify requires --{name}")
         report = falsification_sweep(args.mu, args.dim, args.samples, args.seed)
-        _emit(_io.render_json(asdict(report)), args.out)
+        _emit(_io.render_json(report._asdict()), args.out)
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
     if grid is None:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
-    rows = [astuple(row) for row in phi_curve_certified(grid, args.levels, method=args.method)]
+    rows = phi_curve_certified(grid, args.levels, method=args.method)
     _emit(_io.render_csv(_io.ORACLE_COLUMNS, rows), args.out)
     return 0
 
@@ -147,8 +147,8 @@ def _cmd_thermal(args) -> int:
     if args.barrier is None:
         _require_finite(table["T"], table["mu_asymptote"],
                         "mu_asymptote = hbar omega / (2T) overflows at temperature {!r}")
-    _require_finite_hbar(table, args.hbar, table["T" if args.barrier is None else "param_value"],
-                         "temperature")
+    _require_finite_hbar(table, f"--hbar {args.hbar!r}",
+                         table["T" if args.barrier is None else "param_value"], "temperature")
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -172,7 +172,7 @@ def _cmd_tunnel(args) -> int:
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )
     _require_finite(table["mu"], table["phi"], _PHI_OVERFLOWS)
-    _require_finite_hbar(table, args.hbar, table["mu"], "purity")
+    _require_finite_hbar(table, f"--hbar {args.hbar!r}", table["mu"], "purity")
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -185,11 +185,10 @@ def _cmd_decohere(args) -> int:
     if not isinstance(state, FockDensityMatrix):
         raise ValueError("decohere needs a fock state file")
     barrier = _io.load_barrier(args.barrier)
-    trajectory = run_trajectory(
-        state, args.gamma, args.t_max, args.steps, barrier, args.energy,
-        phi_mode=args.phi_mode,
-    )
-    _emit(_io.render_table(trajectory.records), args.out)
+    table = run_trajectory(state, args.gamma, args.t_max, args.steps, barrier, args.energy,
+                           phi_mode=args.phi_mode).records
+    _require_finite_hbar(table, f"{args.state}: hbar {state.hbar!r}", table["t"], "time")
+    _emit(_io.render_table(table), args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ if the state were frozen during traversal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import check_positive
 from .io import linear_grid
@@ -29,8 +29,7 @@ from .states import FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
 
 
-@dataclass(frozen=True)
-class DephasingTrajectory:
+class DephasingTrajectory(NamedTuple):
     times: list[float]
     records: dict[str, list]
 
@@ -47,7 +46,7 @@ def dephase_step(rho: FockDensityMatrix, gamma: float, dt: float) -> FockDensity
     check_positive("dt", dt)
     entries = [[x * math.exp(-gamma * dt * (n - m) ** 2) for m, x in enumerate(row)]
                for n, row in enumerate(rho.entries)]
-    return replace(rho, entries=entries)
+    return rho._replace(entries=entries)
 
 
 def run_trajectory(

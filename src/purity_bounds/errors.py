@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the one rule
-for a physical parameter (``check_positive``)."""
+for a physical parameter (``check_positive``) and for a record of them
+(``PositiveFields``)."""
 
 import math
 
@@ -13,6 +14,22 @@ def check_positive(name: str, value: float) -> float:
     if not 0 < value < math.inf:
         raise ValueError(f"{name} {value!r} must be positive and finite")
     return value
+
+
+class PositiveFields:
+    """Base, listed before a NamedTuple's field tuple, of a record of physical
+    scales: the constructor, ``_make`` and ``_replace`` all ``check_positive``
+    every field."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            check_positive(name, value)
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class InvalidStateError(ValueError):

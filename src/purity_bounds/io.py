@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -192,7 +191,8 @@ def load_barrier(path: str) -> BarrierSpec:
 
 
 def bound_report_dict(report: BoundReport) -> dict:
-    return asdict(report)
+    """The report's fields, with ``phi`` as a {"value", "piece"} object."""
+    return {**report._asdict(), "phi": report.phi._asdict()}
 
 
 def render_json(payload: dict) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegenerateCorrelationError, InvalidStateError, TruncationWarning
 from .states import (
@@ -40,8 +40,7 @@ from .states import (
 DEGENERATE_R_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SecondMoments:
+class SecondMoments(NamedTuple):
     """Quadrature means, (co)variances, correlation coefficient and purity."""
 
     mean_q: float

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import METHODS, _rank, check_purity, phi, phi_eval
 from .errors import InfeasibleTargetError, PieceDomainError
@@ -39,8 +39,7 @@ MAX_LEVELS = 32
 _CHUNK_ELEMENTS = 2**16
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(NamedTuple):
     mu_target: float
     achieved_mu: float
     min_product: float
@@ -49,8 +48,7 @@ class MinimizationResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class FalsificationReport:
+class FalsificationReport(NamedTuple):
     """Smallest slack of the purity bound found; every start is used (``skipped`` is 0)."""
 
     mu: float
@@ -63,8 +61,7 @@ class FalsificationReport:
     method: str = "gradient-aligned-sampling"
 
 
-@dataclass(frozen=True)
-class PhiCurveRow:
+class PhiCurveRow(NamedTuple):
     mu: float
     phi_oracle: float
     phi_exact: float

@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidStateError
 
@@ -29,8 +29,7 @@ STATE_TOL = 1e-10
 TRUNCATION_POPULATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(NamedTuple):
     """Single-mode Gaussian state: quadrature means, variances and covariance."""
 
     mean_q: float
@@ -41,27 +40,33 @@ class GaussianState:
     hbar: float = 1.0
 
 
-@dataclass(frozen=True)
-class FockDensityMatrix:
-    """Density matrix on the number basis truncated to ``dim`` levels.
-
-    The oscillator units (``hbar``, ``mass``, ``omega``) fix the quadrature
-    operators used when moments are extracted from the matrix.  The
-    constructors below use hbar = mass = omega = 1; ``dataclasses.replace``
-    sets other units.
-    """
-
+class _FockFields(NamedTuple):
     dim: int
     entries: tuple[tuple[complex, ...], ...]  # built from any nested sequence, an ndarray too
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
 
-    def __post_init__(self):
+
+class FockDensityMatrix(_FockFields):
+    """Density matrix on the number basis truncated to ``dim`` levels.
+
+    The oscillator units (``hbar``, ``mass``, ``omega``) fix the quadrature
+    operators used when moments are extracted from the matrix.  The
+    constructors below use hbar = mass = omega = 1; ``_replace`` sets other
+    units.  The constructor, ``_make`` and ``_replace`` all check the shape.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         entries = tuple(tuple(map(complex, row)) for row in self.entries)
         if len(entries) != self.dim or any(len(row) != self.dim for row in entries):
             raise InvalidStateError(f"entries must be a {self.dim}x{self.dim} matrix")
-        object.__setattr__(self, "entries", entries)
+        return super().__new__(cls, self.dim, entries, *self[2:])
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def populations(self) -> tuple[float, ...]:
         return tuple(row[n].real for n, row in enumerate(self.entries))
@@ -70,8 +75,7 @@ class FockDensityMatrix:
 QuantumState = GaussianState | FockDensityMatrix
 
 
-@dataclass(frozen=True)
-class InvariantViolation:
+class InvariantViolation(NamedTuple):
     """One violated state invariant, with the measured violation magnitude."""
 
     name: str

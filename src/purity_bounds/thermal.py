@@ -15,28 +15,31 @@ through log Z, so that very low temperatures do not overflow sinh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
-from .errors import check_positive
+from .errors import PositiveFields, check_positive
 
 if TYPE_CHECKING:
     from .states import FockDensityMatrix
 
 
-@dataclass(frozen=True)
-class ThermalModel:
-    """The harmonic oscillator whose thermal states are evaluated in closed form."""
-
+class _ThermalFields(NamedTuple):
     hbar: float = 1.0
     mass: float = 1.0
     omega: float = 1.0
 
-    def __post_init__(self):
-        for name in ("hbar", "mass", "omega"):
-            check_positive(name, getattr(self, name))
+
+class ThermalModel(PositiveFields, _ThermalFields):
+    """The harmonic oscillator whose thermal states are evaluated in closed form;
+    hbar omega must be positive too."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_positive("hbar * omega", self.hbar * self.omega)
+        return self
 
 
 def temperature_grid(t_min: float, t_max: float, steps: int) -> list[float]:
@@ -97,8 +100,8 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
     # The ground-state weight is 1 before normalisation, so nothing overflows.
     w = [math.exp(-n * model.hbar * model.omega / T) for n in range(dim)]
     total = math.fsum(w)
-    return replace(diagonal_mixture([x / total for x in w]),
-                   hbar=model.hbar, mass=model.mass, omega=model.omega)
+    return diagonal_mixture([x / total for x in w])._replace(
+        hbar=model.hbar, mass=model.mass, omega=model.omega)
 
 
 def thermal_bound_report(

@@ -28,11 +28,10 @@ import functools
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import check_correlation, phi_eval, scale_hbar
-from .errors import ResolutionError, check_positive
+from .errors import PositiveFields, ResolutionError, check_positive
 
 if TYPE_CHECKING:
     from .thermal import ThermalModel
@@ -42,43 +41,46 @@ if TYPE_CHECKING:
 _MIN_NODES_ABOVE = 3
 
 
-@dataclass(frozen=True)
-class RectangularBarrier:
+class _RectangularFields(NamedTuple):
     v0: float
     width: float
     mass: float = 1.0
+
+
+class RectangularBarrier(PositiveFields, _RectangularFields):
+    __slots__ = ()
     shape = "rectangular"
 
-    def __post_init__(self):
-        for name in ("v0", "width", "mass"):
-            check_positive(name, getattr(self, name))
 
-
-@dataclass(frozen=True)
-class ParabolicBarrier:
-    """Inverted parabola V(x) = v0 - curvature x^2 / 2."""
-
+class _ParabolicFields(NamedTuple):
     v0: float
     curvature: float
     mass: float = 1.0
+
+
+class ParabolicBarrier(PositiveFields, _ParabolicFields):
+    """Inverted parabola V(x) = v0 - curvature x^2 / 2."""
+
+    __slots__ = ()
     shape = "parabolic"
 
-    def __post_init__(self):
-        for name in ("v0", "curvature", "mass"):
-            check_positive(name, getattr(self, name))
 
-
-@dataclass(frozen=True)
-class SampledBarrier:
-    """Potential given on a strictly increasing grid; zero outside the grid.
-    ``x`` and ``v`` are kept as read-only float buffers (``memoryview``)."""
-
+class _SampledFields(NamedTuple):
     x: memoryview
     v: memoryview
     mass: float = 1.0
+
+
+class SampledBarrier(_SampledFields):
+    """Potential given on a strictly increasing grid; zero outside the grid.
+    ``x`` and ``v`` are kept as read-only float buffers (``memoryview``).
+    The constructor, ``_make`` and ``_replace`` all check the grid."""
+
+    __slots__ = ()
     shape = "sampled"
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # Copies: the caller's sequences stay writable and cannot change the barrier.
         x, v = array("d", self.x), array("d", self.v)  # TypeError unless numbers
         if len(x) != len(v):
@@ -90,15 +92,16 @@ class SampledBarrier:
         if any(b <= a for a, b in zip(x, x[1:])):
             raise ValueError("x grid must be strictly increasing")
         check_positive("mass", self.mass)
-        object.__setattr__(self, "x", memoryview(x).toreadonly())
-        object.__setattr__(self, "v", memoryview(v).toreadonly())
+        return super().__new__(cls, memoryview(x).toreadonly(), memoryview(v).toreadonly(),
+                               self.mass)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 BarrierSpec = RectangularBarrier | ParabolicBarrier | SampledBarrier
 
 
-@dataclass(frozen=True)
-class TransparencyResult:
+class TransparencyResult(NamedTuple):
     D: float
     ln_D: float
     action_integral: float
@@ -308,7 +311,8 @@ def transparency_vs_temperature(
     hbar is ``model.hbar``.  In "asymptote" mode the full high-temperature
     chain is used: the purity itself is replaced by its asymptote
     hbar omega / (2T) before Phi is evaluated, which makes T ln D exactly
-    constant.  The other modes use the exact thermal purity.
+    constant; that purity exceeds 1 below T = hbar omega / 2, a ValueError.
+    The other modes use the exact thermal purity.
     """
     from .thermal import thermal_purity
 
@@ -316,7 +320,12 @@ def transparency_vs_temperature(
     action = transparency(barrier, energy, model.hbar).action_integral
     temperatures = [float(T) for T in t_grid]
     if phi_mode == "asymptote":
-        mu = [0.5 * (model.hbar * model.omega) / T for T in temperatures]
+        half = 0.5 * (model.hbar * model.omega)
+        for T in temperatures:
+            if not T >= half:
+                raise ValueError(f"temperature {T!r} is below hbar omega / 2 = {half!r}, "
+                                 "where the asymptote purity hbar omega / (2T) exceeds 1")
+        mu = [half / T for T in temperatures]
     else:
         mu = [thermal_purity(model, T) for T in temperatures]
     return _tunnel_table("T", temperatures, mu, r, action, model.hbar, phi_mode,

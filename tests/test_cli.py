@@ -373,6 +373,16 @@ class TestThermalCommand:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize("t_min", ["0.1", "1e-320"])
+    def test_asymptote_below_half_hbar_omega_names_the_temperature(self, files, capsys, t_min):
+        """The asymptote purity hbar omega / (2T) exceeds 1 below T = hbar omega / 2."""
+        code = main(["thermal", "--t-min", t_min, "--t-max", "1", "--steps", "3",
+                     "--barrier", files["rect"], "--energy", "0.5", "--phi-mode", "asymptote"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"error: temperature {float(t_min)!r} is below hbar omega / 2 "
+                                "= 0.5, where the asymptote purity hbar omega / (2T) exceeds 1\n")
+
     def test_mass_is_not_an_option(self, capsys):
         # Nothing in a thermal sweep depends on the mass, only on hbar omega.
         code = main(["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2", "--mass", "2"])
@@ -565,6 +575,20 @@ class TestDecohereCommand:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err.startswith(f"error: {name} inf must be")
+
+    @pytest.mark.parametrize("hbar, err", [
+        # ln D = -2 S / hbar_eff = -inf for a subnormal hbar.
+        (1e-320, "hbar 1e-320 is out of range: ln_D overflows at time 0.0"),
+        # hbar_eff = hbar Phi = inf once the purity falls.
+        (1.5e308, "hbar 1.5e+308 is out of range: hbar_eff overflows at time 3.0"),
+    ], ids=["ln_D", "hbar_eff"])
+    def test_ends_of_the_state_files_hbar_name_it(self, files, capsys, hbar, err):
+        state = files["dir"] / "plus_hbar.json"
+        state.write_text(json.dumps({**PLUS_STATE, "hbar": hbar}))
+        code = main(["decohere", "--state", str(state), "--gamma", "1.0", "--t-max", "12",
+                     "--steps", "5", "--barrier", files["rect"], "--energy", "0.5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (1, "", f"error: {state}: {err}\n")
 
     def test_gaussian_state_rejected(self, files, capsys):
         code, _ = run(capsys, ["decohere", "--state", files["vacuum"], "--gamma", "1.0",

@@ -10,7 +10,8 @@ function in ``src/`` that imports numpy, which an AST check of the source
 enforces.  Only the commands that take a barrier load
 ``purity_bounds.tunneling``.  The falsifier loads numpy alone: no scipy
 module and no ``numpy.polynomial`` (which costs milliseconds on every cold
-call).
+call).  No module imports ``dataclasses``, and no command loads it or
+``inspect`` (numpy loads ``inspect`` for the falsifier).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -45,8 +46,9 @@ loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 package = sorted(m for m in sys.modules if m.startswith("purity_bounds."))
+stdlib = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded, "numpy": numpy,
-                  "package_only": package_only, "package": package}))
+                  "package_only": package_only, "package": package, "stdlib": stdlib}))
 """
 
 
@@ -159,8 +161,8 @@ print(json.dumps({"numpy": sorted(m for m in sys.modules if m.split(".")[0] == "
     assert _run(script=script)["numpy"] == []
 
 
-def _numpy_imports(node: ast.AST, scope: str | None = None) -> list[str | None]:
-    """The enclosing function (None at module level) of each numpy import under node."""
+def _imports(node: ast.AST, top: str, scope: str | None = None) -> list[str | None]:
+    """The enclosing function (None at module level) of each import of ``top`` under node."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
     modules = []
@@ -168,17 +170,52 @@ def _numpy_imports(node: ast.AST, scope: str | None = None) -> list[str | None]:
         modules = [alias.name for alias in node.names]
     elif isinstance(node, ast.ImportFrom):
         modules = [node.module or ""]
-    found = [scope for module in modules if module.split(".")[0] == "numpy"]
+    found = [scope for module in modules if module.split(".")[0] == top]
     for child in ast.iter_child_nodes(node):
-        found += _numpy_imports(child, scope)
+        found += _imports(child, top, scope)
     return found
 
 
-def test_numpy_is_imported_only_by_the_falsifier():
-    imports = {path.relative_to(ROOT).as_posix(): _numpy_imports(ast.parse(path.read_text()))
+def _src_imports(top: str) -> dict[str, list[str | None]]:
+    """Each module under ``src/`` that imports ``top``, with the scope of each import."""
+    imports = {path.relative_to(ROOT).as_posix(): _imports(ast.parse(path.read_text()), top)
                for path in sorted((ROOT / "src").rglob("*.py"))}
-    assert {path: found for path, found in imports.items() if found} == {
-        "src/purity_bounds/oracle.py": ["falsification_sweep"]}
+    return {path: found for path, found in imports.items() if found}
+
+
+def test_numpy_is_imported_only_by_the_falsifier():
+    assert _src_imports("numpy") == {"src/purity_bounds/oracle.py": ["falsification_sweep"]}
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples, so no command pays for dataclasses and inspect."""
+    assert _src_imports("dataclasses") == {}
+
+
+def test_cli_cold_commands_load_no_dataclasses_or_inspect():
+    """The benchmark's cli-cold command set; numpy itself loads inspect, so the
+    falsifier is only held to dataclasses."""
+    rectangular, sampled = str(INPUTS / "rectangular.json"), str(INPUTS / "sampled.json")
+    result = _run(
+        ["check", str(INPUTS / "gaussian.json")],
+        ["check", str(INPUTS / "fock_mixed.json")],
+        ["phi", "--mu", "0.5"],
+        ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"],
+        ["oracle", "--mu", "0.7", "--levels", "2"],
+        ["oracle", "--mu-from", "0.39", "--mu-to", "0.55", "--steps", "12", "--levels", "3"],
+        ["thermal", "--t-min", "0.5", "--t-max", "50", "--steps", "20", "--r", "0.3"],
+        ["thermal", "--t-min", "50", "--t-max", "500", "--steps", "4",
+         "--barrier", rectangular, "--energy", "0.5"],
+        ["tunnel", "--barrier", rectangular, "--energy", "0.5", "--mu", "0.01,0.005,0.002"],
+        ["tunnel", "--barrier", sampled, "--energy", "0.5"],
+        ["decohere", "--state", str(INPUTS / "superposition.json"), "--gamma", "1",
+         "--t-max", "12", "--steps", "25", "--barrier", rectangular, "--energy", "0.5"],
+    )
+    assert result["codes"] == [0] * 11 and result["stdlib"] == []
+    result = _run(["oracle", "--falsify", "--mu", "0.5", "--dim", "6", "--samples", "100",
+                   "--seed", "1"])
+    assert result["codes"] == [0] and result["numpy"] != []
+    assert "dataclasses" not in result["stdlib"]
 
 
 def test_commands_without_a_barrier_load_no_tunneling():

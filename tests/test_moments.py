@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,7 +270,7 @@ class TestAnyHbar:
         for rng, hbar, _ in self.draws(6, 200):
             rank = int(rng.integers(1, 5))
             amplitudes = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            state = replace(pure_state_density(amplitudes, dim=6), hbar=hbar)
+            state = pure_state_density(amplitudes, dim=6)._replace(hbar=hbar)
             if rank > 1:
                 weights = rng.dirichlet(np.ones(rank))
                 z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -21,10 +21,10 @@ _EXPORTS = {
     "bounds": "BoundReport PhiValue effective_hbar evaluate_bounds phi phi_eval",
     "decoherence": "DephasingTrajectory dephase_step run_trajectory",
     "errors": "DegenerateCorrelationError InfeasibleTargetError InvalidStateError "
-              "PieceDomainError ResolutionError TruncationWarning",
+              "ResolutionError TruncationWarning",
     "moments": "SecondMoments compute_moments purity",
     "oracle": "FalsificationReport MinimizationResult PhiCurveRow falsification_sweep "
-              "linear_ansatz_weights min_product_fock_mixture phi_curve_certified",
+              "min_product_fock_mixture phi_curve_certified",
     "states": "FockDensityMatrix GaussianState InvariantViolation QuantumState diagonal_mixture "
               "fock_projector pure_state_density validate_state",
     "thermal": "ThermalModel log_partition_function oscillator_mean_occupation "

@@ -35,9 +35,9 @@ if TYPE_CHECKING:
     from .moments import SecondMoments
 
 PHI_MODES = ("exact", "interpolation", "asymptote")
-# The ``oracle`` minimizers; defined here so the CLI parser can list them
-# without importing ``oracle``.
-METHODS = ("auto", "grid-refine", "projected-gradient")
+# The ``oracle`` minimizers, the default first; defined here so the CLI parser
+# can list them without importing ``oracle``.
+METHODS = ("grid-refine", "projected-gradient")
 # The keys of a ``BoundReport``'s bounds, slacks and flags, weakest bound first.
 BOUND_NAMES = ("heisenberg", "schrodinger_robertson", "purity")
 

@@ -112,6 +112,11 @@ def _cmd_oracle(args) -> int:
     from .oracle import FALSIFICATION_SLACK_TOL, falsification_sweep, phi_curve_certified
 
     grid = _purity_grid(args, "oracle", lambda mu: [mu])
+    other_mode = ("levels", "method") if args.falsify else ("dim", "samples", "seed")
+    stray = [f"--{name}" for name in other_mode if getattr(args, name) is not None]
+    if stray:
+        mode = "with" if args.falsify else "without"
+        raise ValueError(f"oracle {mode} --falsify does not take {', '.join(stray)}")
     if args.falsify:
         for name in ("mu", "dim", "samples", "seed"):
             if getattr(args, name) is None:
@@ -121,7 +126,8 @@ def _cmd_oracle(args) -> int:
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
     if grid is None:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
-    rows = phi_curve_certified(grid, args.levels, method=args.method)
+    rows = phi_curve_certified(grid, 3 if args.levels is None else args.levels,
+                               method=args.method or METHODS[0])
     _emit(_io.render_csv(_io.ORACLE_COLUMNS, rows), args.out)
     return 0
 
@@ -155,12 +161,9 @@ def _cmd_thermal(args) -> int:
 
 def _parse_mu_list(text: str) -> list[float]:
     try:
-        mu = [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
+        return [float(part) for part in text.split(",")]
+    except ValueError as exc:  # an empty item, as in "0.5,,0.3" or "", too
         raise ValueError(f"bad --mu list {text!r}") from exc
-    if not mu:
-        raise ValueError("--mu list is empty")
-    return mu
 
 
 def _cmd_tunnel(args) -> int:
@@ -227,8 +230,9 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--mu-from", type=float, default=None)
     p.add_argument("--mu-to", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--method", choices=METHODS, default="auto")
+    p.add_argument("--levels", type=int, default=None, help="lowest levels to mix (default 3)")
+    p.add_argument("--method", choices=METHODS, default=None,
+                   help=f"minimizer (default {METHODS[0]})")
     p.add_argument("--falsify", action="store_true",
                    help="probe the bound instead: one eigen-step on det Sigma from each "
                         "of --samples random pure states")

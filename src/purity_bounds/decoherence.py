@@ -83,7 +83,7 @@ def run_trajectory(
         purity = math.fsum(s * math.exp(-2.0 * gamma * t * (d * d)) for d, s in enumerate(weights))
         moments = _ladder_moments(z * math.exp(-gamma * t), w * math.exp(-4.0 * gamma * t), n_sum,
                                   rho0.hbar, rho0.mass, rho0.omega)
-        m = SecondMoments.from_covariance(*moments, min(purity, 1.0))
+        m = SecondMoments.from_covariance(*moments, purity)
         mu.append(m.mu)
         r.append(m.r)
 

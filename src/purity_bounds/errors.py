@@ -44,10 +44,6 @@ class InfeasibleTargetError(ValueError):
     """The requested purity is unreachable for the given number of levels."""
 
 
-class PieceDomainError(ValueError):
-    """An analytic minimizer was requested outside its domain of validity."""
-
-
 class ResolutionError(RuntimeError):
     """A sampled potential grid is too coarse to resolve the barrier."""
 

@@ -17,7 +17,8 @@ intended state.
 which has validated it already, reads its moments through ``_moments``.  A
 density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal.  A
 valid state can come out above 1 by an excess within ``STATE_TOL``, which
-reads as 1: no later purity gate rejects a state that passed validation.
+``SecondMoments.from_covariance`` reads as 1: no later purity gate rejects a
+state that passed validation.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ class SecondMoments(NamedTuple):
             )
         if not 0.0 < mu <= 1.0 + STATE_TOL:
             raise InvalidStateError(f"purity {mu!r} outside (0, 1]")
+        mu = min(mu, 1.0)
         return cls(*map(float, (mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp, r, mu, 1.0 - mu)))
 
 

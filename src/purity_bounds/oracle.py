@@ -3,10 +3,9 @@
 The variance product of a mixture of number states with weights p is
 (sum_n p_n (n + 1/2))^2 hbar^2, so minimizing that product at fixed purity
 sum_n p_n^2 = mu gives the quantum limit; no dense state does better
-(VERIFICATION.md, "Dense states").  The rank-k analytic minimizer (weights
-linear in the level index) reproduces the rank-k piece of Phi; an exact
-enumeration of the simplex faces and a projected-gradient solver provide
-formula-independent cross-checks.  The falsification sweep checks the whole
+(VERIFICATION.md, "Dense states").  Two minimizers recover Phi without its
+formula: an exact enumeration of the simplex faces, the default, and a
+projected-gradient solver.  The falsification sweep checks the whole
 chain end to end: it steps random pure states onto the bound, one eigen-step
 on det Sigma each, so a Phi that is too large fails it, and a fault in the
 Fock moments shows as a state below the bound.  It reads every state's
@@ -25,15 +24,15 @@ import math
 import operator
 from typing import NamedTuple
 
-from .bounds import METHODS, _rank, check_purity, phi, phi_eval
-from .errors import InfeasibleTargetError, PieceDomainError
+from .bounds import METHODS, check_purity, phi, phi_eval
+from .errors import InfeasibleTargetError
 
 _WEIGHT_TOL = 1e-12
 
 # No state lies below the bound (VERIFICATION.md, "Dense states"), so a
 # falsifier slack below minus this, in units of hbar^2, is a failure, not rounding.
 FALSIFICATION_SLACK_TOL = 1e-8
-# The most levels of the face enumeration and of the falsifier's truncation.
+# The most levels of the falsifier's truncation; the face enumeration takes any number.
 MAX_LEVELS = 32
 # Matrix elements per chunk of the falsification sweep: 1820 starts at dim 6, 64 at dim 32.
 _CHUNK_ELEMENTS = 2**16
@@ -85,29 +84,6 @@ def _check_reachable(mu: float, levels: int) -> float:
             f"purity {mu} unreachable with {levels} levels (minimum is 1/{levels})"
         )
     return mu
-
-
-def linear_ansatz_weights(mu: float, k: int) -> tuple[float, ...]:
-    """Weights p_n = a - b n of the rank-k linear minimizer at purity mu.
-
-    Solves sum p = 1, sum p^2 = mu in closed form.  Valid only while every
-    weight is nonnegative, i.e. up to the top mu_k of the rank-k window of
-    Phi; above it a ``PieceDomainError`` is raised.  They are the candidate
-    of the k-level prefix in ``_scan_faces``; on their window they win
-    the face enumeration and give the piece Phi_k of ``bounds.phi``.
-    """
-    if k < 2:
-        raise ValueError("rank must be >= 2")
-    if not mu >= 1.0 / k:  # NaN fails too
-        raise PieceDomainError(f"purity {mu} below the rank-{k} floor 1/{k}")
-    b = math.sqrt((mu - 1.0 / k) * 12.0 / (k * (k * k - 1.0)))
-    a = 1.0 / k + b * (k - 1.0) / 2.0
-    p = [a - b * n for n in range(k)]
-    if p[-1] < -_WEIGHT_TOL:
-        raise PieceDomainError(
-            f"rank-{k} linear minimizer has negative weight {p[-1]:.3e} at purity {mu}"
-        )
-    return tuple(max(x, 0.0) for x in p)
 
 
 def _result(mu: float, weights, method: str, iterations: int) -> MinimizationResult:
@@ -234,29 +210,21 @@ def _projected_gradient(mu: float, levels: int) -> MinimizationResult:
     return _result(mu, best_p, "projected-gradient", iterations)
 
 
-def min_product_fock_mixture(mu: float, levels: int, method: str = "auto") -> MinimizationResult:
+def min_product_fock_mixture(mu: float, levels: int,
+                             method: str = METHODS[0]) -> MinimizationResult:
     """Minimize the variance product over number-state mixtures of fixed purity.
 
-    ``method`` is one of "auto", "grid-refine", "projected-gradient".
-    "auto" is the rank-k analytic minimizer of the exact Phi piece at mu,
-    capped at ``levels`` levels, and names itself "rank{k}-analytic".
-    "grid-refine" enumerates the prefix faces of 2..``MAX_LEVELS`` levels
-    exactly (the name is historical); ``iterations`` counts them, ``levels``.
+    ``method`` is one of ``METHODS``.  "grid-refine" enumerates the prefix
+    faces of any number of levels exactly (the name is historical);
+    ``iterations`` counts them, ``levels``.
     """
     mu = _check_reachable(mu, levels)
     if method == "grid-refine":
-        if levels > MAX_LEVELS:
-            raise ValueError(f"grid-refine supports 2..{MAX_LEVELS} levels, got {levels}")
         p = _scan_faces(_objective_coeffs(levels), mu, lambda flag, a, b: a if flag else b)
         return _result(mu, p, "grid-refine", levels)
     if method == "projected-gradient":
         return _projected_gradient(mu, levels)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-    k = min(_rank(mu), levels)
-    weights = linear_ansatz_weights(mu, k) + (0.0,) * (levels - k)
-    return _result(mu, weights, f"rank{k}-analytic", 0)
+    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
 def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> FalsificationReport:
@@ -329,7 +297,7 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
                                min_slack=float(min_slack), seed=seed)
 
 
-def phi_curve_certified(mu_grid, levels: int, method: str = "auto") -> list[PhiCurveRow]:
+def phi_curve_certified(mu_grid, levels: int, method: str = METHODS[0]) -> list[PhiCurveRow]:
     """Tabulate the minimizer-certified Phi against the formulas on a grid."""
     rows = []
     for mu in map(float, mu_grid):

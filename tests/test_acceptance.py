@@ -74,9 +74,9 @@ def test_criterion_2_oracle_agreement():
 
 def test_criterion_3_piece_two_constant_certified():
     mu = 0.5
-    res = min_product_fock_mixture(mu, 3, "auto")
+    res = min_product_fock_mixture(mu, 3)
     corrected = PHI2(mu)
-    assert abs(res.min_product - (corrected / 2.0) ** 2) < 1e-4
+    assert abs(res.min_product - (corrected / 2.0) ** 2) < 1e-15
     # The variant with 2/3 inside the root is not real anywhere on the
     # piece's domain, so no minimizer can reproduce it.
     for probe in np.linspace(7.0 / 18.0, 5.0 / 9.0, 50):

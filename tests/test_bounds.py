@@ -13,7 +13,6 @@ from purity_bounds import (
     diagonal_mixture,
     effective_hbar,
     evaluate_bounds,
-    linear_ansatz_weights,
     min_product_fock_mixture,
     phi,
     phi_eval,
@@ -266,7 +265,8 @@ class TestEvaluateBounds:
         assert all(type(flag) is bool for flag in report.flags.values())
 
     def test_rank5_minimizer_saturates_the_purity_bound(self):
-        state = diagonal_mixture(linear_ansatz_weights(0.25, 5), 8)
+        b = math.sqrt(0.005)  # p_n = 1/5 + b (2 - n): sum p^2 = 1/5 + 10 b^2 = 0.25
+        state = diagonal_mixture([0.2 + b * (2 - n) for n in range(5)], 8)
         report = evaluate_bounds(compute_moments(state), hbar=1.0)
         assert abs(report.slacks["purity"]) <= 1e-12
         assert report.flags["purity"]

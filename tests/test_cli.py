@@ -311,7 +311,23 @@ class TestOracleCommand:
         assert captured.err == ("error: oracle takes --mu or all of "
                                 "--mu-from/--mu-to/--steps, not a mix\n")
 
-    @pytest.mark.parametrize("method", ["rank2-analytic", "rank3-analytic"])
+    @pytest.mark.parametrize("argv, err", [
+        (["--mu", "0.5", "--dim", "6", "--samples", "10", "--seed", "1"],
+         "oracle without --falsify does not take --dim, --samples, --seed"),
+        (["--mu", "0.5", "--levels", "3", "--seed", "1"],
+         "oracle without --falsify does not take --seed"),
+        (["--falsify", "--mu", "0.5", "--dim", "6", "--samples", "10", "--seed", "1",
+          "--method", "projected-gradient", "--levels", "9"],
+         "oracle with --falsify does not take --levels, --method"),
+        (["--falsify", "--mu", "0.5", "--dim", "6", "--samples", "10", "--seed", "1",
+          "--levels", "3"],
+         "oracle with --falsify does not take --levels"),
+    ])
+    def test_flags_of_the_other_mode_exit_1(self, capsys, argv, err):
+        assert main(["oracle", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("method", ["auto", "rank2-analytic", "rank3-analytic"])
     def test_forced_rank_methods_are_gone(self, capsys, method):
         code, _ = run(capsys, ["oracle", "--mu", "0.7", "--levels", "2", "--method", method])
         assert code == 1
@@ -435,10 +451,11 @@ class TestTunnelCommand:
         assert captured.err == ("error: tunnel takes --mu or all of "
                                 "--mu-from/--mu-to/--steps, not a mix\n")
 
-    def test_empty_mu_list_exits_1(self, files, capsys):
-        assert main(["tunnel", "--barrier", files["rect"], "--energy", "0.5", "--mu", ","]) == 1
+    @pytest.mark.parametrize("mu", [",", "", "0.5,,0.3", "0.5,", ",0.5"])
+    def test_empty_mu_item_exits_1(self, files, capsys, mu):
+        assert main(["tunnel", "--barrier", files["rect"], "--energy", "0.5", "--mu", mu]) == 1
         captured = capsys.readouterr()
-        assert (captured.out, captured.err) == ("", "error: --mu list is empty\n")
+        assert (captured.out, captured.err) == ("", f"error: bad --mu list {mu!r}\n")
 
     @pytest.mark.parametrize("grid, field", [
         ({"x": [str(k) for k in range(8)]}, "x[0]"),

@@ -93,7 +93,7 @@ def _cases() -> dict[str, list[str]]:
                                            "--method", "grid-refine"]
     cases["oracle-grid-refine-levels32"] = ["oracle", "--mu", "0.05", "--levels", "32",
                                             "--method", "grid-refine"]
-    cases["oracle-auto-low-purity"] = ["oracle", "--mu", "0.3", "--levels", "5"]
+    cases["oracle-low-purity"] = ["oracle", "--mu", "0.3", "--levels", "5"]
     for dim, seed in ((6, 42), (8, 7)):
         cases[f"oracle-falsify-dim{dim}"] = [
             "oracle", "--falsify", "--mu", "0.5", "--dim", str(dim), "--samples", "2000",
@@ -206,7 +206,7 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
     enumeration included.  They run the same code as with numpy, not a
     numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 55
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 54
     assert "thermal-hot" in results and "oracle-sweep" in results
     assert "oracle-grid-refine-levels32" in results
     assert {"check-fock_mixed-exact", "decohere-exact", "tunnel-sampled-exact"} <= set(results)
@@ -238,7 +238,7 @@ def test_oracle_and_fock_bytes_do_not_depend_on_the_blas_kernel():
     """The oracle's, the Fock moments' and the sampled action's sums are their
     own, correctly rounded: OpenBLAS's SSE kernel (safe on any x86-64) gives
     the recorded bytes and full-precision rows too."""
-    assert len(KERNEL_FREE) == 8 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
+    assert len(KERNEL_FREE) == 7 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
     _assert_recorded(_run_in_child(KERNEL_FREE, OPENBLAS_CORETYPE="Prescott"))
 
 

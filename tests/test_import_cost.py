@@ -3,8 +3,8 @@
 ``import purity_bounds`` loads no submodule and no numpy: the public names
 resolve on first access.  Every command runs without numpy (``check`` on
 either state type, ``decohere``, ``tunnel`` through any barrier, ``thermal``,
-``phi``, ``phi-curve`` and ``oracle`` with any method, the ``grid-refine``
-face enumeration at 2 to 32 levels included) except ``oracle --falsify``,
+``phi``, ``phi-curve`` and ``oracle`` with either method, the ``grid-refine``
+face enumeration at any level count included) except ``oracle --falsify``,
 and so do the Fock state builders.  ``falsification_sweep`` is the one
 function in ``src/`` that imports numpy, which an AST check of the source
 enforces.  Only the commands that take a barrier load

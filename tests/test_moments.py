@@ -165,6 +165,14 @@ class TestGaussianMoments:
         with pytest.raises(InvalidStateError, match="finite"):
             purity(state)
 
+    @pytest.mark.parametrize("excess", (3e-16, 5e-11, 1e-10))
+    def test_purity_above_one_within_state_tol_reads_as_one(self, excess):
+        m = SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + excess)
+        assert (m.mu, m.linear_entropy) == (1.0, 0.0)
+        assert evaluate_bounds(m, 1.0).flags["purity"]
+        with pytest.raises(InvalidStateError, match="outside"):
+            SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + 2e-10)
+
     def test_degenerate_correlation_rejected(self):
         big = 1.0e7
         state = GaussianState(0.0, 0.0, big, big, big * (1.0 - 5e-15))

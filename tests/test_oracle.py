@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -9,9 +10,7 @@ import pytest
 from purity_bounds import (
     FockDensityMatrix,
     InfeasibleTargetError,
-    PieceDomainError,
     falsification_sweep,
-    linear_ansatz_weights,
     min_product_fock_mixture,
     phi,
     phi_curve_certified,
@@ -19,7 +18,8 @@ from purity_bounds import (
 )
 from purity_bounds import oracle
 from purity_bounds.bounds import _rank
-from purity_bounds.oracle import MAX_LEVELS, _project_plane_sphere, _scan_faces
+from purity_bounds.cli import main
+from purity_bounds.oracle import MAX_LEVELS, METHODS, _project_plane_sphere, _scan_faces
 
 from fock_operators import fock_quadrature_operators
 from projected_gradient_reference import projected_gradient_halving
@@ -51,6 +51,16 @@ SPOT_MUS = {
 
 def phi_from(result):
     return 2.0 * math.sqrt(result.min_product)
+
+
+def rank_k_weights(mu, k):
+    """The rank-k linear minimizer p_n = 1/k + b ((k - 1)/2 - n), in closed form.
+
+    sum p = 1 for any b, and sum p^2 = 1/k + b^2 k (k^2 - 1) / 12 = mu fixes
+    b; every weight is nonnegative up to the top mu_k of the rank-k window.
+    """
+    b = math.sqrt((mu - 1.0 / k) * 12.0 / (k * (k * k - 1.0)))
+    return [1.0 / k + b * ((k - 1.0) / 2.0 - n) for n in range(k)]
 
 
 def scan_rows(c, mu):
@@ -88,10 +98,10 @@ def every_support_cost(c, mu):
     return best
 
 
-class TestAnalyticMinimizers:
+class TestDefaultMinimizer:
     def test_rank2_at_mu_07(self):
-        res = min_product_fock_mixture(0.7, 2, "auto")
-        assert res.method == "rank2-analytic"
+        res = min_product_fock_mixture(0.7, 2)
+        assert res.method == "grid-refine"
         p0 = (1.0 + math.sqrt(0.4)) / 2.0
         np.testing.assert_allclose(res.optimal_weights, [p0, 1.0 - p0], atol=1e-14)
         expected = (0.5 * p0 + 1.5 * (1.0 - p0)) ** 2
@@ -99,47 +109,34 @@ class TestAnalyticMinimizers:
         assert phi_from(res) == pytest.approx(phi(0.7, "exact"), abs=1e-12)
 
     def test_pure_state_is_ground_state(self):
-        res = min_product_fock_mixture(1.0, 4, "auto")
+        res = min_product_fock_mixture(1.0, 4)
         assert res.min_product == pytest.approx(0.25, abs=1e-14)
         np.testing.assert_allclose(res.optimal_weights, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_rank3_at_mu_05_matches_corrected_piece(self):
-        res = min_product_fock_mixture(0.5, 3, "auto")
-        assert res.method == "rank3-analytic"
+        res = min_product_fock_mixture(0.5, 3)
         expected_phi = 3.0 - math.sqrt(8.0 * (0.5 - 1.0 / 3.0))
         assert res.min_product == pytest.approx((expected_phi / 2.0) ** 2, abs=1e-12)
-        grid = min_product_fock_mixture(0.5, 3, "grid-refine")
-        assert abs(grid.min_product - res.min_product) < 1e-12
+        np.testing.assert_allclose(res.optimal_weights, rank_k_weights(0.5, 3),
+                                   rtol=0.0, atol=1e-15)
 
     def test_rank3_weights_are_linear_in_level(self):
-        res = min_product_fock_mixture(0.45, 3, "auto")
+        res = min_product_fock_mixture(0.45, 3)
         w = res.optimal_weights
         assert w[0] - w[1] == pytest.approx(w[1] - w[2], abs=1e-12)
 
-    def test_rank2_outside_domain(self):
-        with pytest.raises(PieceDomainError, match="floor 1/2"):
-            linear_ansatz_weights(0.45, 2)
-        with pytest.raises(PieceDomainError, match="purity nan below"):
-            linear_ansatz_weights(math.nan, 3)
-
-    def test_rank3_negative_weight_rejected(self):
-        with pytest.raises(PieceDomainError, match="negative weight"):
-            linear_ansatz_weights(0.6, 3)
-
     def test_unreachable_purity(self):
         with pytest.raises(InfeasibleTargetError):
-            min_product_fock_mixture(0.4, 2, "auto")
+            min_product_fock_mixture(0.4, 2)
         with pytest.raises(InfeasibleTargetError):
-            min_product_fock_mixture(0.5, 2, "auto")  # boundary excluded
+            min_product_fock_mixture(0.5, 2)  # boundary excluded
 
     def test_achieved_purity_tolerance(self):
         for mu in (0.42, 0.5, 0.7, 0.95):
-            res = min_product_fock_mixture(mu, 3, "auto")
+            res = min_product_fock_mixture(mu, 3)
             assert abs(res.achieved_mu - mu) <= 1e-8
 
-    @pytest.mark.parametrize(
-        "method", ["auto", "grid-refine", "projected-gradient"]
-    )
+    @pytest.mark.parametrize("method", METHODS)
     def test_weights_live_on_the_simplex(self, method):
         for mu in (0.45, 0.6, 0.9):
             res = min_product_fock_mixture(mu, 3, method)
@@ -147,42 +144,51 @@ class TestAnalyticMinimizers:
             assert min(res.optimal_weights) >= 0.0
             assert abs(math.fsum(res.optimal_weights) - 1.0) <= 1e-12
 
+    def test_every_method_names_itself_and_the_first_is_every_default(self, capsys):
+        assert METHODS == ("grid-refine", "projected-gradient")
+        for method in METHODS:
+            assert min_product_fock_mixture(0.5, 3, method).method == method
+        for func in (min_product_fock_mixture, phi_curve_certified):
+            assert inspect.signature(func).parameters["method"].default == METHODS[0]
+        assert main(["oracle", "--mu", "0.5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[-2:] == [METHODS[0], "3"]
 
 
 class TestNumericMethods:
     @pytest.mark.parametrize("mu", [0.40, 0.45, 0.50, 5.0 / 9.0])
     def test_grid_and_gradient_agree_with_rank3(self, mu):
-        analytic = min_product_fock_mixture(mu, 3, "auto")
+        rank3 = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0))
         grid = min_product_fock_mixture(mu, 3, "grid-refine")
         gradient = min_product_fock_mixture(mu, 3, "projected-gradient")
-        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-12
-        assert abs(phi_from(gradient) - phi_from(analytic)) < 1e-4
+        assert abs(phi_from(grid) - rank3) < 1e-12
+        assert abs(phi_from(gradient) - rank3) < 1e-4
         assert abs(phi_from(grid) - phi_from(gradient)) < 1e-12
 
     @pytest.mark.parametrize("mu", [0.6, 0.8, 1.0])
     def test_grid_matches_rank2_on_two_levels(self, mu):
         grid = min_product_fock_mixture(mu, 2, "grid-refine")
-        analytic = min_product_fock_mixture(mu, 2, "auto")
-        assert abs(phi_from(grid) - phi_from(analytic)) < 1e-12
+        assert abs(phi_from(grid) - (2.0 - math.sqrt(2.0 * mu - 1.0))) < 1e-12
 
     def test_more_levels_never_increase_the_minimum(self):
         mu = 0.52
-        two = min_product_fock_mixture(mu, 2, "auto")
-        three = min_product_fock_mixture(mu, 3, "auto")
+        two = min_product_fock_mixture(mu, 2)
+        three = min_product_fock_mixture(mu, 3)
         assert three.min_product < two.min_product
 
-    def test_auto_uses_the_rank_k_piece_below_the_rank3_window(self):
+    def test_default_finds_the_rank_k_piece_below_the_rank3_window(self):
         for mu, levels, k in ((0.3, 4, 4), (0.25, 8, 5)):
-            res = min_product_fock_mixture(mu, levels, "auto")
-            assert res.method == f"rank{k}-analytic"
-            assert res.iterations == 0
+            res = min_product_fock_mixture(mu, levels)
+            assert (res.method, res.iterations) == ("grid-refine", levels)
             assert 2.0 * math.sqrt(res.min_product) == pytest.approx(phi(mu), rel=1e-14)
+            np.testing.assert_allclose(res.optimal_weights[:k], rank_k_weights(mu, k),
+                                       rtol=0.0, atol=1e-12)
+            assert res.optimal_weights[k:] == (0.0,) * (levels - k)
 
     def test_general_linear_ansatz_verified_by_grid(self):
         """The face enumeration finds the rank-4/5 linear minimizers."""
         for mu, k in [(0.3, 4), (0.28, 5)]:
             grid = min_product_fock_mixture(mu, k, "grid-refine")
-            np.testing.assert_allclose(grid.optimal_weights, linear_ansatz_weights(mu, k),
+            np.testing.assert_allclose(grid.optimal_weights, rank_k_weights(mu, k),
                                        rtol=0.0, atol=1e-12)
 
     def test_eight_levels_find_the_rank2_minimum(self):
@@ -203,7 +209,7 @@ class TestNumericMethods:
                 expected = phi(mu, "exact")
             else:
                 expected = 2.0 * float(np.dot(np.arange(levels) + 0.5,
-                                              linear_ansatz_weights(mu, levels)))
+                                              rank_k_weights(mu, levels)))
             assert phi_from(res) == pytest.approx(expected, rel=4e-16, abs=0.0)
             assert abs(math.fsum(res.optimal_weights) - 1.0) <= 1e-14
             assert abs(res.achieved_mu - mu) <= 1e-14
@@ -257,15 +263,18 @@ class TestNumericMethods:
             assert np.array_equal(p > 0.0, q > 0.0)
             assert np.max(np.abs(p - q)) <= 1e-15
 
-    def test_grid_refine_level_cap(self):
-        assert MAX_LEVELS == 32
-        with pytest.raises(ValueError, match="2..32 levels"):
-            min_product_fock_mixture(0.5, 33, "grid-refine")
+    @pytest.mark.parametrize("levels", [33, 64, 1024])
+    def test_grid_refine_matches_exact_phi_past_the_falsifier_cap(self, levels):
+        """200 purities from mu_{L+1}, where the rank-L piece begins, to 1."""
+        k = levels + 1
+        floor = 1.0 / k + (k + 1) / (3.0 * k * (k - 1))
+        for mu in map(float, np.geomspace(floor, 1.0, 200)):
+            res = min_product_fock_mixture(mu, levels, "grid-refine")
+            assert phi_from(res) == pytest.approx(phi(mu, "exact"), rel=4e-16, abs=0.0)
 
-    def test_face_enumeration_and_falsifier_share_the_level_cap(self, monkeypatch):
+    def test_only_the_falsifier_reads_the_level_cap(self, monkeypatch):
         monkeypatch.setattr(oracle, "MAX_LEVELS", 4)
-        with pytest.raises(ValueError, match="2..4 levels"):
-            min_product_fock_mixture(0.5, 5, "grid-refine")
+        assert min_product_fock_mixture(0.5, 5, "grid-refine").iterations == 5
         with pytest.raises(ValueError, match="dim <= 4"):
             falsification_sweep(0.5, 5, 10, seed=0)
 
@@ -396,7 +405,7 @@ class TestFalsification:
                 if value < best:
                     best = value
                     best_angles = (theta, ph)
-        rank2 = min_product_fock_mixture(mu, 2, "auto")
+        rank2 = min_product_fock_mixture(mu, 2)
         assert abs(best - rank2.min_product) < 1e-6
         assert best_angles[0] in (0.0, math.pi)  # a diagonal mixture
 
@@ -475,7 +484,7 @@ class TestPhiCurve:
         rows = phi_curve_certified([0.45], levels=3)
         expected = 3.0 - math.sqrt(8.0 * (0.45 - 1.0 / 3.0))
         assert rows[0].phi_oracle == pytest.approx(expected, abs=1e-9)
-        assert rows[0].method == "rank3-analytic"
+        assert rows[0].method == "grid-refine"
         assert rows[0].rel_err_exact < 1e-9
 
     def test_interpolation_sits_below_exact_midpiece(self):

@@ -62,9 +62,9 @@ RECORDS = [
     (FalsificationReport, (0.5, 6, 10, 10, 0, 0.1, 42), {"method": "gradient-aligned-sampling"},
      "FalsificationReport(mu=0.5, dim=6, samples=10, used=10, skipped=0, min_slack=0.1, seed=42, "
      "method='gradient-aligned-sampling')"),
-    (PhiCurveRow, (0.5, 1.0, 1.0, 1.0, 0.0, 0.0, "auto", 3), {},
+    (PhiCurveRow, (0.5, 1.0, 1.0, 1.0, 0.0, 0.0, "grid-refine", 3), {},
      "PhiCurveRow(mu=0.5, phi_oracle=1.0, phi_exact=1.0, phi_app=1.0, rel_err_exact=0.0, "
-     "rel_err_app=0.0, method='auto', iterations=3)"),
+     "rel_err_app=0.0, method='grid-refine', iterations=3)"),
     (ThermalModel, (), {"hbar": 1.0, "mass": 1.0, "omega": 1.0},
      "ThermalModel(hbar=1.0, mass=1.0, omega=1.0)"),
     (RectangularBarrier, (1.0, 2.0), {"mass": 1.0},

@@ -41,6 +41,7 @@ def _emit(text: str, out: str | None) -> None:
 MAX_STEPS = 10**6
 # Phi overflows by design at the smallest purities.
 _PHI_OVERFLOWS = "Phi overflows at purity {!r}"
+_ORACLE_LEVELS = 3  # the lowest number states ``oracle`` mixes without --levels
 
 
 def _require_finite(inputs: list, values: list, message: str) -> None:
@@ -126,7 +127,7 @@ def _cmd_oracle(args) -> int:
         return 2 if report.min_slack < -FALSIFICATION_SLACK_TOL else 0
     if grid is None:
         raise ValueError("oracle needs --mu, or --mu-from/--mu-to/--steps")
-    rows = phi_curve_certified(grid, 3 if args.levels is None else args.levels,
+    rows = phi_curve_certified(grid, _ORACLE_LEVELS if args.levels is None else args.levels,
                                method=args.method or METHODS[0])
     _emit(_io.render_csv(_io.ORACLE_COLUMNS, rows), args.out)
     return 0
@@ -230,7 +231,8 @@ def build_parser() -> _ArgumentParser:
     p.add_argument("--mu-from", type=float, default=None)
     p.add_argument("--mu-to", type=float, default=None)
     p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--levels", type=int, default=None, help="lowest levels to mix (default 3)")
+    p.add_argument("--levels", type=int, default=None,
+                   help=f"lowest levels to mix (default {_ORACLE_LEVELS})")
     p.add_argument("--method", choices=METHODS, default=None,
                    help=f"minimizer (default {METHODS[0]})")
     p.add_argument("--falsify", action="store_true",

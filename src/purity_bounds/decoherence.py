@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 from .errors import check_positive
 from .io import linear_grid
-from .moments import SecondMoments, _diagonal_weights, _fock_sums, _ladder_moments
-from .moments import _require_valid, _warn_if_truncated
+from .moments import SecondMoments, _diagonal_weights, _fock_purity, _fock_sums
+from .moments import _ladder_moments, _require_valid, _warn_if_truncated
 from .states import FockDensityMatrix
 from .tunneling import BarrierSpec, transparency, wkb_columns
 
@@ -80,10 +80,9 @@ def run_trajectory(
     weights = _diagonal_weights(rho0.entries)
     mu, r = [], []
     for t in times:
-        purity = math.fsum(s * math.exp(-2.0 * gamma * t * (d * d)) for d, s in enumerate(weights))
         moments = _ladder_moments(z * math.exp(-gamma * t), w * math.exp(-4.0 * gamma * t), n_sum,
                                   rho0.hbar, rho0.mass, rho0.omega)
-        m = SecondMoments.from_covariance(*moments, purity)
+        m = SecondMoments.from_covariance(*moments, _fock_purity(weights, 2.0 * gamma * t))
         mu.append(m.mu)
         r.append(m.r)
 

@@ -15,10 +15,12 @@ intended state.
 
 ``purity`` and ``compute_moments`` validate the state; the CLI's ``check``,
 which has validated it already, reads its moments through ``_moments``.  A
-density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal.  A
-valid state can come out above 1 by an excess within ``STATE_TOL``, which
-``SecondMoments.from_covariance`` reads as 1: no later purity gate rejects a
-state that passed validation.
+density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal by
+``_fock_purity`` (for ``run_trajectory`` too).  It can pass 1 by more than
+``STATE_TOL`` on a valid state (diag(1 + 9e-11, 0, ...) gives 1 + 1.8e-10), so
+``_purity`` reads any purity above 1 as 1: no later gate rejects a valid state.
+``SecondMoments.from_covariance`` reads a caller's purity up to 1 + ``STATE_TOL``
+as 1 and rejects more.
 """
 
 from __future__ import annotations
@@ -144,14 +146,12 @@ def compute_moments(state: QuantumState) -> SecondMoments:
 
 def _moments(state: QuantumState) -> SecondMoments:
     """``compute_moments`` of a state that has already passed ``validate_state``."""
-    mu = _purity(state)
     if isinstance(state, GaussianState):
-        return SecondMoments.from_covariance(
-            state.mean_q, state.mean_p, state.sigma_qq, state.sigma_pp, state.sigma_qp, mu
-        )
-    _warn_if_truncated(state, stacklevel=4)
-    moments = _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
-    return SecondMoments.from_covariance(*moments, mu)
+        moments = state[:5]  # mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp
+    else:
+        _warn_if_truncated(state, stacklevel=4)
+        moments = _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
+    return SecondMoments.from_covariance(*moments, _purity(state))
 
 
 def purity(state: QuantumState) -> float:
@@ -167,4 +167,9 @@ def purity(state: QuantumState) -> float:
 def _purity(state: QuantumState) -> float:
     if isinstance(state, GaussianState):
         return min(_gaussian_purity(state), 1.0)
-    return min(math.fsum(_diagonal_weights(state.entries)), 1.0)
+    return _fock_purity(_diagonal_weights(state.entries))
+
+
+def _fock_purity(weights: list[float], decay: float = 0.0) -> float:
+    """sum_d S_d exp(-decay d^2) over diagonal weights S_d, above 1 read as 1."""
+    return min(math.fsum(s * math.exp(-decay * (d * d)) for d, s in enumerate(weights)), 1.0)

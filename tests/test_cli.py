@@ -573,6 +573,17 @@ class TestDecohereCommand:
         assert float(first[6]) == pytest.approx(math.exp(-2.0), abs=1e-9)
         assert float(last[1]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_state_with_purity_past_state_tol_above_1_runs(self, files, capsys):
+        """Trace 1 + 9e-11 passes validation; the purity, 1 + 1.8e-10, reads as 1."""
+        doc = {**PLUS_STATE, "re": [[1.00000000009, 0.0, 0.0, 0.0], *[[0.0] * 4] * 3]}
+        state = files["dir"] / "over_one.json"
+        state.write_text(json.dumps(doc))
+        code, out = run(capsys, ["decohere", "--state", str(state), "--gamma", "1.0",
+                                 "--t-max", "1", "--steps", "3",
+                                 "--barrier", files["rect"], "--energy", "0.5"])
+        assert code == 0
+        assert [row.split(",")[1] for row in out.split()[1:]] == ["1"] * 3
+
     @pytest.mark.parametrize("flag, name", [("--gamma", "gamma"), ("--t-max", "t_max")])
     def test_nan_rate_or_duration_exits_1(self, files, capsys, flag, name):
         argv = {"--gamma": "1.0", "--t-max": "2"}

@@ -12,8 +12,8 @@ Phi(mu) >= 1 is the purity-dependent multiplier of the quantum limit; the
 whole chain can be read as the Heisenberg relation with an effective Planck
 constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).  ``bound_report`` returns
 the chain as a ``BoundReport`` whose bounds, slacks and pass flags are keyed
-by ``BOUND_NAMES``; the Schrodinger-Robertson bound is reported in its
-product form and checked in its determinant form.
+by ``BOUND_NAMES``; the Schrodinger-Robertson and purity bounds are reported in
+product form and checked, by ``bound_holds``, in determinant form.
 
 Phi is piecewise: the rank-k piece Phi_k(mu) = k - sqrt(k (k^2 - 1) (mu - 1/k) / 3)
 holds on [mu_{k+1}, mu_k], mu_k = 1/k + (k + 1) / (3k (k - 1)) (Dodonov,
@@ -41,8 +41,8 @@ METHODS = ("grid-refine", "projected-gradient")
 # The keys of a ``BoundReport``'s bounds, slacks and flags, weakest bound first.
 BOUND_NAMES = ("heisenberg", "schrodinger_robertson", "purity")
 
-# A pass flag tolerates a deficit of a few ulp of the bound: the moments of a
-# state that saturates a bound carry that much rounding.
+# A pass flag tolerates a deficit of a few ulp of sigma_qq sigma_pp: each
+# left-hand side is formed from that product, so its rounding scales with it.
 PASS_ROUNDING_TOL = 4.0 * sys.float_info.epsilon
 
 _MU_DOMAIN_TOL = 1e-12
@@ -113,6 +113,12 @@ def phi(mu: float, mode: str = "exact") -> float:
     return phi_eval(mu, mode).value
 
 
+def bound_holds(lhs: float, rhs: float, product: float) -> bool:
+    """Whether lhs >= rhs, forgiving a deficit of ``PASS_ROUNDING_TOL`` of ``product``,
+    the variance product sigma_qq sigma_pp that lhs was formed from."""
+    return lhs >= rhs - PASS_ROUNDING_TOL * product
+
+
 def check_correlation(r: float) -> None:
     """Reject a degenerate correlation coefficient, |r| >= 1, and NaN."""
     if not abs(r) < 1.0:
@@ -155,7 +161,7 @@ class BoundReport(NamedTuple):
 def evaluate_bounds(m: SecondMoments, hbar: float, phi_mode: str = "exact") -> BoundReport:
     """Evaluate the Heisenberg, Schrodinger-Robertson and purity bounds of ``m``."""
     product = m.sigma_qq * m.sigma_pp
-    return bound_report(product, product - m.sigma_qp**2, hbar, m.r, m.mu, phi_mode)
+    return bound_report(product, product - m.sigma_qp * m.sigma_qp, hbar, m.r, m.mu, phi_mode)
 
 
 def bound_report(
@@ -164,12 +170,12 @@ def bound_report(
     """All three bounds at (hbar, r, mu), checked against a variance product.
 
     ``product`` is sigma_qq sigma_pp and ``sr_lhs`` is sigma_qq sigma_pp -
-    sigma_qp^2.  The Schrodinger-Robertson bound is reported in its product
-    form hbar^2 / (4 (1 - r^2)) but checked in its determinant form, sr_lhs
-    against hbar^2 / 4.  A flag passes when the deficit is at most
-    ``PASS_ROUNDING_TOL`` of the bound, so a state that saturates a bound
-    (the vacuum) is not failed by rounding.  hbar^2/4 below the smallest normal
-    float is a ValueError: bounds that round to 0 would pass failing states.
+    sigma_qp^2.  The Schrodinger-Robertson and purity bounds are reported over
+    1 - r^2 but checked with sr_lhs against hbar^2 / 4 and hbar^2 Phi^2 / 4, by
+    ``bound_holds``: no rounding of 1 - r^2 enters a flag, and a state that
+    saturates a bound (the vacuum) is not failed by rounding.  hbar^2/4 below the
+    smallest normal float is a ValueError: bounds that round to 0 would pass
+    failing states.
     """
     check_positive("hbar", hbar)
     check_correlation(r)
@@ -180,15 +186,16 @@ def bound_report(
     if quarter < sys.float_info.min:
         raise ValueError(f"hbar {hbar!r} is too small: hbar^2/4 = {quarter!r} underflows")
     one_minus_r2 = 1.0 - r * r
-    purity_bound = (half * pv.value) * (half * pv.value) / one_minus_r2
-    checked = dict(zip(BOUND_NAMES,
-                       ((product, quarter), (sr_lhs, quarter), (product, purity_bound))))
+    square = (half * pv.value) * (half * pv.value)
+    purity_bound = square / one_minus_r2
+    checked = ((product, quarter), (sr_lhs, quarter), (sr_lhs, square))
     return BoundReport(
         bounds=dict(zip(BOUND_NAMES, (quarter, quarter / one_minus_r2, purity_bound))),
         product=product,
         sr_lhs=sr_lhs,
         hbar_eff=scale_hbar(hbar, pv.value, r),
         phi=pv,
-        slacks={name: lhs - rhs for name, (lhs, rhs) in checked.items()},
-        flags={name: lhs >= rhs - PASS_ROUNDING_TOL * rhs for name, (lhs, rhs) in checked.items()},
+        slacks=dict(zip(BOUND_NAMES,
+                        (product - quarter, sr_lhs - quarter, product - purity_bound))),
+        flags={name: bound_holds(*pair, product) for name, pair in zip(BOUND_NAMES, checked)},
     )

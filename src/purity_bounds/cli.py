@@ -37,7 +37,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-# The most points of a --steps grid; every grid is built whole.
+# The most points of a --steps grid and the most ``oracle --levels``; each is built whole.
 MAX_STEPS = 10**6
 # Phi overflows by design at the smallest purities.
 _PHI_OVERFLOWS = "Phi overflows at purity {!r}"
@@ -112,12 +112,14 @@ def _purity_grid(args, command: str, parse_mu):
 def _cmd_oracle(args) -> int:
     from .oracle import FALSIFICATION_SLACK_TOL, falsification_sweep, phi_curve_certified
 
-    grid = _purity_grid(args, "oracle", lambda mu: [mu])
     other_mode = ("levels", "method") if args.falsify else ("dim", "samples", "seed")
     stray = [f"--{name}" for name in other_mode if getattr(args, name) is not None]
     if stray:
         mode = "with" if args.falsify else "without"
         raise ValueError(f"oracle {mode} --falsify does not take {', '.join(stray)}")
+    if args.levels is not None and args.levels > MAX_STEPS:
+        raise ValueError(f"--levels {args.levels} is above the cap of 10^6")
+    grid = _purity_grid(args, "oracle", lambda mu: [mu])
     if args.falsify:
         for name in ("mu", "dim", "samples", "seed"):
             if getattr(args, name) is None:

@@ -127,13 +127,6 @@ def _diagonal_weights(rho) -> list[float]:
     return [math.fsum(s) for s in squares]
 
 
-def _gaussian_purity(state: GaussianState) -> float:
-    det = state.sigma_qq * state.sigma_pp - state.sigma_qp**2
-    if not det > 0:
-        raise InvalidStateError(f"covariance determinant {det!r} must be positive")
-    return state.hbar / (2.0 * math.sqrt(det))
-
-
 def compute_moments(state: QuantumState) -> SecondMoments:
     """Extract ``SecondMoments`` from either state representation.
 
@@ -165,8 +158,9 @@ def purity(state: QuantumState) -> float:
 
 
 def _purity(state: QuantumState) -> float:
-    if isinstance(state, GaussianState):
-        return min(_gaussian_purity(state), 1.0)
+    if isinstance(state, GaussianState):  # validation has checked det > 0
+        det = state.sigma_qq * state.sigma_pp - state.sigma_qp * state.sigma_qp
+        return min(state.hbar / (2.0 * math.sqrt(det)), 1.0)
     return _fock_purity(_diagonal_weights(state.entries))
 
 

@@ -5,12 +5,12 @@ state summarized by its first and second quadrature moments, and a density
 matrix on a truncated number basis.  Every other module consumes one of
 these two types (or their union, ``QuantumState``).
 
-One tolerance, ``STATE_TOL``, judges every invariant: the hermiticity,
-trace and eigenvalues of a density matrix absolutely, the Gaussian
-determinant relative to hbar^2/4.  A density matrix is a tuple of rows of
-``complex``; its eigenvalues pass iff its Hermitian part plus ``STATE_TOL`` I
-has a Cholesky factorization with positive pivots (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 10).
+``STATE_TOL`` judges the hermiticity, trace and eigenvalues of a density
+matrix absolutely.  A density matrix is a tuple of rows of ``complex``; its
+eigenvalues pass iff its Hermitian part plus ``STATE_TOL`` I has a Cholesky
+factorization with positive pivots (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 10).  A Gaussian state is physical iff det Sigma > 0
+and its Schrodinger-Robertson flag, ``bounds.bound_holds`` on det Sigma, passes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 import operator
 from typing import NamedTuple
 
+from .bounds import bound_holds
 from .errors import InvalidStateError
 
 STATE_TOL = 1e-10
@@ -124,12 +125,13 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     if violations:
         return violations
     # With * (not **) an overflowing product is inf, not an OverflowError.
-    det = state.sigma_qq * state.sigma_pp - state.sigma_qp * state.sigma_qp
+    product = state.sigma_qq * state.sigma_pp
+    det = product - state.sigma_qp * state.sigma_qp  # as ``evaluate_bounds`` forms it
     violations = _finite_violations([("sigma_qq*sigma_pp - sigma_qp^2", det)])
     if violations:
         return violations
     floor = (state.hbar / 2.0) * (state.hbar / 2.0)  # hbar**2 would overflow first
-    if det < floor * (1.0 - STATE_TOL):
+    if not (det > 0 and bound_holds(det, floor, product)):
         violations.append(
             InvariantViolation(
                 name="physicality",

@@ -104,19 +104,17 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
         hbar=model.hbar, mass=model.mass, omega=model.omega)
 
 
-def thermal_bound_report(
-    model: ThermalModel, T: float, r: float = 0.0, phi_mode: str = "exact"
-) -> BoundReport:
+def thermal_bound_report(model: ThermalModel, T: float, phi_mode: str = "exact") -> BoundReport:
     """Purity bound at mu(T), compared against the actual thermal variance product.
 
     The actual product is ((n_bar + 1/2) hbar)^2 with the Bose occupation
-    n_bar (and sigma_qp = 0); a product past the float range is a ValueError.
+    n_bar, and sigma_qp = r = 0; a product past the float range is a ValueError.
     """
     root = (oscillator_mean_occupation(model, T) + 0.5) * model.hbar
     product = root * root
     if product == math.inf:
         raise ValueError(f"thermal variance product ((n_bar + 1/2) hbar)^2 = {root!r}^2 overflows")
-    return bound_report(product, product, model.hbar, r, thermal_purity(model, T), phi_mode)
+    return bound_report(product, product, model.hbar, 0.0, thermal_purity(model, T), phi_mode)
 
 
 def thermal_sweep(

@@ -144,6 +144,12 @@ class TestPhi:
     def test_tiny_overshoot_clamped(self):
         assert phi(1.0 + 1e-13, "exact") == 1.0
 
+    def test_purity_domain_edge(self):
+        # _MU_DOMAIN_TOL = 1e-12 above 1 reads as 1; twice that is out of the domain.
+        assert phi(1.0 + 1e-12) == 1.0
+        with pytest.raises(ValueError, match="outside"):
+            phi(1.0 + 2e-12)
+
 
 class TestEffectiveHbar:
     def test_uncorrelated_pure_state(self):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from purity_bounds.bounds import METHODS
 from purity_bounds.cli import main
 from purity_bounds.io import linear_grid
 
@@ -191,16 +192,16 @@ class TestCheck:
         assert failing == []
 
     def test_state_just_below_the_heisenberg_bound_fails(self, files, capsys):
-        # 1e-12 below hbar^2/4 is inside the validation tolerance, so the
-        # state is accepted, but it violates the bound by far more than rounding.
+        # 1e-12 below hbar^2/4 is far more than rounding: validation and the
+        # Schrodinger-Robertson flag apply one rule, so the state is unphysical.
         path = files["dir"] / "below.json"
         below = {"qq": 0.5, "pp": 0.5 * (1.0 - 1e-12), "qp": 0.0}
         path.write_text(json.dumps({**VACUUM, "cov": below}))
         code, out = run(capsys, ["check", str(path)])
         assert code == 2
         doc = json.loads(out)
-        assert doc["valid"] is True
-        assert not any(doc["flags"].values())
+        assert doc["valid"] is False
+        assert [v["name"] for v in doc["violations"]] == ["physicality"]
 
 
 class TestPhiCommands:
@@ -291,6 +292,17 @@ class TestOracleCommand:
         doc = json.loads(out)
         assert doc["min_slack"] >= -1e-8
         assert doc["method"] == "gradient-aligned-sampling"
+
+    @pytest.mark.parametrize("slack, code", [(-1e-8, 0), (-1.01e-8, 2)])
+    def test_falsify_exit_edge(self, capsys, monkeypatch, slack, code):
+        # A slack below -FALSIFICATION_SLACK_TOL = -1e-8 is a finding, exit 2.
+        import purity_bounds.oracle as oracle
+
+        report = oracle.FalsificationReport(0.7, 4, 10, 10, 0, slack, 1)
+        monkeypatch.setattr(oracle, "falsification_sweep", lambda *args: report)
+        argv = ["oracle", "--falsify", "--mu", "0.7", "--dim", "4", "--samples", "10",
+                "--seed", "1"]
+        assert run(capsys, argv)[0] == code
 
     def test_needs_some_grid(self, capsys):
         code, _ = run(capsys, ["oracle"])
@@ -680,6 +692,32 @@ class TestStepsCap:
         argv = [files.get(arg.lower(), arg) for arg in STEPS_COMMANDS[command]]
         with pytest.raises(AssertionError, match="a grid was built"):
             main(argv + ["--steps", "1000000"])
+
+
+class TestLevelsCap:
+    """``oracle --levels`` sizes the minimizers' lists, so it has the --steps cap,
+    checked before the purity grid or any level list is built."""
+
+    @pytest.fixture
+    def no_lists(self, monkeypatch):
+        import purity_bounds.oracle
+
+        monkeypatch.setattr("purity_bounds.io.linear_grid", _no_grid)
+        monkeypatch.setattr(purity_bounds.oracle, "phi_curve_certified", _no_grid)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("grid", [["--mu", "0.5"],
+                                      ["--mu-from", "0.5", "--mu-to", "1", "--steps", "3"]])
+    def test_levels_above_the_cap_exit_1_at_once(self, capsys, no_lists, method, grid):
+        code = main(["oracle", *grid, "--levels", "1000001", "--method", method])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: --levels 1000001 is above the cap of 10^6\n"
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_cap_itself_is_accepted(self, no_lists, method):
+        with pytest.raises(AssertionError, match="a grid was built"):
+            main(["oracle", "--mu", "0.5", "--levels", "1000000", "--method", method])
 
 
 class TestDeterminismAndUsage:

@@ -76,6 +76,8 @@ def _cases() -> dict[str, list[str]]:
     # Near purity 1 and far from hbar = 1, validation alone decides the outcome.
     cases["check-purity-band"] = ["check", f("gaussian_purity_band")]
     cases["check-fock-purity-band"] = ["check", f("fock_purity_band")]
+    # Exactly pure (det = 1/4 in dyadic numbers): 1 - r^2 must not round into a flag.
+    cases["check-pure-correlated"] = ["check", f("gaussian_pure_correlated")]
     cases["check-small-hbar"] = ["check", f("gaussian_small_hbar")]
     cases["check-large-hbar"] = ["check", f("gaussian_large_hbar")]
     # Phi^2, hbar^2 or sigma_qq sigma_pp leave the float range, the bounds do not.
@@ -206,7 +208,7 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
     enumeration included.  They run the same code as with numpy, not a
     numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 54
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 55
     assert "thermal-hot" in results and "oracle-sweep" in results
     assert "oracle-grid-refine-levels32" in results
     assert {"check-fock_mixed-exact", "decohere-exact", "tunnel-sampled-exact"} <= set(results)

@@ -187,6 +187,33 @@ def test_numpy_is_imported_only_by_the_falsifier():
     assert _src_imports("numpy") == {"src/purity_bounds/oracle.py": ["falsification_sweep"]}
 
 
+def _package_imports(node: ast.AST) -> set[str]:
+    """The package modules that ``node`` imports when it runs: ``if TYPE_CHECKING:``
+    blocks are skipped, nested function bodies are not."""
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+        return set().union(*map(_package_imports, node.orelse))
+    found = set()
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            found = {node.module} if node.module else {alias.name for alias in node.names}
+        elif (node.module or "").split(".")[0] == "purity_bounds":
+            found = {node.module.partition(".")[2] or alias.name for alias in node.names}
+    elif isinstance(node, ast.Import):
+        found = {alias.name.split(".")[1] for alias in node.names
+                 if alias.name.startswith("purity_bounds.")}
+    return found.union(*map(_package_imports, ast.iter_child_nodes(node)))
+
+
+def test_bounds_imports_only_errors():
+    """``states`` validates a Gaussian by the bounds' own rule, so it imports
+    ``bounds``; ``bounds`` importing back would close a cycle, and ``phi``
+    would load ``states``."""
+    tree = ast.parse((ROOT / "src" / "purity_bounds" / "bounds.py").read_text())
+    assert _package_imports(tree) == {"errors"}
+    assert "bounds" in _package_imports(ast.parse(
+        (ROOT / "src" / "purity_bounds" / "states.py").read_text()))
+
+
 def test_no_module_imports_dataclasses():
     """Records are NamedTuples, so no command pays for dataclasses and inspect."""
     assert _src_imports("dataclasses") == {}

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -21,7 +22,6 @@ from purity_bounds import (
     thermal_state_fock,
     validate_state,
 )
-from purity_bounds.moments import _gaussian_purity
 
 from fock_operators import fock_quadrature_operators
 
@@ -53,6 +53,15 @@ class TestFockMoments:
         with pytest.warns(TruncationWarning):
             m = compute_moments(fock_projector(1, dim=2))
         assert m.sigma_qq == pytest.approx(1.5, abs=1e-12)
+
+    def test_truncation_warning_edge(self):
+        # TRUNCATION_POPULATION_TOL = 1e-8 on either of the top two levels warns.
+        for top, warns in ((0.99e-8, False), (1e-8, True)):
+            state = diagonal_mixture([1.0 - top, 0.0, top, 0.0])
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                compute_moments(state)
+            assert any(w.category is TruncationWarning for w in caught) is warns
 
     def test_truncation_warning_on_top_level_population(self):
         with pytest.warns(TruncationWarning):
@@ -173,6 +182,13 @@ class TestGaussianMoments:
         with pytest.raises(InvalidStateError, match="outside"):
             SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + 2e-10)
 
+    def test_degenerate_correlation_edge(self):
+        # |r| = 1 - 2e-12 is inside DEGENERATE_R_TOL = 1e-12 of 1; 1 - 0.5e-12 is not.
+        m = SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, 1.0 - 2e-12, 1.0)
+        assert m.r == 1.0 - 2e-12
+        with pytest.raises(DegenerateCorrelationError):
+            SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, 1.0 - 0.5e-12, 1.0)
+
     def test_degenerate_correlation_rejected(self):
         big = 1.0e7
         state = GaussianState(0.0, 0.0, big, big, big * (1.0 - 5e-15))
@@ -199,7 +215,7 @@ class TestNanRejected:
 
     def test_nan_gaussian_determinant(self):
         with pytest.raises(InvalidStateError):
-            _gaussian_purity(GaussianState(0.0, 0.0, NAN, 1.0, 0.0))
+            purity(GaussianState(0.0, 0.0, NAN, 1.0, 0.0))
 
 
 class TestPurity:
@@ -256,6 +272,40 @@ def rotated_gaussian(hbar, det_scale, s, theta):
     c, d = math.cos(theta), math.sin(theta)
     return GaussianState(0.0, 0.0, a * c * c + b * d * d, a * d * d + b * c * c, (a - b) * c * d,
                          hbar=hbar)
+
+
+def check_outcome(state) -> str:
+    """What ``check`` concludes: "invalid", "pass" (every flag true) or "fail"."""
+    if validate_state(state):
+        return "invalid"
+    flags = evaluate_bounds(compute_moments(state), state.hbar).flags
+    return "pass" if all(flags.values()) else "fail"
+
+
+class TestValidMeansEveryFlagPasses:
+    """Validation and the flags judge det Sigma >= hbar^2/4 by one rule, and the
+    purity flag reads the same determinant, so no valid Gaussian fails a flag."""
+
+    def test_pure_states_validate_and_pass(self):
+        # Squeeze parameter 0.5..4 (variances up to e^8 hbar/2), any rotation:
+        # det carries rounding up to ~1e-9 of hbar^2/4.
+        rng = np.random.default_rng(1)
+        outcomes = {check_outcome(rotated_gaussian(1.0, 1.0, math.exp(2.0 * rng.uniform(0.5, 4.0)),
+                                                   rng.uniform(0.0, math.pi)))
+                    for _ in range(2000)}
+        assert outcomes == {"pass"}
+
+    def test_states_near_the_boundary_are_invalid_or_pass(self):
+        eps = sys.float_info.epsilon
+        rng = np.random.default_rng(2)
+        outcomes = set()
+        for _ in range(1000):
+            hbar, s = 10.0 ** rng.uniform(-4.0, 4.0), math.exp(2.0 * rng.uniform(0.0, 3.0))
+            theta = rng.uniform(0.0, math.pi)
+            for det_scale in (1.0, 1.0 + 3e-10, 1.0 - 3e-10, 1.0 + 16.0 * eps, 1.0 - 16.0 * eps,
+                              1.0 + 10.0 ** rng.uniform(-16.0, 0.0)):
+                outcomes.add(check_outcome(rotated_gaussian(hbar, det_scale, s, theta)))
+        assert outcomes == {"invalid", "pass"}
 
 
 class TestAnyHbar:

@@ -164,6 +164,15 @@ class TestNumericMethods:
         assert abs(phi_from(gradient) - rank3) < 1e-4
         assert abs(phi_from(grid) - phi_from(gradient)) < 1e-12
 
+    @pytest.mark.parametrize("above", [1e-6, 1e-8, 1e-10])
+    def test_a_face_past_the_weight_tolerance_is_not_taken(self, above):
+        # Just above 5/9 the 3-level face's top weight is ~ -0.75 ``above``, beyond
+        # _WEIGHT_TOL = 1e-12; taking it and clamping that weight would leave the simplex.
+        mu = 5.0 / 9.0 + above
+        res = min_product_fock_mixture(mu, 3)
+        assert res.optimal_weights[2] == 0.0 and math.fsum(res.optimal_weights) == 1.0
+        assert phi_from(res) == pytest.approx(2.0 - math.sqrt(2.0 * mu - 1.0), rel=4e-16)
+
     @pytest.mark.parametrize("mu", [0.6, 0.8, 1.0])
     def test_grid_matches_rank2_on_two_levels(self, mu):
         grid = min_product_fock_mixture(mu, 2, "grid-refine")

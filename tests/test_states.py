@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from purity_bounds import (
 from purity_bounds.states import STATE_TOL
 
 from fock_operators import fock_quadrature_operators
+
+EPS = sys.float_info.epsilon
 
 
 def names(violations):
@@ -59,8 +62,17 @@ class TestGaussianValidation:
         assert validate_state(GaussianState(0.0, 0.0, 1.0, 0.5, 0.5)) == []
 
     def test_tolerance_absorbs_tiny_deficit(self):
-        state = GaussianState(0.0, 0.0, 0.5, 0.5 - 1e-12, 0.0)
+        # Every number here is exact: det = product falls short of hbar^2/4 by
+        # 2 eps product, inside PASS_ROUNDING_TOL = 4 eps of the product.
+        state = GaussianState(0.0, 0.0, 0.5, 0.5 * (1.0 - 2.0 * EPS), 0.0)
         assert validate_state(state) == []
+
+    @pytest.mark.parametrize("deficit", (8.0 * EPS, 1e-12))
+    def test_deficit_past_the_rounding_tolerance_fails_physicality(self, deficit):
+        state = GaussianState(0.0, 0.0, 0.5, 0.5 * (1.0 - deficit), 0.0)
+        report = validate_state(state)
+        assert names(report) == ["physicality"]
+        assert report[0].magnitude == pytest.approx(0.25 * deficit, rel=1e-3)
 
 
 class TestFockValidation:
@@ -75,6 +87,19 @@ class TestFockValidation:
     def test_wrong_trace_rejected(self):
         state = FockDensityMatrix(dim=2, entries=[[0.6, 0.0], [0.0, 0.6]])
         assert "trace" in names(validate_state(state))
+
+    @pytest.mark.parametrize("error, valid", [(0.99e-10, True), (-0.99e-10, True),
+                                              (1.01e-10, False), (-1.01e-10, False)])
+    def test_trace_edge(self, error, valid):
+        # STATE_TOL = 1e-10 bounds |Tr rho - 1| absolutely.
+        state = diagonal_mixture([0.5 + error, 0.5], dim=3)
+        assert names(validate_state(state)) == ([] if valid else ["trace"])
+
+    @pytest.mark.parametrize("error, valid", [(0.99e-10, True), (1.01e-10, False)])
+    def test_hermiticity_edge(self, error, valid):
+        # STATE_TOL bounds max |rho - rho^dagger|; the Hermitian part's eigmin is -error/2.
+        state = FockDensityMatrix(dim=2, entries=[[0.5, 0.5 + error], [0.5, 0.5]])
+        assert names(validate_state(state)) == ([] if valid else ["hermiticity"])
 
     def test_negative_eigenvalue_rejected(self):
         state = FockDensityMatrix(dim=2, entries=[[1.2, 0.0], [0.0, -0.2]])

@@ -189,7 +189,7 @@ class TestThermalState:
 
 class TestThermalBoundReport:
     def test_ground_state_limit(self, oscillator):
-        report = thermal_bound_report(oscillator, 0.05, r=0.0)
+        report = thermal_bound_report(oscillator, 0.05)
         assert report.bounds["purity"] == pytest.approx(0.25, abs=1e-7)
         assert report.product - report.bounds["purity"] == pytest.approx(0.0, abs=1e-6)
         assert report.flags["purity"]
@@ -202,7 +202,7 @@ class TestThermalBoundReport:
 
     def test_unit_temperature_chain(self, oscillator):
         """Every step of the T=1 chain pinned: mu, Phi, bound, actual product."""
-        report = thermal_bound_report(oscillator, 1.0, r=0.0)
+        report = thermal_bound_report(oscillator, 1.0)
         mu = math.tanh(0.5)
         expected_phi = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0))
         assert report.phi.value == pytest.approx(expected_phi, abs=1e-12)
@@ -226,11 +226,6 @@ class TestThermalBoundReport:
         for T in (1.0, 1e110):
             with pytest.raises(ValueError, match=r"thermal variance product .* overflows"):
                 thermal_bound_report(model, T)
-
-    def test_correlation_tightens_the_bound(self, oscillator):
-        plain = thermal_bound_report(oscillator, 1.0, r=0.0)
-        tilted = thermal_bound_report(oscillator, 1.0, r=0.6)
-        assert tilted.bounds["purity"] > plain.bounds["purity"]
 
 
 class TestThermalSweep:

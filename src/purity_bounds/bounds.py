@@ -113,6 +113,13 @@ def phi(mu: float, mode: str = "exact") -> float:
     return phi_eval(mu, mode).value
 
 
+def covariance_det(sigma_qq: float, sigma_pp: float, sigma_qp: float) -> tuple[float, float]:
+    """(sigma_qq sigma_pp, det Sigma): the one place both are formed, so validation and
+    every flag read the same bits.  With * (not **) an overflow is inf, not an OverflowError."""
+    product = sigma_qq * sigma_pp
+    return product, product - sigma_qp * sigma_qp
+
+
 def bound_holds(lhs: float, rhs: float, product: float) -> bool:
     """Whether lhs >= rhs, forgiving a deficit of ``PASS_ROUNDING_TOL`` of ``product``,
     the variance product sigma_qq sigma_pp that lhs was formed from."""
@@ -160,8 +167,7 @@ class BoundReport(NamedTuple):
 
 def evaluate_bounds(m: SecondMoments, hbar: float, phi_mode: str = "exact") -> BoundReport:
     """Evaluate the Heisenberg, Schrodinger-Robertson and purity bounds of ``m``."""
-    product = m.sigma_qq * m.sigma_pp
-    return bound_report(product, product - m.sigma_qp * m.sigma_qp, hbar, m.r, m.mu, phi_mode)
+    return bound_report(*covariance_det(*m[2:5]), hbar, m.r, m.mu, phi_mode)
 
 
 def bound_report(

@@ -16,7 +16,7 @@ import math
 import sys
 
 from . import io as _io
-from .bounds import METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
+from .bounds import BOUND_NAMES, METHODS, PHI_MODES, evaluate_bounds, phi, phi_eval
 from .errors import ResolutionError, check_positive
 
 
@@ -39,25 +39,29 @@ def _emit(text: str, out: str | None) -> None:
 
 # The most points of a --steps grid and the most ``oracle --levels``; each is built whole.
 MAX_STEPS = 10**6
-# Phi overflows by design at the smallest purities.
-_PHI_OVERFLOWS = "Phi overflows at purity {!r}"
 _ORACLE_LEVELS = 3  # the lowest number states ``oracle`` mixes without --levels
+# No state lies below the bound (VERIFICATION.md, "Dense states"), so a
+# falsifier slack below minus this, in units of hbar^2, is a failure, not rounding.
+FALSIFICATION_SLACK_TOL = 1e-8
+# Each column that can overflow, in the order checked, and the message that names its
+# input: Phi grows as the purity falls, mu_asymptote as the temperature does, and the
+# rest with hbar or 1/hbar (the flag or file field).
+_PHI, _HBAR = "Phi overflows at purity {mu!r}", "{hbar} is out of range: {column} overflows{at}"
+_OVERFLOWS = {"phi": _PHI, "phi_exact": _PHI, "phi_app": _PHI, "phi_asymptote": _PHI,
+              "mu_asymptote": "mu_asymptote = hbar omega / (2T) overflows at temperature {T!r}",
+              **dict.fromkeys(("sigma_qq sigma_pp", *(f"{name} bound" for name in BOUND_NAMES),
+                               "hbar_eff", "ln_D", "invariant_product", "inv_mu_ln_D"), _HBAR)}
 
 
-def _require_finite(inputs: list, values: list, message: str) -> None:
-    """An overflow names its input: ``message`` formatted with the input of the first inf or NaN."""
-    for x, value in zip(inputs, values):
-        if not math.isfinite(value):
-            raise ValueError(message.format(x))
-
-
-def _require_finite_hbar(table: dict, hbar: str, inputs: list, name: str) -> None:
-    """hbar_eff scales with hbar and ln D with 1/hbar: past the ends of ``hbar`` (the
-    flag or file field and its value) they overflow."""
-    for column in ("hbar_eff", "ln_D", "invariant_product", "inv_mu_ln_D"):
-        if column in table:
-            _require_finite(inputs, table[column],
-                            f"{hbar} is out of range: {column} overflows at {name} {{!r}}")
+def _require_finite(table: dict, hbar: str = "", at: str = "") -> None:
+    """Raise the ``_OVERFLOWS`` message of the first inf or NaN in ``table``, formatted with
+    its row: ``hbar`` is the flag or file field and its value, ``at`` names a sweep's row."""
+    for column, message in _OVERFLOWS.items():
+        for i, value in enumerate(table.get(column, ())):
+            if not math.isfinite(value):
+                row = {key: values[i] for key, values in table.items()}
+                row.update(hbar=hbar, column=column, at=at.format_map(row))
+                raise ValueError(message.format_map(row))
 
 
 def _cmd_check(args) -> int:
@@ -74,6 +78,9 @@ def _cmd_check(args) -> int:
         return 2
     m = _moments(state)
     report = evaluate_bounds(m, state.hbar, args.phi_mode)
+    bounds = {f"{name} bound": [value] for name, value in report.bounds.items()}
+    hbar = f"{args.state}: hbar" if args.hbar is None else "--hbar"
+    _require_finite({"sigma_qq sigma_pp": [report.product], **bounds}, f"{hbar} {state.hbar!r}")
     payload = {"valid": True, "hbar": state.hbar, "moments": m._asdict()}
     payload.update(_io.bound_report_dict(report))
     _emit(_io.render_json(payload), args.out)
@@ -82,7 +89,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_phi(args) -> int:
     pv = phi_eval(args.mu, args.mode)
-    _require_finite([args.mu], [pv.value], _PHI_OVERFLOWS)
+    _require_finite({"mu": [args.mu], "phi": [pv.value]})
     payload = {"mu": args.mu, "mode": args.mode, "phi": pv.value, "piece": pv.piece}
     _emit(_io.render_json(payload), args.out)
     return 0
@@ -90,11 +97,9 @@ def _cmd_phi(args) -> int:
 
 def _cmd_phi_curve(args) -> int:
     mu = _io.linear_grid(args.mu_from, args.mu_to, args.steps, "phi-curve")
-    table = {"mu": mu}
-    for column, mode in (("phi_exact", "exact"), ("phi_app", "interpolation"),
-                         ("phi_asymptote", "asymptote")):
-        table[column] = [phi(m, mode) for m in mu]
-        _require_finite(mu, table[column], _PHI_OVERFLOWS)
+    modes = {"phi_exact": "exact", "phi_app": "interpolation", "phi_asymptote": "asymptote"}
+    table = {"mu": mu, **{column: [phi(m, mode) for m in mu] for column, mode in modes.items()}}
+    _require_finite(table)
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -110,7 +115,7 @@ def _purity_grid(args, command: str, parse_mu):
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import FALSIFICATION_SLACK_TOL, falsification_sweep, phi_curve_certified
+    from .oracle import falsification_sweep, phi_curve_certified
 
     other_mode = ("levels", "method") if args.falsify else ("dim", "samples", "seed")
     stray = [f"--{name}" for name in other_mode if getattr(args, name) is not None]
@@ -152,12 +157,8 @@ def _cmd_thermal(args) -> int:
     else:
         table = thermal_sweep(model, args.t_min, args.t_max, args.steps,
                               r=args.r, phi_mode=args.phi_mode)
-    _require_finite(table["mu"], table["phi"], _PHI_OVERFLOWS)
-    if args.barrier is None:
-        _require_finite(table["T"], table["mu_asymptote"],
-                        "mu_asymptote = hbar omega / (2T) overflows at temperature {!r}")
-    _require_finite_hbar(table, f"--hbar {args.hbar!r}",
-                         table["T" if args.barrier is None else "param_value"], "temperature")
+    at = " at temperature {T!r}" if args.barrier is None else " at temperature {param_value!r}"
+    _require_finite(table, f"--hbar {args.hbar!r}", at)
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -177,8 +178,7 @@ def _cmd_tunnel(args) -> int:
     table = transparency_vs_purity(
         barrier, args.energy, args.hbar, args.r, mu_grid, phi_mode=args.phi_mode
     )
-    _require_finite(table["mu"], table["phi"], _PHI_OVERFLOWS)
-    _require_finite_hbar(table, f"--hbar {args.hbar!r}", table["mu"], "purity")
+    _require_finite(table, f"--hbar {args.hbar!r}", " at purity {mu!r}")
     _emit(_io.render_table(table), args.out)
     return 0
 
@@ -193,7 +193,7 @@ def _cmd_decohere(args) -> int:
     barrier = _io.load_barrier(args.barrier)
     table = run_trajectory(state, args.gamma, args.t_max, args.steps, barrier, args.energy,
                            phi_mode=args.phi_mode).records
-    _require_finite_hbar(table, f"{args.state}: hbar {state.hbar!r}", table["t"], "time")
+    _require_finite(table, f"{args.state}: hbar {state.hbar!r}", " at time {t!r}")
     _emit(_io.render_table(table), args.out)
     return 0
 

@@ -17,10 +17,11 @@ intended state.
 which has validated it already, reads its moments through ``_moments``.  A
 density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal by
 ``_fock_purity`` (for ``run_trajectory`` too).  It can pass 1 by more than
-``STATE_TOL`` on a valid state (diag(1 + 9e-11, 0, ...) gives 1 + 1.8e-10), so
-``_purity`` reads any purity above 1 as 1: no later gate rejects a valid state.
-``SecondMoments.from_covariance`` reads a caller's purity up to 1 + ``STATE_TOL``
-as 1 and rejects more.
+``states.STATE_TOL`` on a valid state (diag(1 + 9e-11, 0, ...) gives
+1 + 1.8e-10), so ``_fock_purity`` reads any purity above 1 as 1, and so does
+``_purity`` for a Gaussian: no later gate rejects a valid state.
+``SecondMoments.from_covariance`` reads a caller's purity by the one rule for
+it, ``bounds.check_purity``.
 """
 
 from __future__ import annotations
@@ -29,18 +30,15 @@ import math
 import warnings
 from typing import NamedTuple
 
+from .bounds import check_purity, covariance_det
 from .errors import DegenerateCorrelationError, InvalidStateError, TruncationWarning
-from .states import (
-    STATE_TOL,
-    TRUNCATION_POPULATION_TOL,
-    FockDensityMatrix,
-    GaussianState,
-    QuantumState,
-    validate_state,
-)
+from .states import FockDensityMatrix, GaussianState, QuantumState, validate_state
 
 # |r| at or beyond this is treated as a degenerate correlation.
 DEGENERATE_R_TOL = 1e-12
+# A population of either top basis level at or above this emits a TruncationWarning:
+# the intended state's support likely extends past the truncation.
+TRUNCATION_POPULATION_TOL = 1e-8
 
 
 class SecondMoments(NamedTuple):
@@ -74,9 +72,7 @@ class SecondMoments(NamedTuple):
             raise DegenerateCorrelationError(
                 f"|r| = {abs(r):.17g} is degenerate (>= 1 - {DEGENERATE_R_TOL})"
             )
-        if not 0.0 < mu <= 1.0 + STATE_TOL:
-            raise InvalidStateError(f"purity {mu!r} outside (0, 1]")
-        mu = min(mu, 1.0)
+        mu = check_purity(mu)
         return cls(*map(float, (mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp, r, mu, 1.0 - mu)))
 
 
@@ -159,8 +155,7 @@ def purity(state: QuantumState) -> float:
 
 def _purity(state: QuantumState) -> float:
     if isinstance(state, GaussianState):  # validation has checked det > 0
-        det = state.sigma_qq * state.sigma_pp - state.sigma_qp * state.sigma_qp
-        return min(state.hbar / (2.0 * math.sqrt(det)), 1.0)
+        return min(state.hbar / (2.0 * math.sqrt(covariance_det(*state[2:5])[1])), 1.0)
     return _fock_purity(_diagonal_weights(state.entries))
 
 

@@ -29,9 +29,6 @@ from .errors import InfeasibleTargetError
 
 _WEIGHT_TOL = 1e-12
 
-# No state lies below the bound (VERIFICATION.md, "Dense states"), so a
-# falsifier slack below minus this, in units of hbar^2, is a failure, not rounding.
-FALSIFICATION_SLACK_TOL = 1e-8
 # The most levels of the falsifier's truncation; the face enumeration takes any number.
 MAX_LEVELS = 32
 # Matrix elements per chunk of the falsification sweep: 1820 starts at dim 6, 64 at dim 32.
@@ -246,27 +243,27 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
     start and of each V diag(w) V^dagger are the ladder sums of ``moments``,
     summed on the last axis: no density matrix is formed.  Returns the minimum of
     sigma_qq sigma_pp (1 - r^2) - Phi^2(mu) / 4  found, in units of hbar^2.
-    Memory is 16*dim bytes per start (drawn whole: every real part comes
-    before any imaginary part) plus one chunk's working set: the starts are
-    stepped in chunks of ``_CHUNK_ELEMENTS`` matrix elements, and a chunk size
-    changes no bit, since every row is reduced in the same order.
+    The starts are drawn and stepped in chunks of ``_CHUNK_ELEMENTS`` matrix
+    elements, so memory is one chunk's working set.  The seed's stream holds
+    every real part before any imaginary part; a second generator skips the
+    real parts.  A chunk size changes no bit: each row is reduced alike.
     """
-    if dim > MAX_LEVELS:
-        raise ValueError(f"falsification sweep supports dim <= {MAX_LEVELS}")
+    if not 2 <= dim <= MAX_LEVELS:
+        raise ValueError(f"falsification sweep supports 2 <= dim <= {MAX_LEVELS}, got {dim}")
     if samples < 1 or samples > 10**6:
         raise ValueError("samples must be in [1, 10^6]")
+    if seed < 0:
+        raise ValueError(f"seed {seed} must be >= 0")
     mu = _check_reachable(mu, dim)
     import numpy as np
 
     from .moments import _ladder_moments
 
-    rng = np.random.default_rng(seed)
+    real, imag = np.random.default_rng(seed), np.random.default_rng(seed)
     size = max(1, _CHUNK_ELEMENTS // dim**2)
-    chunks = [slice(lo, lo + size) for lo in range(0, samples, size)]
-    psi = np.empty((samples, dim), complex)
-    for part in (psi.real, psi.imag):
-        for rows in chunks:
-            part[rows] = rng.standard_normal(part[rows].shape)
+    shapes = [(min(size, samples - lo), dim) for lo in range(0, samples, size)]
+    for shape in shapes:
+        imag.standard_normal(shape)
     n = np.arange(dim)
     ladder = (2.0 * n + 1.0, np.sqrt(n[1:]), np.sqrt(n[1:-1] * n[2:]))  # weights of N, z, w
 
@@ -279,8 +276,10 @@ def falsification_sweep(mu: float, dim: int, samples: int, seed: int) -> Falsifi
 
     bound = (phi(mu, "exact") / 2.0) ** 2
     min_slack = np.inf
-    for rows in chunks:
-        start = psi[rows] / np.linalg.norm(psi[rows], axis=1, keepdims=True)
+    for shape in shapes:
+        psi = np.empty(shape, complex)
+        psi.real, psi.imag = real.standard_normal(shape), imag.standard_normal(shape)
+        start = psi / np.linalg.norm(psi, axis=1, keepdims=True)
         mq, mp, sqq, spp, sqp = moments(start[:, :, None], np.ones((len(start), 1)))
         # G on its three diagonals; eigh reads the lower triangle.
         g = np.zeros((len(start), dim, dim), complex)

@@ -10,7 +10,7 @@ matrix absolutely.  A density matrix is a tuple of rows of ``complex``; its
 eigenvalues pass iff its Hermitian part plus ``STATE_TOL`` I has a Cholesky
 factorization with positive pivots (Higham, *Accuracy and Stability of
 Numerical Algorithms*, ch. 10).  A Gaussian state is physical iff det Sigma > 0
-and its Schrodinger-Robertson flag, ``bounds.bound_holds`` on det Sigma, passes.
+and its Schrodinger-Robertson flag passes on the det Sigma of ``bounds.covariance_det``.
 """
 
 from __future__ import annotations
@@ -20,14 +20,10 @@ import math
 import operator
 from typing import NamedTuple
 
-from .bounds import bound_holds
+from .bounds import bound_holds, covariance_det
 from .errors import InvalidStateError
 
 STATE_TOL = 1e-10
-# Populations of the top two basis levels above this emit a TruncationWarning
-# when moments are computed (the state then likely misrepresents the intended
-# physical state, whose support would extend past the truncation).
-TRUNCATION_POPULATION_TOL = 1e-8
 
 
 class GaussianState(NamedTuple):
@@ -124,9 +120,7 @@ def _validate_gaussian(state: GaussianState) -> list[InvariantViolation]:
     violations = _finite_violations(params + moments) or _positivity_violations(params)
     if violations:
         return violations
-    # With * (not **) an overflowing product is inf, not an OverflowError.
-    product = state.sigma_qq * state.sigma_pp
-    det = product - state.sigma_qp * state.sigma_qp  # as ``evaluate_bounds`` forms it
+    product, det = covariance_det(*state[2:5])
     violations = _finite_violations([("sigma_qq*sigma_pp - sigma_qp^2", det)])
     if violations:
         return violations

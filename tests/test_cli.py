@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,7 @@ PLUS_STATE = {
     "im": [[0.0] * 4 for _ in range(4)],
 }
 RECT = {"shape": "rectangular", "v0": 1.0, "width": 1.0, "mass": 1.0}
+GOLDEN_INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 @pytest.fixture
@@ -173,6 +175,30 @@ class TestCheck:
         assert (code, captured.err) == (2, "")
         doc = json.loads(captured.out, parse_constant=reject_constant)
         assert [(v["name"], v["magnitude"]) for v in doc["violations"]] == [("finite", None)]
+
+    def test_overflowing_product_names_the_hbar_flag(self, capsys):
+        """sigma_qq sigma_pp scales with hbar^2; past ~1e154 it is inf, which strict
+        JSON cannot print, so check names the input instead."""
+        code = main(["check", str(GOLDEN_INPUTS / "fock_mixed.json"), "--hbar", "1e200"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: --hbar 1e+200 is out of range: sigma_qq sigma_pp overflows\n"
+
+    @pytest.mark.parametrize("doc, quantity", [
+        ({**HALF_MIXTURE, "hbar": 1e200}, "sigma_qq sigma_pp"),
+        # Valid, with an eigenvalue of -9e-11: its product is 1.8e-10 below hbar^2/4,
+        # so at hbar/2 just past sqrt(max float) the product is finite and the bounds are not.
+        ({**HALF_MIXTURE, "hbar": 2.6815615860153344e154,
+          "re": [[1.0 + 9e-11, 0, 0, 0], [0, -9e-11, 0, 0], [0] * 4, [0] * 4]}, "heisenberg bound"),
+    ], ids=["product", "bound"])
+    def test_overflow_names_the_files_hbar(self, files, capsys, doc, quantity):
+        path = files["dir"] / "huge_hbar.json"
+        path.write_text(json.dumps(doc))
+        code = main(["check", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == (f"error: {path}: hbar {doc['hbar']!r} is out of range: "
+                                f"{quantity} overflows\n")
 
     def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
         # The vacuum saturates all three bounds; its moments carry up to a
@@ -336,6 +362,19 @@ class TestOracleCommand:
          "oracle with --falsify does not take --levels"),
     ])
     def test_flags_of_the_other_mode_exit_1(self, capsys, argv, err):
+        assert main(["oracle", *argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {err}\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["--falsify", "--mu", "0.5", "--dim", "1", "--samples", "10", "--seed", "1"],
+         "falsification sweep supports 2 <= dim <= 32, got 1"),
+        (["--falsify", "--mu", "0.5", "--dim", "33", "--samples", "10", "--seed", "1"],
+         "falsification sweep supports 2 <= dim <= 32, got 33"),
+        (["--falsify", "--mu", "0.5", "--dim", "4", "--samples", "10", "--seed", "-1"],
+         "seed -1 must be >= 0"),
+        (["--mu", "0.5", "--levels", "1"], "levels must be >= 2"),
+    ], ids=["dim-1", "dim-33", "seed", "levels"])
+    def test_inputs_past_their_range_name_themselves(self, capsys, argv, err):
         assert main(["oracle", *argv]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")
 

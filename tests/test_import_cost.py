@@ -214,6 +214,23 @@ def test_bounds_imports_only_errors():
         (ROOT / "src" / "purity_bounds" / "states.py").read_text()))
 
 
+def test_each_tolerance_is_read_only_by_the_module_that_defines_it():
+    """A ``*_TOL`` is a decision of the one module that applies it: no other
+    module imports it or reads it as an attribute."""
+    stray = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        defined = {target.id for node in nodes if isinstance(node, ast.Assign)
+                   for target in node.targets if isinstance(target, ast.Name)}
+        read = ({node.id for node in nodes if isinstance(node, ast.Name)}
+                | {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+                | {alias.name for node in nodes if isinstance(node, ast.ImportFrom)
+                   for alias in node.names})
+        stray += [f"{path.name}: {name}" for name in sorted(read - defined)
+                  if name.endswith("_TOL")]
+    assert stray == []
+
+
 def test_no_module_imports_dataclasses():
     """Records are NamedTuples, so no command pays for dataclasses and inspect."""
     assert _src_imports("dataclasses") == {}

@@ -174,13 +174,15 @@ class TestGaussianMoments:
         with pytest.raises(InvalidStateError, match="finite"):
             purity(state)
 
-    @pytest.mark.parametrize("excess", (3e-16, 5e-11, 1e-10))
-    def test_purity_above_one_within_state_tol_reads_as_one(self, excess):
+    @pytest.mark.parametrize("excess", (3e-16, 5e-13, 1e-12))
+    def test_purity_above_one_within_mu_domain_tol_reads_as_one(self, excess):
+        # A caller's purity follows bounds.check_purity: _MU_DOMAIN_TOL = 1e-12 above 1
+        # reads as 1; twice that is out of the domain.
         m = SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + excess)
         assert (m.mu, m.linear_entropy) == (1.0, 0.0)
         assert evaluate_bounds(m, 1.0).flags["purity"]
-        with pytest.raises(InvalidStateError, match="outside"):
-            SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + 2e-10)
+        with pytest.raises(ValueError, match="outside"):
+            SecondMoments.from_covariance(0.0, 0.0, 0.5, 0.5, 0.0, 1.0 + 2e-12)
 
     def test_degenerate_correlation_edge(self):
         # |r| = 1 - 2e-12 is inside DEGENERATE_R_TOL = 1e-12 of 1; 1 - 0.5e-12 is not.
@@ -210,7 +212,7 @@ class TestNanRejected:
             SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, NAN, 0.5)
 
     def test_nan_purity(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError):
             SecondMoments.from_covariance(0.0, 0.0, 1.0, 1.0, 0.0, NAN)
 
     def test_nan_gaussian_determinant(self):

@@ -65,7 +65,7 @@ def _require_finite(table: dict, hbar: str = "", at: str = "") -> None:
 
 
 def _cmd_check(args) -> int:
-    from .moments import _moments
+    from .moments import SecondMoments, _covariance, _purity
     from .states import validate_state
 
     state = _io.load_state(args.state)
@@ -76,11 +76,12 @@ def _cmd_check(args) -> int:
         payload = {"valid": False, "violations": [v._asdict() for v in violations]}
         _emit(_io.render_json(payload), args.out)
         return 2
-    m = _moments(state)
+    hbar = f"{args.state}: hbar {state.hbar!r}" if args.hbar is None else f"--hbar {state.hbar!r}"
+    moments = _covariance(state)  # a Fock state's moments scale with hbar and can overflow
+    _require_finite({"sigma_qq sigma_pp": [moments[2] * moments[3]]}, hbar)
+    m = SecondMoments.from_covariance(*moments, _purity(state))
     report = evaluate_bounds(m, state.hbar, args.phi_mode)
-    bounds = {f"{name} bound": [value] for name, value in report.bounds.items()}
-    hbar = f"{args.state}: hbar" if args.hbar is None else "--hbar"
-    _require_finite({"sigma_qq sigma_pp": [report.product], **bounds}, f"{hbar} {state.hbar!r}")
+    _require_finite({f"{name} bound": [value] for name, value in report.bounds.items()}, hbar)
     payload = {"valid": True, "hbar": state.hbar, "moments": m._asdict()}
     payload.update(_io.bound_report_dict(report))
     _emit(_io.render_json(payload), args.out)

@@ -14,7 +14,7 @@ populated: the stored matrix is then itself a suspect truncation of the
 intended state.
 
 ``purity`` and ``compute_moments`` validate the state; the CLI's ``check``,
-which has validated it already, reads its moments through ``_moments``.  A
+which has validated it already, reads its moments through ``_covariance``.  A
 density matrix's purity is sum |rho_ij|^2, summed diagonal by diagonal by
 ``_fock_purity`` (for ``run_trajectory`` too).  It can pass 1 by more than
 ``states.STATE_TOL`` on a valid state (diag(1 + 9e-11, 0, ...) gives
@@ -130,17 +130,15 @@ def compute_moments(state: QuantumState) -> SecondMoments:
     their diagonals (see module docstring).  The purity is ``purity``'s.
     """
     _require_valid(state)
-    return _moments(state)
+    return SecondMoments.from_covariance(*_covariance(state), _purity(state))
 
 
-def _moments(state: QuantumState) -> SecondMoments:
-    """``compute_moments`` of a state that has already passed ``validate_state``."""
+def _covariance(state: QuantumState) -> tuple:
+    """mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp of a state that has passed ``validate_state``."""
     if isinstance(state, GaussianState):
-        moments = state[:5]  # mean_q, mean_p, sigma_qq, sigma_pp, sigma_qp
-    else:
-        _warn_if_truncated(state, stacklevel=4)
-        moments = _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
-    return SecondMoments.from_covariance(*moments, _purity(state))
+        return state[:5]
+    _warn_if_truncated(state, stacklevel=4)
+    return _ladder_moments(*_fock_sums(state.entries), state.hbar, state.mass, state.omega)
 
 
 def purity(state: QuantumState) -> float:

@@ -36,6 +36,16 @@ HALF_MIXTURE = {
     ],
     "im": [[0.0] * 4 for _ in range(4)],
 }
+# (|5> + i|7>)/sqrt(2): at hbar 1.7e308 its sigma_qq and sigma_qp are themselves inf.
+SUPERPOSITION_5_7 = {
+    "type": "fock",
+    "hbar": 1.0,
+    "mass": 1.0,
+    "omega": 1.0,
+    "dim": 10,
+    "re": [[0.5 if i == j in (5, 7) else 0.0 for j in range(10)] for i in range(10)],
+    "im": [[{(7, 5): 0.5, (5, 7): -0.5}.get((i, j), 0.0) for j in range(10)] for i in range(10)],
+}
 PLUS_STATE = {
     "type": "fock",
     "hbar": 1.0,
@@ -190,7 +200,8 @@ class TestCheck:
         # so at hbar/2 just past sqrt(max float) the product is finite and the bounds are not.
         ({**HALF_MIXTURE, "hbar": 2.6815615860153344e154,
           "re": [[1.0 + 9e-11, 0, 0, 0], [0, -9e-11, 0, 0], [0] * 4, [0] * 4]}, "heisenberg bound"),
-    ], ids=["product", "bound"])
+        ({**SUPERPOSITION_5_7, "hbar": 1.7e308}, "sigma_qq sigma_pp"),
+    ], ids=["product", "bound", "moments"])
     def test_overflow_names_the_files_hbar(self, files, capsys, doc, quantity):
         path = files["dir"] / "huge_hbar.json"
         path.write_text(json.dumps(doc))
@@ -199,6 +210,15 @@ class TestCheck:
         assert (code, captured.out) == (1, "")
         assert captured.err == (f"error: {path}: hbar {doc['hbar']!r} is out of range: "
                                 f"{quantity} overflows\n")
+
+    def test_overflowing_moments_name_the_hbar_flag(self, files, capsys):
+        """At hbar 1.7e308 the variances are inf and r would be NaN; check names the flag."""
+        path = files["dir"] / "superposition_5_7.json"
+        path.write_text(json.dumps(SUPERPOSITION_5_7))
+        code = main(["check", str(path), "--hbar", "1.7e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: --hbar 1.7e+308 is out of range: sigma_qq sigma_pp overflows\n"
 
     def test_fock_vacuum_passes_in_every_unit_system(self, tmp_path, capsys):
         # The vacuum saturates all three bounds; its moments carry up to a
@@ -372,8 +392,12 @@ class TestOracleCommand:
          "falsification sweep supports 2 <= dim <= 32, got 33"),
         (["--falsify", "--mu", "0.5", "--dim", "4", "--samples", "10", "--seed", "-1"],
          "seed -1 must be >= 0"),
+        (["--falsify", "--mu", "0.5", "--dim", "4", "--samples", "0", "--seed", "1"],
+         "samples must be in [1, 10^6]"),
+        (["--falsify", "--mu", "0.5", "--dim", "4", "--samples", "1000001", "--seed", "1"],
+         "samples must be in [1, 10^6]"),
         (["--mu", "0.5", "--levels", "1"], "levels must be >= 2"),
-    ], ids=["dim-1", "dim-33", "seed", "levels"])
+    ], ids=["dim-1", "dim-33", "seed", "samples-0", "samples-1000001", "levels"])
     def test_inputs_past_their_range_name_themselves(self, capsys, argv, err):
         assert main(["oracle", *argv]) == 1
         assert capsys.readouterr() == ("", f"error: {err}\n")

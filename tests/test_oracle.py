@@ -448,21 +448,24 @@ class TestFalsification:
     @pytest.mark.parametrize("args", [(0.5, 6, 2000, 42), (0.3, 8, 2000, 3)])
     def test_chunk_size_changes_no_bit(self, monkeypatch, args):
         dim = args[1]
-        reference = falsification_sweep(*args)  # the default chunk: 1820 / 1024 starts
+        reference = falsification_sweep(*args)  # the default chunk: 910 / 512 starts
         # One start per chunk puts a one-row batch through every einsum; 2000, one batch.
         for starts in (1, 7, 2000):
             monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", starts * dim * dim)
             assert falsification_sweep(*args) == reference
 
     def test_memory_is_bounded_by_the_chunk(self):
+        """One chunk's arrays live at a time: 1.8 MiB at either dim (85.8 MiB
+        at dim 8 in one batch)."""
         falsification_sweep(0.5, 8, 10, seed=0)  # imports outside the trace
-        tracemalloc.start()
-        try:
-            falsification_sweep(0.5, 8, 20_000, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 2**20  # 85.8 MiB with all starts in one batch
+        for dim, samples in ((8, 20_000), (32, 10**4)):
+            tracemalloc.start()
+            try:
+                falsification_sweep(0.5, dim, samples, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * 2**20, dim
 
     def test_starts_are_drawn_by_the_chunk(self):
         """10^5 start vectors at dim 8 take 12.8 MB; drawn chunk by chunk, the peak
@@ -474,7 +477,7 @@ class TestFalsification:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 3 * 2**20
 
     def test_dim_cap(self):
         with pytest.raises(ValueError, match="dim <= 32"):

@@ -10,10 +10,11 @@ sigma_pp, covariance sigma_qp, correlation r and purity mu (hbar explicit):
 
 Phi(mu) >= 1 is the purity-dependent multiplier of the quantum limit; the
 whole chain can be read as the Heisenberg relation with an effective Planck
-constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).  ``bound_report`` returns
+constant hbar_eff = hbar Phi(mu) / sqrt(1 - r^2).  ``evaluate_bounds`` returns
 the chain as a ``BoundReport`` whose bounds, slacks and pass flags are keyed
 by ``BOUND_NAMES``; the Schrodinger-Robertson and purity bounds are reported in
-product form and checked, by ``bound_holds``, in determinant form.
+product form and checked, by ``bound_holds``, in determinant form, with the exact
+Phi: the interpolation exceeds Phi in places, so the approximations only tabulate.
 
 Phi is piecewise: the rank-k piece Phi_k(mu) = k - sqrt(k (k^2 - 1) (mu - 1/k) / 3)
 holds on [mu_{k+1}, mu_k], mu_k = 1/k + (k + 1) / (3k (k - 1)) (Dodonov,
@@ -153,7 +154,7 @@ class BoundReport(NamedTuple):
 
     ``bounds``, ``slacks`` and ``flags`` are keyed by ``BOUND_NAMES``: the
     right-hand side of each bound, lhs - rhs of the inequality checked, and
-    whether it holds (see ``bound_report``).
+    whether it holds (see ``evaluate_bounds``).
     """
 
     bounds: dict[str, float]
@@ -165,33 +166,26 @@ class BoundReport(NamedTuple):
     flags: dict[str, bool]
 
 
-def evaluate_bounds(m: SecondMoments, hbar: float, phi_mode: str = "exact") -> BoundReport:
-    """Evaluate the Heisenberg, Schrodinger-Robertson and purity bounds of ``m``."""
-    return bound_report(*covariance_det(*m[2:5]), hbar, m.r, m.mu, phi_mode)
+def evaluate_bounds(m: SecondMoments, hbar: float) -> BoundReport:
+    """The Heisenberg, Schrodinger-Robertson and purity bounds of ``m``, with the exact Phi.
 
-
-def bound_report(
-    product: float, sr_lhs: float, hbar: float, r: float, mu: float, phi_mode: str = "exact"
-) -> BoundReport:
-    """All three bounds at (hbar, r, mu), checked against a variance product.
-
-    ``product`` is sigma_qq sigma_pp and ``sr_lhs`` is sigma_qq sigma_pp -
-    sigma_qp^2.  The Schrodinger-Robertson and purity bounds are reported over
-    1 - r^2 but checked with sr_lhs against hbar^2 / 4 and hbar^2 Phi^2 / 4, by
+    The Schrodinger-Robertson and purity bounds are reported over 1 - r^2 but
+    checked with det Sigma against hbar^2 / 4 and hbar^2 Phi^2 / 4, by
     ``bound_holds``: no rounding of 1 - r^2 enters a flag, and a state that
     saturates a bound (the vacuum) is not failed by rounding.  hbar^2/4 below the
     smallest normal float is a ValueError: bounds that round to 0 would pass
     failing states.
     """
+    product, sr_lhs = covariance_det(*m[2:5])
     check_positive("hbar", hbar)
-    check_correlation(r)
-    pv = phi_eval(mu, phi_mode)
+    check_correlation(m.r)
+    pv = phi_eval(m.mu)
     # Halved before squaring: (hbar / 2)^2 and (hbar Phi / 2)^2 overflow only with the bound.
     half = hbar / 2.0
     quarter = half * half
     if quarter < sys.float_info.min:
         raise ValueError(f"hbar {hbar!r} is too small: hbar^2/4 = {quarter!r} underflows")
-    one_minus_r2 = 1.0 - r * r
+    one_minus_r2 = 1.0 - m.r * m.r
     square = (half * pv.value) * (half * pv.value)
     purity_bound = square / one_minus_r2
     checked = ((product, quarter), (sr_lhs, quarter), (sr_lhs, square))
@@ -199,7 +193,7 @@ def bound_report(
         bounds=dict(zip(BOUND_NAMES, (quarter, quarter / one_minus_r2, purity_bound))),
         product=product,
         sr_lhs=sr_lhs,
-        hbar_eff=scale_hbar(hbar, pv.value, r),
+        hbar_eff=scale_hbar(hbar, pv.value, m.r),
         phi=pv,
         slacks=dict(zip(BOUND_NAMES,
                         (product - quarter, sr_lhs - quarter, product - purity_bound))),

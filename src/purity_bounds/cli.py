@@ -5,8 +5,8 @@ Tabular sweeps emit CSV, one column per key of the sweep's column table;
 single reports (check, phi, falsification) emit JSON.  Output is byte
 identical for identical arguments and seed.
 
-Exit codes: 0 success, 1 input/usage error, 2 bound-violation finding,
-3 a sampled barrier grid too coarse to resolve the barrier.
+Exit codes: 0 success, 1 input/usage error, 2 bound-violation finding (the exact
+Phi's, for check), 3 a sampled barrier grid too coarse to resolve the barrier.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _cmd_check(args) -> int:
     moments = _covariance(state)  # a Fock state's moments scale with hbar and can overflow
     _require_finite({"sigma_qq sigma_pp": [moments[2] * moments[3]]}, hbar)
     m = SecondMoments.from_covariance(*moments, _purity(state))
-    report = evaluate_bounds(m, state.hbar, args.phi_mode)
+    report = evaluate_bounds(m, state.hbar)
     _require_finite({f"{name} bound": [value] for name, value in report.bounds.items()}, hbar)
     payload = {"valid": True, "hbar": state.hbar, "moments": m._asdict()}
     payload.update(_io.bound_report_dict(report))
@@ -215,7 +215,6 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("check", help="evaluate all uncertainty bounds for a state file")
     p.add_argument("state", help="state JSON file")
     p.add_argument("--hbar", type=float, default=None, help="override the file's hbar")
-    _add_phi_mode(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("phi", help="evaluate the bound multiplier at one purity")

@@ -80,9 +80,10 @@ def run_trajectory(
     weights = _diagonal_weights(rho0.entries)
     mu, r = [], []
     for t in times:
-        moments = _ladder_moments(z * math.exp(-gamma * t), w * math.exp(-4.0 * gamma * t), n_sum,
+        gt = gamma * t  # scaled once formed: 4 gamma can overflow where gamma t does not
+        moments = _ladder_moments(z * math.exp(-gt), w * math.exp(-4.0 * gt), n_sum,
                                   rho0.hbar, rho0.mass, rho0.omega)
-        m = SecondMoments.from_covariance(*moments, _fock_purity(weights, 2.0 * gamma * t))
+        m = SecondMoments.from_covariance(*moments, _fock_purity(weights, 2.0 * gt))
         mu.append(m.mu)
         r.append(m.r)
 

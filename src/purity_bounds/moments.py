@@ -79,7 +79,7 @@ class SecondMoments(NamedTuple):
 def _require_valid(state: QuantumState) -> None:
     violations = validate_state(state)
     if violations:
-        names = ", ".join(v.name for v in violations)
+        names = "; ".join(f"{v.name} ({v.detail})" for v in violations)
         raise InvalidStateError(f"state fails validation: {names}")
 
 
@@ -158,5 +158,6 @@ def _purity(state: QuantumState) -> float:
 
 
 def _fock_purity(weights: list[float], decay: float = 0.0) -> float:
-    """sum_d S_d exp(-decay d^2) over diagonal weights S_d, above 1 read as 1."""
-    return min(math.fsum(s * math.exp(-decay * (d * d)) for d, s in enumerate(weights)), 1.0)
+    """S_0 + sum_{d >= 1} S_d exp(-decay d^2), above 1 read as 1: an infinite decay leaves S_0."""
+    decayed = (s * math.exp(-decay * (d * d)) for d, s in enumerate(weights[1:], 1))
+    return min(math.fsum([weights[0], *decayed]), 1.0)

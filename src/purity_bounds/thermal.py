@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import BoundReport, bound_report, check_correlation, phi_eval, scale_hbar
+from .bounds import BoundReport, check_correlation, evaluate_bounds, phi_eval, scale_hbar
 from .errors import PositiveFields, check_positive
 
 if TYPE_CHECKING:
@@ -72,9 +72,12 @@ def partition_function(model: ThermalModel, T: float) -> float:
 
 
 def thermal_purity(model: ThermalModel, T: float) -> float:
-    """Purity mu(T) = Z(T/2) / Z(T)^2 = tanh(hbar omega / 2T)."""
+    """Purity mu(T) = Z(T/2) / Z(T)^2 = tanh(hbar omega / 2T); a ValueError if it underflows."""
     # Halved, not 2T: 2T overflows above T ~ 9e307.
-    return math.tanh(0.5 * (model.hbar * model.omega) / check_positive("temperature", T))
+    mu = math.tanh(0.5 * (model.hbar * model.omega) / check_positive("temperature", T))
+    if mu == 0.0:
+        raise ValueError(f"purity tanh(hbar omega / (2T)) underflows at temperature {T!r}")
+    return mu
 
 
 def oscillator_mean_occupation(model: ThermalModel, T: float) -> float:
@@ -104,17 +107,17 @@ def thermal_state_fock(model: ThermalModel, T: float, dim: int) -> FockDensityMa
         hbar=model.hbar, mass=model.mass, omega=model.omega)
 
 
-def thermal_bound_report(model: ThermalModel, T: float, phi_mode: str = "exact") -> BoundReport:
-    """Purity bound at mu(T), compared against the actual thermal variance product.
+def thermal_bound_report(model: ThermalModel, T: float) -> BoundReport:
+    """``evaluate_bounds`` of the thermal state at T, the Gaussian state with zero means and
+    sigma_qp and variances (n_bar + 1/2) hbar / (m omega), (n_bar + 1/2) hbar m omega, as
+    ``check`` validates it: an overflow is an InvalidStateError that names what overflowed."""
+    from .moments import compute_moments
+    from .states import GaussianState
 
-    The actual product is ((n_bar + 1/2) hbar)^2 with the Bose occupation
-    n_bar, and sigma_qp = r = 0; a product past the float range is a ValueError.
-    """
     root = (oscillator_mean_occupation(model, T) + 0.5) * model.hbar
-    product = root * root
-    if product == math.inf:
-        raise ValueError(f"thermal variance product ((n_bar + 1/2) hbar)^2 = {root!r}^2 overflows")
-    return bound_report(product, product, model.hbar, 0.0, thermal_purity(model, T), phi_mode)
+    state = GaussianState(0.0, 0.0, root / model.mass / model.omega,
+                          root * model.mass * model.omega, 0.0, model.hbar)
+    return evaluate_bounds(compute_moments(state), model.hbar)
 
 
 def thermal_sweep(

@@ -17,7 +17,7 @@ from purity_bounds import (
     phi,
     phi_eval,
 )
-from purity_bounds.bounds import BOUND_NAMES, bound_report
+from purity_bounds.bounds import BOUND_NAMES
 
 
 def _load_reference():
@@ -179,7 +179,7 @@ class TestEffectiveHbar:
         with pytest.raises(ValueError, match="hbar"):
             effective_hbar(hbar, 0.0, 1.0)
         with pytest.raises(ValueError, match="hbar"):
-            bound_report(1.0, 1.0, hbar, 0.0, 1.0)
+            evaluate_bounds(make_moments(1.0, 1.0, 0.0), hbar)
 
 
 class TestEvaluateBounds:
@@ -266,7 +266,8 @@ class TestEvaluateBounds:
                 assert report.flags["purity"] is expected
 
     def test_flags_are_plain_bools_even_for_a_nan_product(self):
-        report = bound_report(math.nan, math.nan, 1.0, 0.0, 0.5)
+        nan_moments = SecondMoments(0.0, 0.0, math.nan, math.nan, 0.0, 0.0, 0.5, 0.5)
+        report = evaluate_bounds(nan_moments, 1.0)
         assert list(report.flags.values()) == [False] * 3
         assert all(type(flag) is bool for flag in report.flags.values())
 

@@ -9,6 +9,7 @@ import pytest
 from purity_bounds.bounds import METHODS
 from purity_bounds.cli import main
 from purity_bounds.io import linear_grid
+from purity_bounds.oracle import min_product_fock_mixture
 
 VACUUM = {
     "type": "gaussian",
@@ -115,6 +116,20 @@ class TestCheck:
         assert doc["moments"]["mu"] == pytest.approx(0.5, abs=1e-12)
         expected_bound = (3.0 - math.sqrt(4.0 / 3.0)) ** 2 / 4.0
         assert doc["slacks"]["purity"] == pytest.approx(1.0 - expected_bound, abs=1e-9)
+
+    def test_face_scan_minimizers_pass(self, files, capsys):
+        """The minimizer at each of 240 purities on [0.05, 1] attains the exact bound and
+        passes; the interpolation lies above Phi at 49 of them, so check must not judge by it."""
+        path = files["dir"] / "minimizer.json"
+        for mu in linear_grid(0.05, 1.0, 240, "purity"):
+            w = min_product_fock_mixture(mu, 32, method="grid-refine").optimal_weights
+            rows = [[w[i] if i == j else 0.0 for j in range(32)] for i in range(32)]
+            path.write_text(json.dumps({**HALF_MIXTURE, "dim": 32, "re": rows,
+                                        "im": [[0.0] * 32] * 32}))
+            code, out = run(capsys, ["check", str(path)])
+            doc = json.loads(out)
+            assert code == 0, mu
+            assert abs(doc["slacks"]["purity"]) <= 1e-12 * doc["bounds"]["purity"], mu
 
     def test_missing_file_is_input_error(self, files, capsys):
         code, _ = run(capsys, ["check", str(files["dir"] / "nope.json")])
@@ -292,6 +307,10 @@ class TestPhiCommands:
     def test_bad_mode_is_usage_error(self, capsys):
         code, _ = run(capsys, ["phi", "--mu", "0.5", "--mode", "guess"])
         assert code == 1
+        # check takes no Phi mode: only the exact bound fails a state.
+        code = main(["check", str(GOLDEN_INPUTS / "gaussian.json"), "--phi-mode", "interpolation"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "") and captured.err.startswith("usage: purity-bounds")
 
     def test_non_finite_result_is_input_error_not_json_token(self, capsys):
         # Phi(5e-324) overflows; strict JSON has no token for it.
@@ -457,7 +476,10 @@ class TestThermalCommand:
                                                "overflows at temperature 1.0"),
         (["--t-min", "1e-322", "--t-max", "1e-321", "--hbar", "1e-320", "--barrier", "RECT",
           "--energy", "0.5"], "--hbar 1e-320 is out of range: ln_D overflows at temperature 1e-322"),
-    ], ids=["hbar_eff", "ln_D"])
+        # hbar omega / (2T) = 5e-451 at the grid's middle temperature: the purity underflows.
+        (["--omega", "1e-300", "--t-max", "1e300", "--steps", "3"],
+         "purity tanh(hbar omega / (2T)) underflows at temperature 1e+150"),
+    ], ids=["hbar_eff", "ln_D", "mu"])
     def test_ends_of_hbar_name_the_flag(self, files, capsys, argv, err):
         sweep = ["thermal", "--t-min", "1", "--t-max", "2", "--steps", "2"]
         code = main(sweep + [files["rect"] if arg == "RECT" else arg for arg in argv])
@@ -692,6 +714,17 @@ class TestDecohereCommand:
                      "--steps", "5", "--barrier", files["rect"], "--energy", "0.5"])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (1, "", f"error: {state}: {err}\n")
+
+    @pytest.mark.parametrize("gamma", ["1", "1e308"])
+    def test_overflowing_decay_reaches_the_dephased_limit(self, capsys, gamma):
+        """gamma t, or 4 gamma, overflows; the limit is finite: z = w = 0, and the purity
+        is the main diagonal's weight S_0 = (4/9)^2 + (4/9)^2 + (1/9)^2 = 11/27."""
+        code, out = run(capsys, ["decohere", "--state", str(GOLDEN_INPUTS / "superposition.json"),
+                                 "--gamma", gamma, "--t-max", "1e308", "--steps", "3",
+                                 "--barrier", str(GOLDEN_INPUTS / "rectangular.json"),
+                                 "--energy", "0.5"])
+        assert code == 0
+        assert [row.split(",")[1] for row in out.split()[1:]] == ["1", "0.407407407", "0.407407407"]
 
     def test_gaussian_state_rejected(self, files, capsys):
         code, _ = run(capsys, ["decohere", "--state", files["vacuum"], "--gamma", "1.0",

@@ -45,10 +45,10 @@ MODES = ("exact", "interpolation", "asymptote")
 
 def _cases() -> dict[str, list[str]]:
     f = lambda name: str(INPUTS / f"{name}.json")
-    cases = {}
+    # check takes no Phi mode; its cases keep the names, and bytes, of the exact mode's.
+    cases = {f"check-{state}-exact": ["check", f(state)]
+             for state in ("gaussian", "gaussian_low_purity", "fock_mixed")}
     for mode in MODES:
-        for state in ("gaussian", "gaussian_low_purity", "fock_mixed"):
-            cases[f"check-{state}-{mode}"] = ["check", f(state), "--phi-mode", mode]
         cases[f"phi-0.5-{mode}"] = ["phi", "--mu", "0.5", "--mode", mode]
         cases[f"phi-0.3-{mode}"] = ["phi", "--mu", "0.3", "--mode", mode]
         cases[f"thermal-{mode}"] = ["thermal", "--t-min", "0.5", "--t-max", "50", "--steps", "20",
@@ -208,7 +208,7 @@ def test_numpy_free_cases_match_recorded_bytes_without_numpy():
     enumeration included.  They run the same code as with numpy, not a
     numpy-free copy of it."""
     results = _run_in_child(NUMPY_FREE, "without-numpy")
-    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 55
+    assert "phi-curve" in results and "check-gaussian-exact" in results and len(results) == 49
     assert "thermal-hot" in results and "oracle-sweep" in results
     assert "oracle-grid-refine-levels32" in results
     assert {"check-fock_mixed-exact", "decohere-exact", "tunnel-sampled-exact"} <= set(results)
@@ -240,7 +240,7 @@ def test_oracle_and_fock_bytes_do_not_depend_on_the_blas_kernel():
     """The oracle's, the Fock moments' and the sampled action's sums are their
     own, correctly rounded: OpenBLAS's SSE kernel (safe on any x86-64) gives
     the recorded bytes and full-precision rows too."""
-    assert len(KERNEL_FREE) == 7 + 7 + 3 + 3  # oracle, check, decohere, tunnel-sampled
+    assert len(KERNEL_FREE) == 7 + 5 + 3 + 3  # oracle, check, decohere, tunnel-sampled
     _assert_recorded(_run_in_child(KERNEL_FREE, OPENBLAS_CORETYPE="Prescott"))
 
 

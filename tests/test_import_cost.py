@@ -8,10 +8,12 @@ face enumeration at any level count included) except ``oracle --falsify``,
 and so do the Fock state builders.  ``falsification_sweep`` is the one
 function in ``src/`` that imports numpy, which an AST check of the source
 enforces.  Only the commands that take a barrier load
-``purity_bounds.tunneling``.  The falsifier loads numpy alone: no scipy
-module and no ``numpy.polynomial`` (which costs milliseconds on every cold
-call).  No module imports ``dataclasses``, and no command loads it or
-``inspect`` (numpy loads ``inspect`` for the falsifier).
+``purity_bounds.tunneling``, and ``phi``, ``phi-curve``, plain ``thermal`` and
+a closed-form ``tunnel`` load neither ``moments`` nor ``states``.  The
+falsifier loads numpy alone: no scipy module and no ``numpy.polynomial``
+(which costs milliseconds on every cold call).  No module imports
+``dataclasses``, and no command loads it or ``inspect`` (numpy loads
+``inspect`` for the falsifier).
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the test
 process already holds whatever other tests imported.
@@ -90,12 +92,15 @@ def test_closed_form_commands_load_no_numpy():
     result = _run(
         ["phi", "--mu", "0.5"],
         ["phi-curve", "--mu-from", "0.39", "--mu-to", "1.0", "--steps", "50"],
+        ["thermal", "--t-min", "0.5", "--t-max", "50", "--steps", "20"],
         ["tunnel", "--barrier", str(INPUTS / "rectangular.json"), "--energy", "0.5",
          "--mu", "1,0.5"],
         ["tunnel", "--barrier", str(INPUTS / "parabolic.json"), "--energy", "0.7",
          "--mu-from", "0.1", "--mu-to", "1.0", "--steps", "10"],
     )
-    assert result["codes"] == [0, 0, 0, 0] and result["numpy"] == []
+    assert result["codes"] == [0] * 5 and result["numpy"] == []
+    # Nor the state modules: a thermal bound report loads them on its own call only.
+    assert {"purity_bounds.moments", "purity_bounds.states"}.isdisjoint(result["package"])
 
 
 def test_gaussian_check_loads_no_numpy():

@@ -22,6 +22,7 @@ from purity_bounds import (
     thermal_state_fock,
     thermal_sweep,
 )
+from purity_bounds.errors import InvalidStateError
 from purity_bounds.thermal import temperature_grid
 
 
@@ -221,10 +222,12 @@ class TestThermalBoundReport:
         assert m.sigma_qq * m.sigma_pp == pytest.approx(report.product, abs=1e-10)
 
     def test_overflowing_product_is_a_value_error(self):
-        # ((n_bar + 1/2) hbar)^2 ~ 1.2e400 at T = 1; at T = 1e110 the root is inf already.
+        # sigma_qq = (n_bar + 1/2) hbar / omega ~ 1.1e400 at T = 1; at T = 1e110
+        # (n_bar + 1/2) hbar is inf already, and so is each variance.  The thermal
+        # state is validated as a state file is: the error names the variance.
         model = ThermalModel(hbar=1e200, omega=1e-200)
         for T in (1.0, 1e110):
-            with pytest.raises(ValueError, match=r"thermal variance product .* overflows"):
+            with pytest.raises(InvalidStateError, match=r"finite \(sigma_qq = inf is not finite\)"):
                 thermal_bound_report(model, T)
 
 

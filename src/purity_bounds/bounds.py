@@ -20,8 +20,10 @@ Phi is piecewise: the rank-k piece Phi_k(mu) = k - sqrt(k (k^2 - 1) (mu - 1/k) /
 holds on [mu_{k+1}, mu_k], mu_k = 1/k + (k + 1) / (3k (k - 1)) (Dodonov,
 J. Opt. B 4, S98, 2002).  k = 2 and 3 give 2 - sqrt(2 mu - 1) on [5/9, 1]
 and 3 - sqrt(8 (mu - 1/3)) on [7/18, 5/9]; the variant of the latter quoted
-with 2/3 inside the root has a negative radicand there.  The ``oracle``
-minimizers reproduce every piece (see VERIFICATION.md).
+with 2/3 inside the root has a negative radicand there.  The exact Phi is
+evaluated in integers from mu = a / b and correctly rounded; it overflows only
+below mu ~ 4.95e-309.  The ``oracle`` minimizers reproduce every piece (see
+VERIFICATION.md).
 """
 
 from __future__ import annotations
@@ -63,45 +65,50 @@ def check_purity(mu: float) -> float:
     return min(float(mu), 1.0)
 
 
-def _rank(mu: float) -> int | float:
-    """Rank k of the exact piece at mu: mu_{k+1} <= mu < mu_k, or k = 2 on [5/9, 1].
+def _rank(mu: float) -> int:
+    """Rank k of the exact piece at mu: the largest k >= 2 with mu < mu_k, which for
+    mu = a / b reads 3 a k (k - 1) < (4k - 2) b.  ``isqrt`` gives the floor of that
+    quadratic's larger root exactly, one too many only where the root is an integer."""
+    a, b = mu.as_integer_ratio()
+    k = (3 * a + 4 * b + math.isqrt(9 * a * a + 16 * b * b)) // (6 * a)
+    return max(2, k if 3 * a * k * (k - 1) < (4 * k - 2) * b else k - 1)
 
-    The floor of the root of mu_k = (4k - 2) / (3k (k - 1)) = mu is off by at
-    most one next to an edge, where one comparison with each (correctly
-    rounded) edge settles k; inf where the root overflows (mu < ~7.4e-309).
-    """
-    top = lambda j: (4 * j - 2) / (3 * j * (j - 1))
-    root = (3.0 * mu + 4.0 + math.sqrt(9.0 * mu * mu + 16.0)) / (6.0 * mu)
-    if root == math.inf:
-        return root
-    k = max(2, math.floor(root))
-    if k > 2 and mu >= top(k):
-        k -= 1
-    elif mu < top(k + 1):
-        k += 1
-    return k
+
+def _ratio(num: int, den: int) -> float:
+    """num / den correctly rounded (Python's int true division), inf past the largest double."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
 
 
 def phi_eval(mu: float, mode: str = "exact") -> PhiValue:
     """Evaluate Phi(mu) in the requested mode.
 
     Modes:
-      exact          the rank-k piece whose window holds mu, named "rank-k"
+      exact          the rank-k piece whose window holds mu, correctly rounded, named "rank-k"
       interpolation  Phi_app(mu) = (4 + sqrt(16 + 9 mu^2)) / (9 mu)
       asymptote      8 / (9 mu), valid only for mu << 1
     """
     mu = check_purity(mu)
     if mode == "exact":
-        k = _rank(mu)
-        if k == math.inf:  # Phi exceeds 1.2e308 there
-            return PhiValue(k, "rank-inf")
-        # k (k^2 - 1) / 3 is scaled by s^-3 and mu - 1/k by s, s the power of
-        # two at or below k: no step overflows, and the scaling is exact, so
-        # ranks 2 and 3 give the bits of 2 - sqrt(2 mu - 1), 3 - sqrt(8 (mu - 1/3)).
-        s = 2.0 ** (math.frexp(k)[1] - 1)
-        u = k / s
-        root = s * math.sqrt(u * (u * u - 1.0 / (s * s)) / 3.0 * (s * (mu - 1.0 / k)))
-        return PhiValue(k - root, f"rank-{k:.17g}")
+        # With mu = a / b, 3b 2^P Phi_k = 3bk 2^P - sqrt(3b (k^2 - 1)(ak - b) 4^P), and
+        # isqrt puts the root within 1: where both ends of that unit interval round
+        # to one double, it is Phi rounded; else P doubles (Ziv's test).
+        k, (a, b), p = _rank(mu), mu.as_integer_ratio(), 64
+        while True:
+            den = 3 * b << p
+            radicand = 3 * b * (k * k - 1) * (a * k - b) << 2 * p
+            root = math.isqrt(radicand)
+            top = den * k - root  # Phi * den is in (top - 1, top], at top if the root is exact
+            value = _ratio(top - (root * root < radicand), den)
+            if value == _ratio(top, den):
+                break
+            p *= 2
+        if k >= 10**17:  # k to 17 significant digits, as %.17g formats a float
+            d = str(round(k, 17 - len(str(k))))
+            return PhiValue(value, f"rank-{d[0]}{f'.{d[1:17]}'.rstrip('0.')}e+{len(d) - 1}")
+        return PhiValue(value, f"rank-{k}")
     if mode == "interpolation":
         return PhiValue((4.0 + math.sqrt(16.0 + 9.0 * mu * mu)) / (9.0 * mu), "interpolation")
     if mode == "asymptote":

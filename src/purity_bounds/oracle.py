@@ -24,7 +24,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .bounds import METHODS, check_purity, phi, phi_eval
+from .bounds import METHODS, check_purity, phi
 from .errors import InfeasibleTargetError
 
 _WEIGHT_TOL = 1e-12
@@ -314,19 +314,7 @@ def phi_curve_certified(mu_grid, levels: int, method: str = METHODS[0]) -> list[
     rows = []
     for mu in map(float, mu_grid):
         res = min_product_fock_mixture(mu, levels, method=method)
-        phi_oracle = 2.0 * math.sqrt(res.min_product)
-        exact = phi_eval(mu, "exact").value
-        app = phi_eval(mu, "interpolation").value
-        rows.append(
-            PhiCurveRow(
-                mu=mu,
-                phi_oracle=phi_oracle,
-                phi_exact=exact,
-                phi_app=app,
-                rel_err_exact=abs(phi_oracle - exact) / exact,
-                rel_err_app=abs(phi_oracle - app) / app,
-                method=res.method,
-                iterations=res.iterations,
-            )
-        )
+        oracle, exact, app = 2.0 * math.sqrt(res.min_product), phi(mu), phi(mu, "interpolation")
+        rows.append(PhiCurveRow(mu, oracle, exact, app, abs(oracle - exact) / exact,
+                                abs(oracle - app) / app, res.method, res.iterations))
     return rows

@@ -114,9 +114,10 @@ def thermal_bound_report(model: ThermalModel, T: float) -> BoundReport:
     from .moments import compute_moments
     from .states import GaussianState
 
-    root = (oscillator_mean_occupation(model, T) + 0.5) * model.hbar
-    state = GaussianState(0.0, 0.0, root / model.mass / model.omega,
-                          root * model.mass * model.omega, 0.0, model.hbar)
+    # sigma_pp goes through hbar omega, which ``ThermalModel`` checks: hbar m overflows first.
+    occupation = oscillator_mean_occupation(model, T) + 0.5
+    state = GaussianState(0.0, 0.0, occupation * model.hbar / model.mass / model.omega,
+                          occupation * (model.hbar * model.omega) * model.mass, 0.0, model.hbar)
     return evaluate_bounds(compute_moments(state), model.hbar)
 
 

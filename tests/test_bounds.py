@@ -1,5 +1,8 @@
 import importlib.util
 import math
+import random
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +20,7 @@ from purity_bounds import (
     phi,
     phi_eval,
 )
-from purity_bounds.bounds import BOUND_NAMES
+from purity_bounds.bounds import BOUND_NAMES, _rank
 
 
 def _load_reference():
@@ -30,8 +33,41 @@ def _load_reference():
 
 
 def window_top(k):
-    """Top edge mu_k of the rank-k window."""
-    return 1.0 / k + (k + 1.0) / (3.0 * k * (k - 1.0))
+    """Top edge mu_k = 1/k + (k + 1) / (3k (k - 1)) of the rank-k window, exactly."""
+    return Fraction(1, k) + Fraction(k + 1, 3 * k * (k - 1))
+
+
+def exact_rank(mu):
+    """The largest k >= 2 with mu < mu_k, walked to from 4 / (3 mu) by exact comparisons."""
+    x = Fraction(mu)
+    k = max(2, int(Fraction(4, 3) / x))
+    while k > 2 and x >= window_top(k):
+        k -= 1
+    while x < window_top(k + 1):
+        k += 1
+    return k
+
+
+def exact_phi(mu):
+    """(Phi(mu) correctly rounded, its piece label) from fractions and a 40-digit decimal root;
+    the value is proved by comparing Phi with the midpoints to its neighbouring doubles."""
+    k = exact_rank(mu)
+    radicand = k * (k * k - 1) * (Fraction(mu) - Fraction(1, k)) / 3  # Phi = k - sqrt(radicand)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        value = float(k - (Decimal(radicand.numerator) / radicand.denominator).sqrt())
+        ctx.prec = 17
+        label = f"rank-{k}" if k < 10**17 else f"rank-{(+Decimal(k)).normalize():e}"
+    at_least = lambda m: k >= m and (k - m) ** 2 >= radicand  # Phi >= m
+    largest = 2**1024 - 2**970  # halfway from the largest double to 2^1024
+    if value == math.inf:
+        assert at_least(largest), mu
+    else:
+        up = math.nextafter(value, math.inf)
+        high = (Fraction(value) + Fraction(up)) / 2 if up < math.inf else Fraction(largest)
+        assert at_least((Fraction(value) + Fraction(math.nextafter(value, 0.0))) / 2), mu
+        assert not at_least(high), mu
+    return value, label
 
 
 def make_moments(sigma_qq, sigma_pp, sigma_qp, mu=1.0):
@@ -65,37 +101,51 @@ class TestPhi:
     def test_lower_knot_value(self):
         assert phi(7.0 / 18.0, "exact") == pytest.approx(7.0 / 3.0, abs=1e-12)
 
-    def test_exact_is_bit_identical_to_the_closed_pieces_on_the_upper_range(self):
+    def test_exact_is_correctly_rounded_against_a_fractions_reference(self):
+        rng = random.Random(14)
+        grid = [5.0 / 9.0, 7.0 / 18.0, 0.3, 0.5]
+        grid += [10.0 ** rng.uniform(math.log10(5e-309), 0.0) for _ in range(10_000)]
+        grid += [rng.uniform(5e-309, 1.0) for _ in range(10_000)]
+        for mu in grid:
+            assert tuple(phi_eval(mu)) == exact_phi(mu), mu
+
+    def test_exact_rounds_the_closed_pieces_correctly_on_the_upper_range(self):
+        """The closed forms 2 - sqrt(2 mu - 1) and 3 - sqrt(8 (mu - 1/3)) in floats
+        round twice; the exact piece is the one rounding of Phi, within 2 ulp of them."""
         grid = list(np.linspace(7.0 / 18.0, 1.0, 20001))
         for edge in (7.0 / 18.0, 5.0 / 9.0):
             grid += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)]
         for mu in grid:
             mu = float(mu)
             if mu >= 5.0 / 9.0:
-                expected, piece = 2.0 - math.sqrt(2.0 * mu - 1.0), "rank-2"
+                closed, piece = 2.0 - math.sqrt(2.0 * mu - 1.0), "rank-2"
             elif mu >= 7.0 / 18.0:
-                expected, piece = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0)), "rank-3"
+                closed, piece = 3.0 - math.sqrt(8.0 * (mu - 1.0 / 3.0)), "rank-3"
             else:
                 continue
             pv = phi_eval(mu, "exact")
-            assert pv.value == expected
-            assert pv.piece == piece
+            assert tuple(pv) == exact_phi(mu) and pv.piece == piece
+            assert abs(pv.value - closed) <= 2.0 * math.ulp(closed)
 
-    @pytest.mark.parametrize("mu, k", [(0.35, 4), (0.3, 4), (0.25, 5), (0.2, 7)])
+    @pytest.mark.parametrize("mu, k", [(0.35, 4), (0.3, 5), (0.25, 5), (0.2, 7)])
     def test_exact_matches_the_projected_gradient_minimizer(self, mu, k):
+        # The double 0.3 lies below mu_5 = 3/10 exactly, so its rank is 5.
         res = min_product_fock_mixture(mu, 8, "projected-gradient")
         assert abs(2.0 * math.sqrt(res.min_product) - phi(mu)) <= 1e-12 * phi(mu)
-        assert phi_eval(mu).piece == f"rank-{k}"
+        assert exact_rank(mu) == k and phi_eval(mu).piece == f"rank-{k}"
 
     def test_continuous_at_the_window_edges(self):
-        # Two ulp either side of the edge between the rank-k and rank-(k+1) windows.
-        for k in range(2, 61):
-            edge = window_top(k + 1)
-            below = math.nextafter(math.nextafter(edge, 0.0), 0.0)
-            above = math.nextafter(math.nextafter(edge, 1.0), 1.0)
-            assert phi_eval(below).piece == f"rank-{k + 1}"
-            assert phi_eval(above).piece == f"rank-{k}"
-            assert abs(phi(below) - phi(above)) <= 1e-12 * phi(above)
+        # The double nearest each edge mu_k and its two neighbours, for k = 2..10^4 and
+        # log-spaced k up to 6e307 (mu_k still a normal double), where many windows share an ulp.
+        ks = [*range(2, 10_001), *(int(k) for k in np.geomspace(1e4, 6e307, 300))]
+        for k in ks:
+            edge = float(window_top(k))
+            points = [math.nextafter(edge, 0.0), edge, min(math.nextafter(edge, 1.0), 1.0)]
+            for mu in points:
+                rank = exact_rank(mu)
+                assert _rank(mu) == rank, mu
+                assert rank >= 10**17 or phi_eval(mu).piece == f"rank-{rank}"
+            assert abs(phi(points[0]) - phi(points[-1])) <= 1e-12 * phi(points[-1])
 
     def test_matches_the_independent_reference(self):
         ref = _load_reference()

@@ -317,19 +317,27 @@ class TestPhiCommands:
         code, out = run(capsys, ["phi", "--mu", "5e-324"])
         assert code == 1 and out == ""
 
+    def test_phi_is_finite_down_to_its_overflow(self, capsys):
+        # Phi(6.25e-309) = 1.4222222222222226e308; only below ~4.95e-309 does it pass 1.8e308.
+        code, out = run(capsys, ["phi", "--mu", "6.25e-309"])
+        assert code == 0
+        assert json.loads(out)["phi"] == 1.4222222222222226e308
+
     @pytest.mark.parametrize("argv, mu", [
+        (["phi", "--mu", "4.9e-309"], "4.9e-309"),
         (["phi", "--mu", "1e-309"], "1e-309"),
         (["phi", "--mu", "1e-309", "--mode", "interpolation"], "1e-309"),
         (["phi-curve", "--mu-from", "1e-309", "--mu-to", "1", "--steps", "2"], "1e-309"),
         (["tunnel", "--barrier", "RECT", "--energy", "0.5", "--mu", "1,1e-309"], "1e-309"),
-        # mu(8e307) = tanh(1 / 1.6e308) = 6.25e-309
-        (["thermal", "--t-min", "1", "--t-max", "8e307", "--steps", "3"], "6.25e-309"),
+        # mu(1.5e308) = tanh(1 / 3e308) = 3.33e-309
+        (["thermal", "--t-min", "1", "--t-max", "1.5e308", "--steps", "3"],
+         "3.33333333333333e-309"),
         # Z = T / (hbar omega) overflows first in the table, and only where Phi does.
         (["thermal", "--t-min", "1", "--t-max", "1e308", "--steps", "3", "--omega", "0.5"],
          "2.5e-309"),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_infinite_phi_is_an_error_naming_the_purity(self, files, capsys, argv, mu):
-        """Phi overflows below mu ~ 7.4e-309; every command says so with the
+        """Phi overflows below mu ~ 4.95e-309; every command says so with the
         purity, before it renders anything."""
         code = main([files["rect"] if arg == "RECT" else arg for arg in argv])
         captured = capsys.readouterr()

@@ -9,9 +9,10 @@ and so do the Fock state builders.  ``falsification_sweep`` is the one
 function in ``src/`` that imports numpy, which an AST check of the source
 enforces.  Only the commands that take a barrier load
 ``purity_bounds.tunneling``, and ``phi``, ``phi-curve``, plain ``thermal`` and
-a closed-form ``tunnel`` load neither ``moments`` nor ``states``.  The
-falsifier loads numpy alone: no scipy module and no ``numpy.polynomial``
-(which costs milliseconds on every cold call).  No module imports
+a closed-form ``tunnel`` load neither ``moments`` nor ``states``, nor
+``decimal`` or ``fractions`` (Phi is exact in plain ints).  The falsifier
+loads numpy alone: no scipy module and no ``numpy.polynomial`` (which costs
+milliseconds on every cold call).  No module imports
 ``dataclasses``, and no command loads it or ``inspect`` (numpy loads
 ``inspect`` for the falsifier).
 
@@ -48,7 +49,7 @@ loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
 numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
 package = sorted(m for m in sys.modules if m.startswith("purity_bounds."))
-stdlib = sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+stdlib = sorted(m for m in ("dataclasses", "decimal", "fractions", "inspect") if m in sys.modules)
 print(json.dumps({"codes": codes, "loaded": loaded, "numpy": numpy,
                   "package_only": package_only, "package": package, "stdlib": stdlib}))
 """
@@ -99,8 +100,10 @@ def test_closed_form_commands_load_no_numpy():
          "--mu-from", "0.1", "--mu-to", "1.0", "--steps", "10"],
     )
     assert result["codes"] == [0] * 5 and result["numpy"] == []
-    # Nor the state modules: a thermal bound report loads them on its own call only.
+    # Nor the state modules (a thermal bound report loads them on its own call only),
+    # nor decimal or fractions: Phi's exact evaluation takes plain ints.
     assert {"purity_bounds.moments", "purity_bounds.states"}.isdisjoint(result["package"])
+    assert result["stdlib"] == []
 
 
 def test_gaussian_check_loads_no_numpy():

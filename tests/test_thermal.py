@@ -230,6 +230,13 @@ class TestThermalBoundReport:
             with pytest.raises(InvalidStateError, match=r"finite \(sigma_qq = inf is not finite\)"):
                 thermal_bound_report(model, T)
 
+    def test_variances_do_not_overflow_through_hbar_times_mass(self):
+        # hbar m = 1e350 overflows; hbar omega = 1, and the variances ~1.1e100 and ~1.1e200 do not.
+        report = thermal_bound_report(ThermalModel(hbar=1e150, mass=1e200, omega=1e-150), 1.0)
+        occupation = 0.5 / math.tanh(0.5)  # n_bar + 1/2 at hbar omega / T = 1
+        assert report.product == pytest.approx((occupation * 1e150) ** 2, rel=1e-14)
+        assert all(report.flags.values())
+
 
 class TestThermalSweep:
     def test_high_temperature_hbar_eff_doubles(self, oscillator):
